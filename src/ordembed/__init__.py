@@ -9,7 +9,7 @@ and numerically probes infeasibility below the optimal dimension.
 """
 from .constructions import (EpsilonSearch, RealizationReport, choose_epsilon,
                             default_search, perturbed_distances, realize,
-                            realize_linear_bipartite, realize_linear_complete,
+                            realize_linear_complete,
                             realize_preorder_bipartite,
                             realize_preorder_complete)
 from .counterexamples import (FalsifierConfig, FalsifierReport, falsify,
@@ -41,7 +41,7 @@ __all__ = [
     "factor_points", "falsify", "gallery", "gram_from_distances",
     "induced_preorder", "infeasible_dimension", "is_positive_definite",
     "min_eigenvalue", "perturbed_distances", "realize",
-    "realize_linear_bipartite", "realize_linear_complete",
+    "realize_linear_complete",
     "realize_preorder_bipartite", "realize_preorder_complete",
     "simplex_diameter_bound", "stress_loss", "validate", "verify",
     "__version__",

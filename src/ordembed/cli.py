@@ -9,6 +9,7 @@ gallery 0 ok / 2 bad input; falsify 0 feasible / 1 infeasible / 2 bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -47,7 +48,7 @@ def _write_csv(config: PointConfig, path: str) -> None:
     rows = config.P if config.Q is None else np.vstack([config.P, config.Q])
     lines = [",".join(f"x{k + 1}" for k in range(config.dim))]
     for row in rows:
-        lines.append(",".join(format(float(v), ".17g") for v in row))
+        lines.append(",".join(schoenberg._fmt(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -56,21 +57,21 @@ def _write_csv(config: PointConfig, path: str) -> None:
 def _realization_report_json(report: RealizationReport) -> str:
     out = {
         "dim": report.config.dim,
-        "epsilon": report.epsilon,
-        "margin": report.margin,
-        "min_eigenvalues": list(report.min_eigenvalues),
+        "epsilon": schoenberg.json_float(report.epsilon),
+        "margin": schoenberg.json_float(report.margin),
+        "min_eigenvalues": [schoenberg.json_float(x)
+                            for x in report.min_eigenvalues],
     }
     return json.dumps(out)
 
 
 def _search_from_flags(spec: OrderSpec, args) -> EpsilonSearch | None:
-    if args.epsilon is None and args.shrink is None and args.max_steps is None:
+    given = {name: value for name, value in (
+        ("initial", args.epsilon), ("shrink_factor", args.shrink),
+        ("max_steps", args.max_steps)) if value is not None}
+    if not given:
         return None
-    base = constructions.default_search(spec)
-    return EpsilonSearch(
-        initial=base.initial if args.epsilon is None else args.epsilon,
-        shrink_factor=0.5 if args.shrink is None else args.shrink,
-        max_steps=60 if args.max_steps is None else args.max_steps)
+    return dataclasses.replace(constructions.default_search(spec), **given)
 
 
 def cmd_realize(args) -> int:
@@ -117,11 +118,11 @@ def cmd_verify(args) -> int:
 def cmd_induce(args) -> int:
     try:
         config = _load_config(args.points)
+        induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
+                                            tol_rel=args.tol_rel)
     except OrdembedError as exc:
         _diagnose(exc)
         return 2
-    induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
-                                        tol_rel=args.tol_rel)
     if config.Q is None:
         spec = OrderSpec("complete", len(config.P), induced.classes)
     else:

@@ -21,8 +21,9 @@ from . import orders
 from .errors import (DegenerateHyperplane, DistanceMismatch, EpsilonExhausted,
                      ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (GramMatrix, PointConfig, distances_of, factor_points,
-                         gram_from_distances, min_eigenvalue)
+from .schoenberg import (GramMatrix, PointConfig, factor_points,
+                         gram_from_distances, min_eigenvalue, pair_distances,
+                         upper_pairs)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -71,28 +72,22 @@ def default_search(spec: OrderSpec) -> EpsilonSearch:
 
 def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     """m_ij = 1 + rank(i,j)*eps, zero diagonal. Complete specs only."""
-    n = spec.n
-    M = np.zeros((n, n))
-    for cls in spec.classes:
-        for i, j in cls:
-            k = spec.rank_of((i, j))
-            M[i - 1, j - 1] = M[j - 1, i - 1] = 1.0 + k * eps
-    return M
+    M = np.zeros((spec.n, spec.n))
+    M[upper_pairs(spec.n)] = 1.0 + spec.ranks * eps
+    return M + M.T
 
 
 def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     """Smallest gap between max distance of one class and min distance of
     the next, over consecutive classes."""
-    D = distances_of(config)
-    if spec.kind == "complete":
-        vals = [np.array([D[i - 1, j - 1] for i, j in cls])
-                for cls in spec.classes]
-    else:
-        vals = [np.array([D[i - 1, j - 1] for i, j in cls])
-                for cls in spec.classes]
-    gaps = [float(vals[k + 1].min() - vals[k].max())
-            for k in range(len(vals) - 1)]
-    return min(gaps) if gaps else float("inf")
+    d = pair_distances(config)
+    cls = spec.ranks - 1
+    lo = np.full(spec.num_classes, np.inf)
+    hi = np.full(spec.num_classes, -np.inf)
+    np.minimum.at(lo, cls, d)
+    np.maximum.at(hi, cls, d)
+    gaps = lo[1:] - hi[:-1]
+    return float(gaps.min()) if gaps.size else float("inf")
 
 
 def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
@@ -263,10 +258,10 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
             min_eigenvalues=rep.min_eigenvalues)
     n, m = spec.n, spec.m
     search = search or default_search(spec)
+    ranks = spec.ranks.reshape(n, m)
 
     def apex_targets(eps: float, j: int) -> np.ndarray:
-        return np.array([1.0 + spec.rank_of((i, j)) * eps
-                         for i in range(1, n + 1)])
+        return 1.0 + ranks[:, j - 1] * eps
 
     def apex_grams(eps: float) -> list[GramMatrix]:
         side = 1.0 + eps
@@ -313,13 +308,6 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
                              min_eigenvalues=eigs)
-
-
-def realize_linear_bipartite(spec: OrderSpec, eta: float = ETA,
-                             search: EpsilonSearch | None = None
-                             ) -> RealizationReport:
-    """A linear order is a preorder with singleton classes; delegate."""
-    return realize_preorder_bipartite(spec, eta, search)
 
 
 def realize(spec: OrderSpec, eta: float = ETA,

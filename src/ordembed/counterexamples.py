@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import orders, verifier
-from .errors import BadSize, ShapeMismatch, UnknownName
+from .errors import BadSize, UnknownName
 from .orders import OrderSpec
-from .schoenberg import PointConfig
+from .schoenberg import PointConfig, json_float, upper_pairs
 
 MARGIN = 5e-2
 FLOOR = 5e-2
@@ -32,9 +32,6 @@ ARMIJO_C = 1e-4
 MIN_STEP = 1e-18
 STALL_REL = 1e-8
 STALL_ITERS = 50
-
-GALLERY_NAMES = ("d4_linear", "block_linear", "diameter_preorder",
-                 "bip_cyclic_linear", "bip_affine_preorder")
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +112,29 @@ def _bip_affine_preorder(n: int) -> OrderSpec:
     return OrderSpec("bipartite", n, tuple(classes), m=n)
 
 
+# name -> (builder, largest dimension in which the family of size n
+# provably has no realization)
+FAMILIES = {
+    "d4_linear": (_d4_linear, lambda n: 1),
+    "block_linear": (_block_linear, lambda n: n - 3),
+    "diameter_preorder": (_diameter_preorder, lambda n: n - 2),
+    "bip_cyclic_linear": (_bip_cyclic_linear, lambda n: n - 2),
+    "bip_affine_preorder": (_bip_affine_preorder, lambda n: n - 1),
+}
+
+
 def gallery(name: str, n: int) -> OrderSpec:
     """Emit a lower-bound family as a full order spec.
 
     The sources fix only some relations; unconstrained pairs are completed
     deterministically (lex-smallest compatible completion for the linear
     families, row-major chaining for the affine preorder)."""
-    builders = {
-        "d4_linear": _d4_linear,
-        "block_linear": _block_linear,
-        "diameter_preorder": _diameter_preorder,
-        "bip_cyclic_linear": _bip_cyclic_linear,
-        "bip_affine_preorder": _bip_affine_preorder,
-    }
     try:
-        builder = builders[name]
+        builder, _ = FAMILIES[name]
     except KeyError:
         raise UnknownName(
             f"unknown gallery family {name!r}; "
-            f"choose from {', '.join(GALLERY_NAMES)}") from None
+            f"choose from {', '.join(FAMILIES)}") from None
     spec = builder(n)
     orders.validate(spec)
     return spec
@@ -141,17 +142,8 @@ def gallery(name: str, n: int) -> OrderSpec:
 
 def infeasible_dimension(name: str, n: int) -> int:
     """Largest dimension in which the family provably has no realization."""
-    dims = {
-        "d4_linear": lambda k: 1,
-        "block_linear": lambda k: k - 3,
-        "diameter_preorder": lambda k: k - 2,
-        "bip_cyclic_linear": lambda k: k - 2,
-        "bip_affine_preorder": lambda k: k - 1,
-    }
-    if name not in dims:
-        raise UnknownName(f"unknown gallery family {name!r}")
     gallery(name, n)
-    return dims[name](n)
+    return FAMILIES[name][1](n)
 
 
 def simplex_diameter_bound(n: int) -> float:
@@ -169,44 +161,42 @@ class _StressTerms:
     """Precomputed index arrays for the loss terms of one spec."""
 
     def __init__(self, spec: OrderSpec):
-        pairs = spec.pair_set()
-        self.n_points = spec.n + (spec.m if spec.kind == "bipartite" else 0)
-        index = {p: k for k, p in enumerate(pairs)}
+        n = spec.n
+        ranks = spec.ranks
         if spec.kind == "complete":
-            self.ii = np.array([i - 1 for i, _ in pairs])
-            self.jj = np.array([j - 1 for _, j in pairs])
-            extra = []
+            self.n_points = n
+            self.ii, self.jj = upper_pairs(n)
+            self.xi = self.xj = np.zeros(0, dtype=int)
         else:
-            self.ii = np.array([i - 1 for i, _ in pairs])
-            self.jj = np.array([spec.n + j - 1 for _, j in pairs])
+            m = spec.m
+            self.n_points = n + m
+            self.ii = np.repeat(np.arange(n), m)
+            self.jj = n + np.tile(np.arange(m), n)
             # points of one collection may legally coincide, but only when
             # their relation rows agree; rows that differ force distinct
             # points in every realization, so only those pairs get the
             # distinctness floor
-            row = [tuple(spec.rank_of((a + 1, j + 1)) for j in range(spec.m))
-                   for a in range(spec.n)]
-            col = [tuple(spec.rank_of((i + 1, b + 1)) for i in range(spec.n))
-                   for b in range(spec.m)]
-            extra = [(a, b) for a in range(spec.n)
-                     for b in range(a + 1, spec.n) if row[a] != row[b]]
-            extra += [(spec.n + a, spec.n + b) for a in range(spec.m)
-                      for b in range(a + 1, spec.m) if col[a] != col[b]]
-        self.xi = np.array([a for a, _ in extra], dtype=int)
-        self.xj = np.array([b for _, b in extra], dtype=int)
-        eq_a, eq_b, hi_a, hi_b = [], [], [], []
-        sorted_classes = [sorted(cls) for cls in spec.classes]
-        for cls in sorted_classes:
-            for a, b in zip(cls, cls[1:]):
-                eq_a.append(index[a])
-                eq_b.append(index[b])
-        for lo, hi in zip(sorted_classes, sorted_classes[1:]):
-            hi_a.append(index[lo[0]])
-            hi_b.append(index[hi[0]])
-        self.eq_a = np.array(eq_a, dtype=int)
-        self.eq_b = np.array(eq_b, dtype=int)
-        self.hi_a = np.array(hi_a, dtype=int)
-        self.hi_b = np.array(hi_b, dtype=int)
-        self.n_pairs = len(pairs)
+            R = ranks.reshape(n, m)
+            pa, pb = _differing_rows(R)
+            qa, qb = _differing_rows(R.T)
+            self.xi = np.concatenate([pa, n + qa])
+            self.xj = np.concatenate([pb, n + qb])
+        # pairs grouped by class, lexicographic within a class
+        by_class = np.argsort(ranks, kind="stable")
+        same = ranks[by_class[1:]] == ranks[by_class[:-1]]
+        self.eq_a = by_class[:-1][same]
+        self.eq_b = by_class[1:][same]
+        # the lexicographically smallest pair of each class
+        first = by_class[np.concatenate(([True], ~same))]
+        self.hi_a = first[:-1]
+        self.hi_b = first[1:]
+        self.n_pairs = ranks.size
+
+
+def _differing_rows(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index pairs a < b, row-major, of the rows of R that differ."""
+    return np.nonzero(np.triu((R[:, None, :] != R[None, :, :]).any(axis=2),
+                              1))
 
 
 def _stack(config: PointConfig) -> np.ndarray:
@@ -285,20 +275,8 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     laid out like P (complete) or P stacked over Q (bipartite).
     """
     orders.validate(spec)
-    terms = _StressTerms(spec)
-    X = _stack(config)
-    _check_shape(spec, config)
-    return _loss_grad(terms, X, margin, floor)
-
-
-def _check_shape(spec: OrderSpec, config: PointConfig) -> None:
-    if spec.kind == "complete":
-        if config.Q is not None or len(config.P) != spec.n:
-            raise ShapeMismatch("config does not match complete spec")
-    else:
-        if config.Q is None or len(config.P) != spec.n \
-                or len(config.Q) != spec.m:
-            raise ShapeMismatch("config does not match bipartite spec")
+    verifier.check_shape(config, spec)
+    return _loss_grad(_StressTerms(spec), _stack(config), margin, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +404,9 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
 def report_to_json(report: FalsifierReport) -> str:
     out = {
         "feasible": report.feasible,
-        "best_loss": report.best_loss,
+        "best_loss": json_float(report.best_loss),
         "restarts": report.restarts,
-        "per_restart_losses": list(report.per_restart_losses),
+        "per_restart_losses": [json_float(f)
+                               for f in report.per_restart_losses],
     }
     return json.dumps(out)

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
                      NotComplete, NotLinear, SpecError, UnknownPair)
@@ -67,6 +70,16 @@ class OrderSpec:
             return complete_pairs(self.n)
         return bipartite_pairs(self.n, self.m)
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Rank of every pair of pair_set(), in that (lexicographic) order;
+        built once per spec."""
+        try:
+            return np.array([self._ranks[p] for p in self.pair_set()],
+                            dtype=np.int64)
+        except KeyError as exc:
+            raise MissingPair(f"pair {exc.args[0]} not covered") from None
+
     def rank_of(self, pair: Pair) -> int:
         """1-based rank of the class containing pair."""
         i, j = pair
@@ -109,14 +122,6 @@ def validate(spec: OrderSpec) -> None:
     missing = universe - seen
     if missing:
         raise MissingPair(f"pair {min(missing)} not covered")
-
-
-def rank_of(spec: OrderSpec, pair: Pair) -> int:
-    return spec.rank_of(pair)
-
-
-def is_linear(spec: OrderSpec) -> bool:
-    return spec.is_linear()
 
 
 def relabel_min_to_last(spec: OrderSpec) -> tuple[OrderSpec, dict[int, int]]:
@@ -163,25 +168,37 @@ def to_json(spec: OrderSpec) -> str:
     return json.dumps(to_json_dict(spec))
 
 
+def _int(value, what: str) -> int:
+    # bools, floats and strings are refused rather than coerced
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> OrderSpec:
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n = _int(data["n"], "n")
         raw = data["classes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
     m = None
     if kind == "bipartite":
         if "m" not in data:
             raise SpecError("bipartite spec needs m")
-        m = int(data["m"])
+        m = _int(data["m"], "m")
+    if not isinstance(raw, (list, tuple)):
+        raise SpecError(f"classes must be a list, got {raw!r}")
     classes = []
     for cls in raw:
+        if not isinstance(cls, (list, tuple)):
+            raise SpecError(f"a class must be a list, got {cls!r}")
         cur = []
         for p in cls:
-            if not isinstance(p, (list, tuple)) or len(p) != 2:
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and type(p[0]) is int and type(p[1]) is int):
                 raise SpecError(f"malformed pair {p!r}")
-            cur.append((int(p[0]), int(p[1])))
+            cur.append((p[0], p[1]))
         classes.append(tuple(cur))
     spec = OrderSpec(kind, n, tuple(classes), m=m)
     validate(spec)

@@ -8,14 +8,14 @@ the origin and the factorization of G supplies the remaining coordinates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BadIndex, DimTooSmall, NonFiniteEntry, NotPSD,
                      ShapeMismatch)
-
-TOL_FACTOR = 1e-8
 
 
 def check_distance_matrix(D: np.ndarray) -> np.ndarray:
@@ -129,8 +129,34 @@ def distances_of(config: PointConfig) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
+@lru_cache(maxsize=64)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (rows, cols) of the pairs i < j of n points, in lexicographic
+    order. Cached because np.triu_indices costs more than the small
+    realizations that ask for it; the arrays are read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def pair_distances(config: PointConfig) -> np.ndarray:
+    """Distance of every pair, in the lexicographic pair order of
+    OrderSpec.pair_set(): the upper triangle of a complete config row by
+    row, or the P-to-Q rectangle of a bipartite one."""
+    D = distances_of(config)
+    if config.Q is None:
+        return D[upper_pairs(len(D))]
+    return D.ravel()
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def json_float(x: float) -> float | None:
+    """x for a JSON report, with a non-finite value (say, the margin of an
+    order with one class) written as null: JSON has no Infinity."""
+    return float(x) if math.isfinite(x) else None
 
 
 def config_to_json(config: PointConfig) -> str:

@@ -7,13 +7,13 @@ and exact whenever the realization's gaps dominate the tolerances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .orders import OrderSpec, bipartite_pairs, complete_pairs
-from .schoenberg import PointConfig, distances_of
+from .schoenberg import PointConfig, json_float, pair_distances
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -26,6 +26,8 @@ class InducedOrder:
     classes: tuple[tuple[Pair, ...], ...]
     gaps: tuple[float, ...]
     spread: float
+    # class rank of every pair, in lexicographic pair order
+    ranks: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -40,76 +42,39 @@ class VerifyReport:
         return self.verdict == "match"
 
 
-def _pair_distances(config: PointConfig) -> tuple[list[Pair], np.ndarray]:
-    D = distances_of(config)
+def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
+                     tol_rel: float = TOL_REL) -> InducedOrder:
+    """Classes of the induced order, ascending, with gap/spread diagnostics."""
+    vals = pair_distances(config)
+    if vals.size == 0:
+        raise ShapeMismatch("a configuration of fewer than two points "
+                            "induces no order")
     if config.Q is None:
         pairs = complete_pairs(len(config.P))
     else:
         pairs = bipartite_pairs(len(config.P), len(config.Q))
-    vals = np.array([D[i - 1, j - 1] for i, j in pairs])
-    return pairs, vals
+    threshold = tol_abs + tol_rel * float(vals.max())
+    # a stable sort breaks distance ties by lexicographic pair order
+    order = np.argsort(vals, kind="stable")
+    ascending = vals[order]
+    steps = np.diff(ascending)
+    cut = steps > threshold
+    ranks = np.empty(vals.size, dtype=np.int64)
+    ranks[order] = np.concatenate(([1], 1 + np.cumsum(cut)))
+    starts = np.flatnonzero(np.concatenate(([True], cut)))
+    ends = np.append(starts[1:], vals.size)
+    ranked = [pairs[k] for k in order.tolist()]
+    classes = tuple(tuple(ranked[a:b])
+                    for a, b in zip(starts.tolist(), ends.tolist()))
+    return InducedOrder(
+        classes=classes, gaps=tuple(steps[cut].tolist()),
+        spread=float((ascending[ends - 1] - ascending[starts]).max()),
+        ranks=ranks)
 
 
-def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
-                     tol_rel: float = TOL_REL) -> InducedOrder:
-    """Classes of the induced order, ascending, with gap/spread diagnostics."""
-    pairs, vals = _pair_distances(config)
-    threshold = tol_abs + tol_rel * float(vals.max(initial=0.0))
-    order = sorted(range(len(pairs)), key=lambda k: (vals[k], pairs[k]))
-    classes: list[list[Pair]] = [[pairs[order[0]]]]
-    gaps: list[float] = []
-    spread = 0.0
-    start = order[0]
-    for prev, cur in zip(order, order[1:]):
-        if float(vals[cur] - vals[prev]) > threshold:
-            classes.append([])
-            gaps.append(float(vals[cur] - vals[prev]))
-            start = cur
-        else:
-            spread = max(spread, float(vals[cur] - vals[start]))
-        classes[-1].append(pairs[cur])
-    return InducedOrder(classes=tuple(tuple(c) for c in classes),
-                        gaps=tuple(gaps), spread=spread)
-
-
-def _distinctness(config: PointConfig) -> float:
-    """Complete: min distance over all pairs of P. Bipartite: min P-to-Q
-    distance (each collection may repeat points internally)."""
-    if config.Q is None:
-        n = len(config.P)
-        if n < 2:
-            return float("inf")
-        D = distances_of(config)
-        iu = np.triu_indices(n, 1)
-        return float(D[iu].min())
-    return float(distances_of(config).min())
-
-
-def _first_disagreement(spec: OrderSpec, induced: InducedOrder
-                        ) -> tuple[Pair, Pair]:
-    """Lexicographically first pair of pairs whose relative order differs."""
-    want = {}
-    for k, cls in enumerate(spec.classes, start=1):
-        for p in cls:
-            want[p] = k
-    got = {}
-    for k, cls in enumerate(induced.classes, start=1):
-        for p in cls:
-            got[p] = k
-    pairs = sorted(want)
-    for a_idx in range(len(pairs)):
-        for b_idx in range(a_idx + 1, len(pairs)):
-            a, b = pairs[a_idx], pairs[b_idx]
-            ws = (want[a] > want[b]) - (want[a] < want[b])
-            gs = (got[a] > got[b]) - (got[a] < got[b])
-            if ws != gs:
-                return a, b
-    raise AssertionError("mismatch verdict without a disagreeing pair")
-
-
-def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
-           tol_rel: float = TOL_REL) -> VerifyReport:
-    """Match iff the induced classes equal the spec classes as set sequences."""
+def check_shape(config: PointConfig, spec: OrderSpec) -> None:
+    """Raise ShapeMismatch unless config holds exactly the points that
+    spec's pairs index."""
     if spec.kind == "complete":
         if config.Q is not None:
             raise ShapeMismatch("complete spec but bipartite config")
@@ -123,24 +88,43 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
             raise ShapeMismatch(
                 f"spec is {spec.n}x{spec.m}, config is "
                 f"{len(config.P)}x{len(config.Q)}")
+
+
+def _first_disagreement(spec: OrderSpec, induced: InducedOrder
+                        ) -> tuple[Pair, Pair]:
+    """Lexicographically first pair of pairs whose relative order differs."""
+    want, got = spec.ranks, induced.ranks
+    pairs = spec.pair_set()
+    for a in range(want.size):
+        differ = (np.sign(want[a + 1:] - want[a])
+                  != np.sign(got[a + 1:] - got[a]))
+        if differ.any():
+            return pairs[a], pairs[a + 1 + int(differ.argmax())]
+    raise AssertionError("mismatch verdict without a disagreeing pair")
+
+
+def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
+           tol_rel: float = TOL_REL) -> VerifyReport:
+    """Match iff the induced classes equal the spec classes as set sequences."""
+    check_shape(config, spec)
     induced = induced_preorder(config, tol_abs, tol_rel)
-    got = [frozenset(c) for c in induced.classes]
-    want = [frozenset(c) for c in spec.classes]
     margin = min(induced.gaps) if induced.gaps else float("inf")
-    if got == want:
-        return VerifyReport(verdict="match", witness=None, margin=margin,
-                            distinctness=_distinctness(config))
-    witness = _first_disagreement(spec, induced)
-    return VerifyReport(verdict="mismatch", witness=witness, margin=margin,
-                        distinctness=_distinctness(config))
+    # complete: the least distance over all pairs of P; bipartite: the
+    # least P-to-Q distance (each collection may repeat points internally)
+    distinctness = float(pair_distances(config).min())
+    witness = None
+    if not np.array_equal(induced.ranks, spec.ranks):
+        witness = _first_disagreement(spec, induced)
+    return VerifyReport(verdict="match" if witness is None else "mismatch",
+                        witness=witness, margin=margin,
+                        distinctness=distinctness)
 
 
 def report_to_json(report: VerifyReport) -> str:
     out = {
         "verdict": report.verdict,
-        "margin": None if report.margin == float("inf") else report.margin,
-        "distinctness": (None if report.distinctness == float("inf")
-                         else report.distinctness),
+        "margin": json_float(report.margin),
+        "distinctness": json_float(report.distinctness),
         "witness": (None if report.witness is None
                     else [list(report.witness[0]), list(report.witness[1])]),
     }

@@ -259,3 +259,45 @@ def test_realize_induce_round_trip_batch(tmp_path, capsys):
         assert cli.main(["induce", str(pts)]) == 0
         out = capsys.readouterr().out
         assert out == orders.to_json(orders.canonical(spec)) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "complete", "n": 3, "classes": 5}',
+    '{"kind": "complete", "n": 3, "classes": [5]}',
+    '{"kind": "complete", "n": 3, "classes": null}',
+    '{"kind": "complete", "n": 2.9, "classes": [[[1, 2]]]}',
+    '{"kind": "complete", "n": "2", "classes": [[[1, 2]]]}',
+    '{"kind": "complete", "n": true, "classes": [[[1, 2]]]}',
+    '{"kind": "complete", "n": 2, "classes": [[[1, 1.7]]]}',
+    '{"kind": "complete", "n": 2, "classes": [[[true, 2]]]}',
+    '{"kind": "bipartite", "n": 1, "m": 1.5, "classes": [[[1, 1]]]}',
+    '{"kind": "bipartite", "n": 1, "m": false, "classes": [[[1, 1]]]}',
+], ids=["classes-int", "class-int", "classes-null", "n-float", "n-string",
+        "n-bool", "index-float", "index-bool", "m-float", "m-bool"])
+def test_realize_rejects_hostile_spec(text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    rc = cli.main(["realize", str(path), str(tmp_path / "o.json")])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "SpecError"
+
+
+def test_induce_one_point_exits_two(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text('{"dim": 2, "P": [[0, 0]]}')
+    rc = cli.main(["induce", str(pts)])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "ShapeMismatch"
+
+
+def test_realize_one_class_report_is_strict_json(tmp_path, capsys):
+    single = OrderSpec("complete", 3, (tuple(orders.complete_pairs(3)),))
+    rc = cli.main(["realize", _spec_file(single, tmp_path),
+                   str(tmp_path / "o.json")])
+    assert rc == 0
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["margin"] is None

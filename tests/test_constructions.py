@@ -9,7 +9,6 @@ from ordembed import constructions, counterexamples, orders, verifier
 from ordembed.constructions import (EpsilonSearch, align_isometry,
                                     choose_epsilon, default_search,
                                     perturbed_distances, realize,
-                                    realize_linear_bipartite,
                                     realize_linear_complete,
                                     realize_preorder_bipartite,
                                     realize_preorder_complete,
@@ -238,7 +237,7 @@ def test_realize_bipartite_single_class_b22():
 
 def test_realize_bipartite_b11():
     spec = OrderSpec("bipartite", 1, (((1, 1),),), m=1)
-    report = realize_linear_bipartite(spec)
+    report = realize_preorder_bipartite(spec)
     D = distances_of(report.config)
     assert D.shape == (1, 1)
     assert D[0, 0] > 0
@@ -276,7 +275,7 @@ def test_realize_bipartite_batch():
 def test_realize_bipartite_linear_delegates():
     rng = np.random.default_rng(15)
     spec = random_bipartite_linear(rng, 2, 3)
-    report = realize_linear_bipartite(spec)
+    report = realize_preorder_bipartite(spec)
     assert report.config.dim == 2
     assert verifier.verify(report.config, spec).matched
 
