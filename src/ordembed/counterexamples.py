@@ -158,20 +158,20 @@ def simplex_diameter_bound(n: int) -> float:
 # stress loss
 
 class _StressTerms:
-    """Precomputed index arrays for the loss terms of one spec."""
+    """Precomputed index arrays for the loss terms of one spec in R^dim."""
 
-    def __init__(self, spec: OrderSpec):
+    def __init__(self, spec: OrderSpec, dim: int):
         n = spec.n
         ranks = spec.ranks
         if spec.kind == "complete":
             self.n_points = n
-            self.ii, self.jj = upper_pairs(n)
-            self.xi = self.xj = np.zeros(0, dtype=int)
+            ii, jj = upper_pairs(n)
+            xi = xj = np.zeros(0, dtype=int)
         else:
             m = spec.m
             self.n_points = n + m
-            self.ii = np.repeat(np.arange(n), m)
-            self.jj = n + np.tile(np.arange(m), n)
+            ii = np.repeat(np.arange(n), m)
+            jj = n + np.tile(np.arange(m), n)
             # points of one collection may legally coincide, but only when
             # their relation rows agree; rows that differ force distinct
             # points in every realization, so only those pairs get the
@@ -179,8 +179,10 @@ class _StressTerms:
             R = ranks.reshape(n, m)
             pa, pb = _differing_rows(R)
             qa, qb = _differing_rows(R.T)
-            self.xi = np.concatenate([pa, n + qa])
-            self.xj = np.concatenate([pb, n + qb])
+            xi = np.concatenate([pa, n + qa])
+            xj = np.concatenate([pb, n + qb])
+        # both ends of every difference: pairs, then distinctness terms
+        self.ends = (np.concatenate([ii, xi]), np.concatenate([jj, xj]))
         # pairs grouped by class, lexicographic within a class
         by_class = np.argsort(ranks, kind="stable")
         same = ranks[by_class[1:]] == ranks[by_class[:-1]]
@@ -191,6 +193,13 @@ class _StressTerms:
         self.hi_a = first[:-1]
         self.hi_b = first[1:]
         self.n_pairs = ranks.size
+        # scatter bins in the order the gradient terms accumulate: pairs of
+        # the hinge and equality terms (each +, then -), and flat (point,
+        # coordinate) of the pair and distinctness terms (each +, then -)
+        self.g_at = np.concatenate([self.hi_a, self.hi_b,
+                                    self.eq_a, self.eq_b])
+        x_at = np.concatenate([ii, jj, xi, xj])
+        self.x_at = (x_at[:, None] * dim + np.arange(dim)).ravel()
 
 
 def _differing_rows(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,54 +214,48 @@ def _stack(config: PointConfig) -> np.ndarray:
     return np.vstack([config.P, config.Q])
 
 
-def _stress_parts(terms: _StressTerms, X: np.ndarray, margin: float,
-                  floor: float):
-    d = X[terms.ii] - X[terms.jj]
-    s = (d * d).sum(axis=1)
-    mu = s.mean()
-    sh = s / mu
+def _loss_only(terms: _StressTerms, X: np.ndarray, margin: float,
+               floor: float):
+    """Loss at a trial point X, with the terms that _loss_grad reuses
+    once the step to X is accepted."""
+    # rows [:n_pairs] are the pairs, the rest the distinctness terms; the
+    # sums are np.add.reduce, which ndarray.sum and .mean wrap
+    k = terms.n_pairs
+    D = X[terms.ends[0]] - X[terms.ends[1]]
+    S = np.add.reduce(D * D, axis=1)
+    mu = np.add.reduce(S[:k]) / k
+    sh = S / mu
     hinge = np.maximum(0.0, margin + sh[terms.hi_a] - sh[terms.hi_b])
     eq = sh[terms.eq_a] - sh[terms.eq_b]
     low = np.maximum(0.0, floor - sh)
-    dx = X[terms.xi] - X[terms.xj]
-    sx = (dx * dx).sum(axis=1) / mu
-    lowx = np.maximum(0.0, floor - sx)
-    return d, mu, sh, hinge, eq, low, dx, sx, lowx
-
-
-def _loss_only(terms: _StressTerms, X: np.ndarray, margin: float,
-               floor: float) -> float:
-    _, _, _, hinge, eq, low, _, _, lowx = _stress_parts(terms, X, margin,
-                                                        floor)
-    return float((hinge * hinge).sum() + (eq * eq).sum()
-                 + (low * low).sum() + (lowx * lowx).sum())
+    low2 = low * low
+    loss = float(np.add.reduce(hinge * hinge) + np.add.reduce(eq * eq)
+                 + np.add.reduce(low2[:k]) + np.add.reduce(low2[k:]))
+    return loss, (D, mu, sh, hinge, eq, low)
 
 
 def _loss_grad(terms: _StressTerms, X: np.ndarray, margin: float,
-               floor: float) -> tuple[float, np.ndarray]:
-    d, mu, sh, hinge, eq, low, dx, sx, lowx = _stress_parts(
-        terms, X, margin, floor)
-    loss = float((hinge * hinge).sum() + (eq * eq).sum()
-                 + (low * low).sum() + (lowx * lowx).sum())
-    g = np.zeros(terms.n_pairs)
-    np.add.at(g, terms.hi_a, 2.0 * hinge)
-    np.add.at(g, terms.hi_b, -2.0 * hinge)
-    np.add.at(g, terms.eq_a, 2.0 * eq)
-    np.add.at(g, terms.eq_b, -2.0 * eq)
-    g -= 2.0 * low
-    gx = -2.0 * lowx
+               floor: float, trial=None) -> tuple[float, np.ndarray]:
+    """Loss and gradient at X; trial, if given, is _loss_only at X."""
+    loss, (D, mu, sh, hinge, eq, low) = (
+        _loss_only(terms, X, margin, floor) if trial is None else trial)
+    k = terms.n_pairs
+    # each bincount adds its weights bin by bin in input order, the same
+    # additions as one np.add.at per term in that order (with no terms it
+    # returns integer zeros, hence no in-place update)
+    g = np.bincount(terms.g_at,
+                    2.0 * np.concatenate([hinge, -hinge, eq, -eq]), k)
+    g = g - 2.0 * low[:k]
+    gx = -2.0 * low[k:]
     # normalization: every sh_p = s_p / mu depends on all s_q through mu
-    mu_term = ((g * sh).sum() + (gx * sx).sum()) / terms.n_pairs
+    mu_term = (np.add.reduce(g * sh[:k])
+               + np.add.reduce(gx * sh[k:])) / k
     gs = (g - mu_term) / mu
-    grad = np.zeros_like(X)
-    contrib = (2.0 * gs)[:, None] * d
-    np.add.at(grad, terms.ii, contrib)
-    np.add.at(grad, terms.jj, -contrib)
-    if terms.xi.size:
-        contrib_x = (2.0 * gx / mu)[:, None] * dx
-        np.add.at(grad, terms.xi, contrib_x)
-        np.add.at(grad, terms.xj, -contrib_x)
-    return loss, grad
+    contrib = (2.0 * gs)[:, None] * D[:k]
+    contrib_x = (2.0 * gx / mu)[:, None] * D[k:]
+    w = np.concatenate([contrib, -contrib, contrib_x, -contrib_x])
+    grad = np.bincount(terms.x_at, w.ravel(), X.size)
+    return loss, grad.reshape(X.shape)
 
 
 def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
@@ -276,7 +279,8 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     """
     orders.validate(spec)
     verifier.check_shape(config, spec)
-    return _loss_grad(_StressTerms(spec), _stack(config), margin, floor)
+    X = _stack(config)
+    return _loss_grad(_StressTerms(spec, X.shape[1]), X, margin, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +343,8 @@ def _descend(terms: _StressTerms, X: np.ndarray, iters: int, margin: float,
         accepted = False
         while step >= MIN_STEP:
             Xn = X - step * g
-            fn = _loss_only(terms, Xn, margin, floor)
-            if fn <= f - armijo_c * step * gnorm2:
+            trial = _loss_only(terms, Xn, margin, floor)
+            if trial[0] <= f - armijo_c * step * gnorm2:
                 accepted = True
                 break
             step *= 0.5
@@ -348,7 +352,7 @@ def _descend(terms: _StressTerms, X: np.ndarray, iters: int, margin: float,
             break
         X = Xn
         f_prev = f
-        f, g = _loss_grad(terms, X, margin, floor)
+        f, g = _loss_grad(terms, X, margin, floor, trial)
         if f_prev - f <= STALL_REL * max(f, 1e-300):
             stall += 1
             if stall >= STALL_ITERS:
@@ -374,7 +378,7 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     draws its start from default_rng([seed, r]).
     """
     orders.validate(spec)
-    terms = _StressTerms(spec)
+    terms = _StressTerms(spec, cfg.dim)
     losses = []
     best_loss = float("inf")
     best_X = None
