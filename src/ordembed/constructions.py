@@ -117,20 +117,17 @@ def align_isometry(source: np.ndarray, target: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Rigid map (R, t) with R @ source_i + t ~= target_i.
 
-    Both lists must be congruent (equal pairwise distances within
-    TOL_ALIGN * scale); the orthogonal factor comes from the singular
-    decomposition of the cross-covariance, reflections permitted.
+    Both lists must be congruent: the pair distances of the two lists,
+    from pair_distances, agree within TOL_ALIGN * scale. The orthogonal
+    factor comes from the singular decomposition of the cross-covariance,
+    reflections permitted.
     """
     S = np.asarray(source, dtype=float)
     T = np.asarray(target, dtype=float)
     if S.shape != T.shape:
         raise ShapeMismatch(f"shape mismatch {S.shape} vs {T.shape}")
-
-    def pdist(A):
-        d = A[:, None, :] - A[None, :, :]
-        return np.sqrt((d ** 2).sum(axis=2))
-
-    ds, dt = pdist(S), pdist(T)
+    ds = pair_distances(PointConfig(dim=S.shape[1], P=S))
+    dt = pair_distances(PointConfig(dim=T.shape[1], P=T))
     scale = max(1.0, float(ds.max(initial=0.0)))
     if np.abs(ds - dt).max(initial=0.0) > TOL_ALIGN * scale:
         raise DistanceMismatch("point lists are not congruent")
@@ -312,8 +309,8 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
 
 def realize(spec: OrderSpec, eta: float = ETA,
             search: EpsilonSearch | None = None) -> RealizationReport:
-    """Dispatch on kind and linearity to the matching construction."""
-    orders.validate(spec)
+    """Dispatch on kind and linearity to the matching construction, which
+    validates the spec."""
     if spec.kind == "bipartite":
         return realize_preorder_bipartite(spec, eta, search)
     if spec.is_linear() and spec.n >= 3:

@@ -96,32 +96,45 @@ class OrderSpec:
 
 def validate(spec: OrderSpec) -> None:
     """Check the partition invariants; raise a SpecError naming the first
-    offending pair on failure."""
+    offending pair on failure. Ranges are checked arithmetically and pairs
+    are counted, so the pair universe is never built; naming a missing pair
+    scans it in order up to the first gap, past at most the pairs the spec
+    lists. Validation costs time in the size of the spec, not of n."""
     if spec.kind not in ("complete", "bipartite"):
         raise SpecError(f"unknown kind {spec.kind!r}")
-    if spec.kind == "complete":
-        if spec.n < 2:
-            raise IndexOutOfRange(f"complete spec needs n >= 2, got {spec.n}")
-        universe = set(complete_pairs(spec.n))
+    n, m = spec.n, spec.m
+    complete = spec.kind == "complete"
+    if complete:
+        if n < 2:
+            raise IndexOutOfRange(f"complete spec needs n >= 2, got {n}")
+        total = n * (n - 1) // 2
     else:
-        if spec.m is None:
+        if m is None:
             raise SpecError("bipartite spec needs m")
-        if spec.n < 1 or spec.m < 1:
+        if n < 1 or m < 1:
             raise IndexOutOfRange("bipartite spec needs n, m >= 1")
-        universe = set(bipartite_pairs(spec.n, spec.m))
+        total = n * m
     seen = set()
     for cls in spec.classes:
         if not cls:
             raise EmptyClass("empty class in spec")
         for p in cls:
-            if p not in universe:
+            i, j = p
+            if not (1 <= i < j <= n if complete
+                    else 1 <= i <= n and 1 <= j <= m):
                 raise IndexOutOfRange(f"pair {p} out of range")
             if p in seen:
                 raise DuplicatePair(f"pair {p} occurs twice")
             seen.add(p)
-    missing = universe - seen
-    if missing:
-        raise MissingPair(f"pair {min(missing)} not covered")
+    if len(seen) < total:
+        if complete:
+            universe = ((i, j) for i in range(1, n + 1)
+                        for j in range(i + 1, n + 1))
+        else:
+            universe = ((i, j) for i in range(1, n + 1)
+                        for j in range(1, m + 1))
+        missing = next(p for p in universe if p not in seen)
+        raise MissingPair(f"pair {missing} not covered")
 
 
 def relabel_min_to_last(spec: OrderSpec) -> tuple[OrderSpec, dict[int, int]]:

@@ -117,18 +117,6 @@ def factor_points(G: GramMatrix, dim: int) -> PointConfig:
     return PointConfig(dim=dim, P=P)
 
 
-def distances_of(config: PointConfig) -> np.ndarray:
-    """Complete configs: full symmetric n x n matrix. Bipartite: n x m
-    rectangle of P-to-Q distances."""
-    P = np.asarray(config.P, dtype=float)
-    if config.Q is None:
-        diff = P[:, None, :] - P[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2))
-    Q = np.asarray(config.Q, dtype=float)
-    diff = P[:, None, :] - Q[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
-
-
 @lru_cache(maxsize=64)
 def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (rows, cols) of the pairs i < j of n points, in lexicographic
@@ -137,6 +125,43 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+# element count of the largest temporary distances_of allocates
+CHUNK = 1 << 16
+
+
+def distances_of(config: PointConfig) -> np.ndarray:
+    """Complete configs: full symmetric n x n matrix. Bipartite: n x m
+    rectangle of P-to-Q distances.
+
+    The program's only distance kernel. Each unordered pair is computed
+    once, in chunks of pairs whose temporaries hold at most CHUNK elements
+    (one pair's coordinates when dim exceeds CHUNK): apart from arrays the
+    size of the result, memory does not grow with n or dim. Per pair the
+    float operations and their order are those of the n x n x dim
+    broadcast, so the result is bit for bit the same."""
+    P = np.asarray(config.P, dtype=float)
+    Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
+    if config.Q is None:
+        rows, cols = upper_pairs(len(P))
+        count = rows.size
+    else:
+        count = len(P) * len(Q)
+    vals = np.empty(count)
+    step = max(1, CHUNK // max(1, P.shape[1]))
+    for a in range(0, count, step):
+        if config.Q is None:
+            i, j = rows[a:a + step], cols[a:a + step]
+        else:
+            i, j = np.divmod(np.arange(a, min(a + step, count)), len(Q))
+        diff = P.take(i, axis=0) - Q.take(j, axis=0)
+        np.sqrt(np.add.reduce(diff * diff, axis=1), out=vals[a:a + step])
+    if config.Q is not None:
+        return vals.reshape(len(P), len(Q))
+    D = np.zeros((len(P), len(P)))
+    D[rows, cols] = vals
+    return D + D.T
 
 
 def pair_distances(config: PointConfig) -> np.ndarray:

@@ -26,8 +26,9 @@ class InducedOrder:
     classes: tuple[tuple[Pair, ...], ...]
     gaps: tuple[float, ...]
     spread: float
-    # class rank of every pair, in lexicographic pair order
+    # class rank and distance of every pair, in lexicographic pair order
     ranks: np.ndarray = field(repr=False, compare=False)
+    distances: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
     return InducedOrder(
         classes=classes, gaps=tuple(steps[cut].tolist()),
         spread=float((ascending[ends - 1] - ascending[starts]).max()),
-        ranks=ranks)
+        ranks=ranks, distances=vals)
 
 
 def check_shape(config: PointConfig, spec: OrderSpec) -> None:
@@ -111,7 +112,7 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
     margin = min(induced.gaps) if induced.gaps else float("inf")
     # complete: the least distance over all pairs of P; bipartite: the
     # least P-to-Q distance (each collection may repeat points internally)
-    distinctness = float(pair_distances(config).min())
+    distinctness = float(induced.distances.min())
     witness = None
     if not np.array_equal(induced.ranks, spec.ranks):
         witness = _first_disagreement(spec, induced)

@@ -301,3 +301,20 @@ def test_realize_one_class_report_is_strict_json(tmp_path, capsys):
 
     report = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert report["margin"] is None
+
+
+def test_realize_rejects_one_class_spec_without_building_pairs(
+        monkeypatch, tmp_path, capsys):
+    # n=3000 has about 4.5M pairs; naming the first missing one must not
+    # enumerate them
+    def refuse(*_):
+        raise AssertionError("pair universe built")
+
+    monkeypatch.setattr(orders, "complete_pairs", refuse)
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind": "complete", "n": 3000, "classes": [[[1, 2]]]}')
+    rc = cli.main(["realize", str(path), str(tmp_path / "o.json")])
+    assert rc == 2
+    diag = _diag(capsys)
+    assert diag["error"] == "MissingPair"
+    assert diag["message"] == "pair (1, 3) not covered"

@@ -14,7 +14,8 @@ from ordembed.constructions import (EpsilonSearch, align_isometry,
                                     realize_preorder_complete,
                                     reflect_across_affine_span)
 from ordembed.errors import (DegenerateHyperplane, DistanceMismatch,
-                             EpsilonExhausted, NotLinear, ShapeMismatch)
+                             EpsilonExhausted, NotLinear, ShapeMismatch,
+                             SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import (distances_of, gram_from_distances,
                                  min_eigenvalue)
@@ -384,3 +385,23 @@ def test_reflect_degenerate():
     full_rank = np.array([[0.0, 0], [1, 0], [0, 1]])
     with pytest.raises(DegenerateHyperplane):
         reflect_across_affine_span(np.array([1.0, 1.0]), full_rank)
+
+
+@pytest.mark.parametrize("spec", [
+    OrderSpec("complete", 3, (((1, 2),), ((1, 3),))),
+    OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 3),), ((1, 2),))),
+    OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)), ())),
+    OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),))),
+    OrderSpec("complete", 1, (((1, 2),),)),
+    OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1)),), m=2),
+    OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),)),
+    OrderSpec("ring", 3, (((1, 2), (1, 3), (2, 3)),)),
+], ids=["missing", "duplicate", "empty-class", "out-of-range", "n-one",
+        "bip-missing", "bip-no-m", "unknown-kind"])
+def test_realize_rejects_what_validate_rejects(spec):
+    with pytest.raises(SpecError) as want:
+        orders.validate(spec)
+    with pytest.raises(SpecError) as got:
+        realize(spec)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

@@ -241,3 +241,9 @@ def test_validate_random_specs_partition_property():
         with pytest.raises(DuplicatePair):
             orders.validate(OrderSpec(
                 "complete", n, tuple(tuple(c) for c in dup)))
+
+
+def test_validate_names_first_missing_bipartite_pair():
+    spec = OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 2)),), m=2)
+    with pytest.raises(MissingPair, match=r"^pair \(2, 1\) not covered$"):
+        orders.validate(spec)

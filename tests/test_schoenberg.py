@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,69 @@ def test_save_load_config(tmp_path):
     schoenberg.save_config(config, path)
     back = schoenberg.load_config(path)
     assert np.array_equal(back.P, config.P)
+
+
+def _naive_distances(P, Q=None):
+    # the n x n x d broadcast that distances_of must reproduce bit for bit
+    Q = P if Q is None else Q
+    diff = P[:, None, :] - Q[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def test_distances_of_matches_broadcast_on_random_configs():
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        n, m = (int(k) for k in rng.integers(1, 40, size=2))
+        d = int(rng.integers(1, 70))
+        P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
+                              _naive_distances(P))
+        assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
+                              _naive_distances(P, Q))
+
+
+def test_distances_of_tiny_shapes():
+    rng = np.random.default_rng(41)
+    for P in (np.zeros((1, 3)), rng.standard_normal((2, 1)),
+              rng.standard_normal((2, 4)), rng.standard_normal((6, 1))):
+        D = distances_of(PointConfig(dim=P.shape[1], P=P))
+        assert np.array_equal(D, _naive_distances(P))
+    P, Q = rng.standard_normal((5, 2)), rng.standard_normal((1, 2))
+    D = distances_of(PointConfig(dim=2, P=P, Q=Q))
+    assert D.shape == (5, 1)
+    assert np.array_equal(D, _naive_distances(P, Q))
+
+
+def test_distances_of_close_points():
+    P = np.array([[0.1, 0.2, 0.3], [0.1 + 1e-12, 0.2, 0.3]])
+    D = distances_of(PointConfig(dim=3, P=P))
+    assert np.array_equal(D, _naive_distances(P))
+    assert D[0, 1] == D[1, 0] == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_distances_of_across_chunk_boundaries():
+    # at this dim a chunk holds 64 pairs; the pair counts below end just
+    # before, on and after chunk boundaries
+    d = schoenberg.CHUNK // 64
+    rng = np.random.default_rng(42)
+    for n in (11, 12, 17):
+        P = rng.standard_normal((n, d))
+        assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
+                              _naive_distances(P))
+    for n, m in ((7, 9), (8, 8), (13, 5), (3, 43)):
+        P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
+                              _naive_distances(P, Q))
+
+
+def test_distances_of_memory_is_bounded():
+    # the n x n x d broadcast peaks near 430 MB here
+    P = np.random.default_rng(43).standard_normal((300, 298))
+    config = PointConfig(dim=298, P=P)
+    tracemalloc.start()
+    try:
+        distances_of(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

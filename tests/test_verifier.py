@@ -1,14 +1,15 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_preorder
-from ordembed import verifier
+from ordembed import schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.errors import ShapeMismatch
 from ordembed.orders import OrderSpec, complete_pairs
-from ordembed.schoenberg import PointConfig
+from ordembed.schoenberg import PointConfig, pair_distances
 from ordembed.verifier import induced_preorder, report_to_json, verify
 
 
@@ -166,3 +167,43 @@ def test_witness_is_lex_first_disagreement(preorder4_spec):
     tetra = realize_preorder_complete(single).config
     report = verify(tetra, preorder4_spec)
     assert report.witness == ((1, 2), (1, 3))
+
+
+def _count_distance_kernel(monkeypatch):
+    """Replace schoenberg.distances_of in every ordembed namespace that
+    binds it with a wrapper that records each call."""
+    real = schoenberg.distances_of
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ordembed" or name.startswith("ordembed.")) and \
+                getattr(module, "distances_of", None) is real:
+            monkeypatch.setattr(module, "distances_of", counted)
+    return calls
+
+
+def test_verify_and_induce_read_distances_once(monkeypatch, preorder4_spec,
+                                               bip32_spec):
+    calls = _count_distance_kernel(monkeypatch)
+    single = OrderSpec("complete", 4, (tuple(complete_pairs(4)),))
+    for spec, config in (
+            (preorder4_spec, realize_preorder_complete(preorder4_spec).config),
+            (preorder4_spec, realize_preorder_complete(single).config),
+            (bip32_spec, realize(bip32_spec).config)):
+        del calls[:]
+        verify(config, spec)
+        assert len(calls) == 1
+        del calls[:]
+        induced_preorder(config)
+        assert len(calls) == 1
+
+
+def test_induced_distances_are_the_pair_distances(bip32_spec):
+    config = realize(bip32_spec).config
+    induced = induced_preorder(config)
+    assert np.array_equal(induced.distances, pair_distances(config))
+    assert verify(config, bip32_spec).distinctness == induced.distances.min()
