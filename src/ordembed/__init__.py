@@ -18,13 +18,11 @@ from .counterexamples import (FalsifierConfig, FalsifierReport, falsify,
 from .errors import (BadIndex, BadSize, DegenerateHyperplane,
                      DistanceMismatch, DimTooSmall, DuplicatePair, EmptyClass,
                      EpsilonExhausted, IndexOutOfRange, MissingPair,
-                     NonFiniteEntry, NotComplete, NotLinear, NotPSD,
-                     OrdembedError, ShapeMismatch, SpecError, UnknownName,
-                     UnknownPair)
+                     NonFiniteEntry, NotLinear, NotPSD, OrdembedError,
+                     ShapeMismatch, SpecError, UnknownName)
 from .orders import OrderSpec, bipartite_pairs, complete_pairs, validate
 from .schoenberg import (GramMatrix, PointConfig, distances_of, factor_points,
-                         gram_from_distances, is_positive_definite,
-                         min_eigenvalue)
+                         gram_from_distances, min_eigenvalue)
 from .verifier import InducedOrder, VerifyReport, induced_preorder, verify
 
 __version__ = "0.1.0"
@@ -34,12 +32,11 @@ __all__ = [
     "DistanceMismatch", "DuplicatePair", "EmptyClass", "EpsilonExhausted",
     "EpsilonSearch", "FalsifierConfig", "FalsifierReport", "GramMatrix",
     "IndexOutOfRange", "InducedOrder", "MissingPair", "NonFiniteEntry",
-    "NotComplete", "NotLinear", "NotPSD", "OrderSpec", "OrdembedError",
-    "PointConfig", "RealizationReport", "ShapeMismatch", "SpecError",
-    "UnknownName", "UnknownPair", "VerifyReport", "bipartite_pairs",
-    "choose_epsilon", "complete_pairs", "default_search", "distances_of",
-    "factor_points", "falsify", "gallery", "gram_from_distances",
-    "induced_preorder", "infeasible_dimension", "is_positive_definite",
+    "NotLinear", "NotPSD", "OrderSpec", "OrdembedError", "PointConfig",
+    "RealizationReport", "ShapeMismatch", "SpecError", "UnknownName",
+    "VerifyReport", "bipartite_pairs", "choose_epsilon", "complete_pairs",
+    "default_search", "distances_of", "factor_points", "falsify", "gallery",
+    "gram_from_distances", "induced_preorder", "infeasible_dimension",
     "min_eigenvalue", "perturbed_distances", "realize",
     "realize_linear_complete",
     "realize_preorder_bipartite", "realize_preorder_complete",

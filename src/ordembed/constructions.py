@@ -17,11 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import orders
 from .errors import (DegenerateHyperplane, DistanceMismatch, EpsilonExhausted,
-                     ShapeMismatch)
+                     NonFiniteEntry, NotLinear, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (GramMatrix, PointConfig, factor_points,
+from .schoenberg import (CHUNK, GramMatrix, PointConfig, factor_points,
                          gram_from_distances, min_eigenvalue, pair_distances,
                          upper_pairs)
 
@@ -94,7 +93,7 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
                               search: EpsilonSearch | None = None
                               ) -> RealizationReport:
     """n points in R^(n-1) inducing the given preorder on D_n exactly."""
-    orders.validate(spec)
+    spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
     n = spec.n
@@ -156,44 +155,42 @@ def _hyperplane(spanning: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, Vt[d - 1]
 
 
-def reflect_across_affine_span(x: np.ndarray, spanning: np.ndarray
-                               ) -> np.ndarray:
-    """Mirror image of x across the affine hyperplane of the spanning set."""
-    c, u = _hyperplane(spanning)
-    x = np.asarray(x, dtype=float)
-    return x - 2.0 * float(np.dot(x - c, u)) * u
-
-
 def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
                             search: EpsilonSearch | None = None
                             ) -> RealizationReport:
     """n points in R^(n-2) inducing the given linear order on D_n.
 
-    Pipeline: relabel the minimal pair to (n-1, n); prescribe 1 + k*eps on
-    every other pair; embed {1..n-2, n-1} and {1..n-2, n} separately from
-    two Gram matrices; align the shared n-2 points rigidly; reflect the
-    second apex to the first apex's side of their affine hyperplane; accept
-    eps once both Grams clear eta and the apex distance falls in (0, 1).
-    The distance of the minimal pair is never prescribed; it is forced
-    below 1 as eps shrinks.
+    Pipeline: order the points so the minimal pair's two endpoints come
+    last (an index permutation of the target matrix; the others keep their
+    relative order); prescribe 1 + k*eps on every other pair; embed the
+    first n-1 and the first n-2 plus the last point separately from two
+    Gram matrices; align the shared n-2 points rigidly; reflect the second
+    apex to the first apex's side of their affine hyperplane; accept eps
+    once both Grams clear eta and the apex distance falls in (0, 1); undo
+    the permutation on the rows. The distance of the minimal pair is never
+    prescribed; it is forced below 1 as eps shrinks.
     """
-    orders.validate(spec)
+    spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_linear_complete needs a complete spec")
     n = spec.n
     if n < 3:
         raise ShapeMismatch("realize_linear_complete needs n >= 3")
-    rel, sigma = orders.relabel_min_to_last(spec)
+    if not spec.is_linear():
+        raise NotLinear("realize_linear_complete needs a linear order")
+    i1, j1 = spec.classes[0][0]
+    perm = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+    perm += [i1 - 1, j1 - 1]
     search = search or default_search(spec)
     state: dict = {}
 
+    # the permuted points without the last, and without the second to last
+    idx_g, idx_h = perm[:-1], perm[:-2] + perm[-1:]
+
     def attempt(eps: float) -> bool:
-        M = perturbed_distances(rel, eps)
-        idx_g = list(range(n - 2)) + [n - 2]
-        idx_h = list(range(n - 2)) + [n - 1]
-        base = n - 1
-        G = gram_from_distances(M[np.ix_(idx_g, idx_g)], base)
-        H = gram_from_distances(M[np.ix_(idx_h, idx_h)], base)
+        M = perturbed_distances(spec, eps)
+        G = gram_from_distances(M[np.ix_(idx_g, idx_g)], n - 1)
+        H = gram_from_distances(M[np.ix_(idx_h, idx_h)], n - 1)
         lam_g, lam_h = min_eigenvalue(G), min_eigenvalue(H)
         if lam_g <= eta or lam_h <= eta:
             return False
@@ -217,19 +214,12 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
         return True
 
     eps = choose_epsilon(search, attempt)
-    relabeled = state["P"]
-    P = np.zeros_like(relabeled)
-    for i in range(1, n + 1):
-        P[i - 1] = relabeled[sigma[i] - 1]
+    P = np.empty_like(state["P"])
+    P[perm] = state["P"]
     config = PointConfig(dim=n - 2, P=P)
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
                              min_eigenvalues=state["eigs"])
-
-
-def _transpose_spec(spec: OrderSpec) -> OrderSpec:
-    classes = tuple(tuple((j, i) for i, j in cls) for cls in spec.classes)
-    return OrderSpec("bipartite", spec.m, classes, m=spec.n)
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -237,74 +227,81 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
                                ) -> RealizationReport:
     """n + m points in R^min(n,m) inducing the given preorder on B_{n,m}.
 
-    The first collection is a fixed regular simplex of side 1 + eps whose
-    last coordinate is zero; each apex q_i is recovered from its prescribed
-    squared distances 1 + r*eps by a linear solve, with the orthogonal
-    coordinate's sign fixed nonnegative. One shared eps must make all m
-    apex Gram matrices positive definite with margin eta.
+    The smaller collection is a fixed regular simplex of side 1 + eps whose
+    last coordinate is zero (when m < n the rank matrix is transposed and
+    P and Q swap at the end); each apex of the other collection is
+    recovered from its prescribed squared distances 1 + r*eps by a linear
+    solve, with the orthogonal coordinate's sign fixed nonnegative. One
+    shared eps must make all apex Gram matrices positive definite with
+    margin eta. Those Grams differ only in their last row and column, so
+    each eps step writes them as a stack straight from the rank matrix and
+    checks them with one batched eigen-solve per block of at most CHUNK
+    entries; the accepted step's minimum eigenvalues are the report's.
     """
-    orders.validate(spec)
+    spec.ranks  # validates
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
-    if spec.m < spec.n:
-        rep = realize_preorder_bipartite(_transpose_spec(spec), eta, search)
-        cfg = rep.config
-        return RealizationReport(
-            config=PointConfig(dim=cfg.dim, P=cfg.Q, Q=cfg.P),
-            epsilon=rep.epsilon, margin=rep.margin,
-            min_eigenvalues=rep.min_eigenvalues)
-    n, m = spec.n, spec.m
+    R = spec.ranks.reshape(spec.n, spec.m)
+    swap = spec.m < spec.n
+    if swap:
+        R = R.T
+    n, m = R.shape
     search = search or default_search(spec)
-    ranks = spec.ranks.reshape(n, m)
-
-    def apex_targets(eps: float, j: int) -> np.ndarray:
-        return 1.0 + ranks[:, j - 1] * eps
-
-    def apex_grams(eps: float) -> list[GramMatrix]:
-        side = 1.0 + eps
-        out = []
-        for j in range(1, m + 1):
-            D = np.zeros((n + 1, n + 1))
-            D[:n, :n] = side
-            np.fill_diagonal(D, 0.0)
-            a = apex_targets(eps, j)
-            D[n, :n] = a
-            D[:n, n] = a
-            out.append(gram_from_distances(D, n))
-        return out
+    state: dict = {}
 
     def pd(eps: float) -> bool:
-        return all(min_eigenvalue(G) > eta for G in apex_grams(eps))
+        # row j of A holds apex j's prescribed distances to the simplex
+        A = 1.0 + R.T * eps
+        if not np.isfinite(A).all():
+            raise NonFiniteEntry("distance matrix has non-finite entries")
+        # apex j's Gram is the simplex's Gram (base point n) bordered by
+        # row j of edge and tip[j]; the float operations are those of
+        # gram_from_distances on apex j's distance matrix
+        s2 = (1.0 + eps) * (1.0 + eps)
+        corner = np.full((n - 1, n - 1), 0.5 * (s2 + s2 - s2))
+        np.fill_diagonal(corner, 0.5 * (s2 + s2))
+        a2 = A * A
+        edge = 0.5 * (s2 + a2[:, n - 1:] - a2[:, : n - 1])
+        tip = 0.5 * (a2[:, n - 1] + a2[:, n - 1])
+        step = max(1, CHUNK // (n * n))
+        lam = np.empty(m)
+        for a in range(0, m, step):
+            G = np.empty((min(step, m - a), n, n))
+            G[:, : n - 1, : n - 1] = corner
+            G[:, : n - 1, n - 1] = G[:, n - 1, : n - 1] = edge[a:a + step]
+            G[:, n - 1, n - 1] = tip[a:a + step]
+            if not np.isfinite(G).all():
+                raise NonFiniteEntry("matrix has non-finite entries")
+            lam[a:a + step] = np.linalg.eigvalsh(G)[:, 0]
+        state.update(A=A, corner=corner, eigs=lam)
+        return bool((lam > eta).all())
 
     eps = choose_epsilon(search, pd)
-    eigs = tuple(min_eigenvalue(G) for G in apex_grams(eps))
-
-    side = 1.0 + eps
-    Dp = np.full((n, n), side)
-    np.fill_diagonal(Dp, 0.0)
-    P = factor_points(gram_from_distances(Dp, n), n).P
+    A = state["A"]
+    P = factor_points(GramMatrix(state["corner"], base=n, n=n), n).P
     Q = np.zeros((m, n))
     if n == 1:
         # a single simplex point at the origin: each apex sits at its
         # prescribed distance along the only axis
-        for j in range(1, m + 1):
-            Q[j - 1, 0] = apex_targets(eps, j)[0]
+        Q[:, 0] = A[:, 0]
     else:
         Pt = P[: n - 1, : n - 1]
-        for j in range(1, m + 1):
-            a = apex_targets(eps, j)
+        for j in range(m):
+            a = A[j]
             b = (P[: n - 1] ** 2).sum(axis=1) + a[n - 1] ** 2 - a[: n - 1] ** 2
             qt = np.linalg.solve(2.0 * Pt, b)
             h2 = a[n - 1] ** 2 - float((qt ** 2).sum())
             if h2 < 0:
                 # the PD acceptance makes this impossible; guard anyway
                 raise EpsilonExhausted("apex height underflow at accepted eps")
-            Q[j - 1, : n - 1] = qt
-            Q[j - 1, n - 1] = np.sqrt(h2)
+            Q[j, : n - 1] = qt
+            Q[j, n - 1] = np.sqrt(h2)
+    if swap:
+        P, Q = Q, P
     config = PointConfig(dim=n, P=P, Q=Q)
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
-                             min_eigenvalues=eigs)
+                             min_eigenvalues=tuple(state["eigs"].tolist()))
 
 
 def realize(spec: OrderSpec, eta: float = ETA,

@@ -136,7 +136,7 @@ def gallery(name: str, n: int) -> OrderSpec:
             f"unknown gallery family {name!r}; "
             f"choose from {', '.join(FAMILIES)}") from None
     spec = builder(n)
-    orders.validate(spec)
+    spec.ranks  # validates
     return spec
 
 
@@ -277,7 +277,7 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     The gradient is analytic, including the normalization coupling, and is
     laid out like P (complete) or P stacked over Q (bipartite).
     """
-    orders.validate(spec)
+    spec.ranks  # validates
     verifier.check_shape(config, spec)
     X = _stack(config)
     return _loss_grad(_StressTerms(spec, X.shape[1]), X, margin, floor)
@@ -377,8 +377,7 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     just-accepted loss permits). Deterministic for a fixed seed: restart r
     draws its start from default_rng([seed, r]).
     """
-    orders.validate(spec)
-    terms = _StressTerms(spec, cfg.dim)
+    terms = _StressTerms(spec, cfg.dim)  # reads spec.ranks, which validates
     losses = []
     best_loss = float("inf")
     best_X = None

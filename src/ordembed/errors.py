@@ -29,15 +29,7 @@ class IndexOutOfRange(SpecError):
     pass
 
 
-class UnknownPair(SpecError):
-    pass
-
-
 class NotLinear(SpecError):
-    pass
-
-
-class NotComplete(SpecError):
     pass
 
 

@@ -8,13 +8,14 @@ than pairs in a later class. All indices are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
-                     NotComplete, NotLinear, SpecError, UnknownPair)
+                     SpecError)
 
 Pair = tuple[int, int]
 
@@ -40,8 +41,6 @@ class OrderSpec:
     n: int
     classes: tuple[tuple[Pair, ...], ...]
     m: int | None = None
-    _ranks: dict[Pair, int] = field(init=False, repr=False, compare=False,
-                                    hash=False, default=None)
 
     def __post_init__(self):
         norm = []
@@ -54,12 +53,6 @@ class OrderSpec:
                 cur.append((i, j))
             norm.append(tuple(cur))
         object.__setattr__(self, "classes", tuple(norm))
-        ranks = {}
-        for k, cls in enumerate(self.classes, start=1):
-            for p in cls:
-                if p not in ranks:
-                    ranks[p] = k
-        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def num_classes(self) -> int:
@@ -72,23 +65,26 @@ class OrderSpec:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """Rank of every pair of pair_set(), in that (lexicographic) order;
-        built once per spec."""
-        try:
-            return np.array([self._ranks[p] for p in self.pair_set()],
-                            dtype=np.int64)
-        except KeyError as exc:
-            raise MissingPair(f"pair {exc.args[0]} not covered") from None
+        """Rank of every pair of pair_set(), in that (lexicographic) order.
 
-    def rank_of(self, pair: Pair) -> int:
-        """1-based rank of the class containing pair."""
-        i, j = pair
-        if self.kind == "complete" and i > j:
-            i, j = j, i
-        try:
-            return self._ranks[(i, j)]
-        except KeyError:
-            raise UnknownPair(f"pair {pair} not in spec") from None
+        Built once per spec, after validate(self) passes: a spec that
+        validate rejects raises the same SpecError here, on every read.
+        Each class rank is written at the pair's lexicographic index,
+        (i-1)(2n-i)/2 + (j-i-1) for a complete pair and (i-1)m + (j-1)
+        for a bipartite one; validation bounds every index first."""
+        validate(self)
+        n = self.n
+        ij = np.fromiter(chain.from_iterable(chain.from_iterable(
+            self.classes)), dtype=np.int64).reshape(-1, 2)
+        i, j = ij[:, 0], ij[:, 1]
+        if self.kind == "complete":
+            at = (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+        else:
+            at = (i - 1) * self.m + (j - 1)
+        ranks = np.empty(len(ij), dtype=np.int64)
+        ranks[at] = np.repeat(np.arange(1, self.num_classes + 1),
+                              [len(cls) for cls in self.classes])
+        return ranks
 
     def is_linear(self) -> bool:
         return all(len(cls) == 1 for cls in self.classes)
@@ -99,7 +95,10 @@ def validate(spec: OrderSpec) -> None:
     offending pair on failure. Ranges are checked arithmetically and pairs
     are counted, so the pair universe is never built; naming a missing pair
     scans it in order up to the first gap, past at most the pairs the spec
-    lists. Validation costs time in the size of the spec, not of n."""
+    lists. Validation costs time in the size of the spec, not of n.
+
+    Reading spec.ranks runs this once per spec object, so the library
+    reads ranks rather than calling it."""
     if spec.kind not in ("complete", "bipartite"):
         raise SpecError(f"unknown kind {spec.kind!r}")
     n, m = spec.n, spec.m
@@ -135,31 +134,6 @@ def validate(spec: OrderSpec) -> None:
                         for j in range(1, m + 1))
         missing = next(p for p in universe if p not in seen)
         raise MissingPair(f"pair {missing} not covered")
-
-
-def relabel_min_to_last(spec: OrderSpec) -> tuple[OrderSpec, dict[int, int]]:
-    """Relabel the points of a complete linear spec so the unique minimal
-    pair becomes (n-1, n).
-
-    Returns the relabeled spec and the permutation sigma with
-    sigma[original index] = new index. The minimal pair's endpoints map to
-    n-1 and n; the remaining indices keep their relative order.
-    """
-    if spec.kind != "complete":
-        raise NotComplete("relabel_min_to_last needs a complete spec")
-    if not spec.is_linear():
-        raise NotLinear("relabel_min_to_last needs a linear order")
-    n = spec.n
-    i1, j1 = spec.classes[0][0]
-    sigma = {i1: n - 1, j1: n}
-    rest = [i for i in range(1, n + 1) if i != i1 and i != j1]
-    for slot, i in enumerate(rest, start=1):
-        sigma[i] = slot
-    classes = tuple(
-        tuple(tuple(sorted((sigma[a], sigma[b]))) for a, b in cls)
-        for cls in spec.classes
-    )
-    return OrderSpec("complete", n, classes), sigma
 
 
 def canonical(spec: OrderSpec) -> OrderSpec:
@@ -214,7 +188,7 @@ def from_json_dict(data: dict) -> OrderSpec:
             cur.append((p[0], p[1]))
         classes.append(tuple(cur))
     spec = OrderSpec(kind, n, tuple(classes), m=m)
-    validate(spec)
+    spec.ranks  # validates, and caches the ranks for every later reader
     return spec
 
 

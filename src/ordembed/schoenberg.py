@@ -85,10 +85,6 @@ def min_eigenvalue(G) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
-def is_positive_definite(G, eta: float) -> bool:
-    return min_eigenvalue(G) > eta
-
-
 def factor_points(G: GramMatrix, dim: int) -> PointConfig:
     """Factor G into n points in R^dim with the base point at the origin.
 

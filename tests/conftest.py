@@ -1,5 +1,7 @@
 """Shared fixtures: reference specs, random spec generators, and the
 acceptance summary printed at the end of the run."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,31 @@ def random_bipartite_linear(rng: np.random.Generator, n: int,
     pairs = bipartite_pairs(n, m)
     perm = [pairs[k] for k in rng.permutation(len(pairs))]
     return OrderSpec("bipartite", n, tuple((p,) for p in perm), m=m)
+
+
+def rank(spec: OrderSpec, pair) -> int:
+    """Class rank of pair, read from spec.ranks; a complete pair may be
+    given as (j, i)."""
+    i, j = pair
+    if spec.kind == "complete" and i > j:
+        i, j = j, i
+    return int(spec.ranks[spec.pair_set().index((i, j))])
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace fn in every ordembed namespace that binds it with a wrapper
+    that records the arguments of each call; return the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ordembed" or name.startswith("ordembed.")) and \
+                getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
 
 
 @pytest.fixture

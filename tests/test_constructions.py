@@ -2,23 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (random_bipartite_linear, random_bipartite_preorder,
-                      random_linear_order, random_preorder)
-from ordembed import constructions, counterexamples, orders, verifier
-from ordembed.constructions import (EpsilonSearch, align_isometry,
-                                    choose_epsilon, default_search,
-                                    perturbed_distances, realize,
-                                    realize_linear_complete,
+from conftest import (count_calls, random_bipartite_linear,
+                      random_bipartite_preorder, random_linear_order,
+                      random_preorder, rank)
+from ordembed import counterexamples, orders, schoenberg, verifier
+from ordembed.constructions import (EpsilonSearch, _hyperplane,
+                                    align_isometry, choose_epsilon,
+                                    default_search, perturbed_distances,
+                                    realize, realize_linear_complete,
                                     realize_preorder_bipartite,
-                                    realize_preorder_complete,
-                                    reflect_across_affine_span)
+                                    realize_preorder_complete)
 from ordembed.errors import (DegenerateHyperplane, DistanceMismatch,
                              EpsilonExhausted, NotLinear, ShapeMismatch,
                              SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
-from ordembed.schoenberg import (distances_of, gram_from_distances,
-                                 min_eigenvalue)
+from ordembed.schoenberg import (distances_of, factor_points,
+                                 gram_from_distances, min_eigenvalue)
 
 
 def test_epsilon_search_validation():
@@ -110,7 +112,7 @@ def test_perturbed_monotone_and_bitwise_equal_within_rank():
             for b in spec.pair_set():
                 da = D[a[0] - 1, a[1] - 1]
                 db = D[b[0] - 1, b[1] - 1]
-                ra, rb = spec.rank_of(a), spec.rank_of(b)
+                ra, rb = rank(spec, a), rank(spec, b)
                 if ra < rb:
                     assert da < db
                 elif ra == rb:
@@ -218,6 +220,14 @@ def test_realize_linear_rejects_small_n():
 def test_realize_linear_rejects_preorder(preorder4_spec):
     with pytest.raises(NotLinear):
         realize_linear_complete(preorder4_spec)
+
+
+def test_realizers_reject_the_other_kind(preorder4_spec, bip32_spec):
+    for realizer in (realize_linear_complete, realize_preorder_complete):
+        with pytest.raises(ShapeMismatch, match="needs a complete spec"):
+            realizer(bip32_spec)
+    with pytest.raises(ShapeMismatch, match="needs bipartite spec"):
+        realize_preorder_bipartite(preorder4_spec)
 
 
 def test_realize_bipartite_bip32(bip32_spec):
@@ -337,15 +347,16 @@ def test_align_shared_points_of_linear_construction():
     # check they align to within 1e-8
     rng = np.random.default_rng(19)
     spec = random_linear_order(rng, 5)
-    relabeled, _ = orders.relabel_min_to_last(spec)
     n = 5
+    i1, j1 = spec.classes[0][0]
+    perm = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+    perm += [i1 - 1, j1 - 1]
     eps = realize_linear_complete(spec).epsilon
-    D = perturbed_distances(relabeled, eps)
+    D = perturbed_distances(spec, eps)[np.ix_(perm, perm)]
     idx_g = [i for i in range(1, n + 1) if i != n]
     idx_h = [i for i in range(1, n + 1) if i != n - 1]
     sub_g = D[np.ix_([i - 1 for i in idx_g], [i - 1 for i in idx_g])]
     sub_h = D[np.ix_([i - 1 for i in idx_h], [i - 1 for i in idx_h])]
-    from ordembed.schoenberg import factor_points
     G = gram_from_distances(sub_g, base=n - 1)
     H = gram_from_distances(sub_h, base=n - 1)
     pg = factor_points(G, dim=n - 2).P[: n - 2]
@@ -355,36 +366,36 @@ def test_align_shared_points_of_linear_construction():
 
 
 def test_reflect_across_x_axis():
-    spanning = np.array([[0.0, 0], [1, 0]])
-    out = reflect_across_affine_span(np.array([0.3, 2.0]), spanning)
+    c, u = _hyperplane(np.array([[0.0, 0], [1, 0]]))
+    assert np.abs(c - np.array([0.5, 0.0])).max() < 1e-12
+    assert abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12
+    x = np.array([0.3, 2.0])
+    out = x - 2.0 * float(np.dot(x - c, u)) * u
     assert np.abs(out - np.array([0.3, -2.0])).max() < 1e-12
 
 
 def test_reflect_fixes_hyperplane_points():
-    spanning = np.array([[0.0, 0], [1, 0]])
-    x = np.array([0.7, 0.0])
-    out = reflect_across_affine_span(x, spanning)
-    assert np.abs(out - x).max() < 1e-12
+    c, u = _hyperplane(np.array([[0.0, 0], [1, 0]]))
+    assert abs(float(np.dot(np.array([0.7, 0.0]) - c, u))) < 1e-12
 
 
 def test_reflect_involution():
+    # the normal is a unit vector orthogonal to the spanning points' span
     rng = np.random.default_rng(20)
     for _ in range(20):
         d = int(rng.integers(2, 6))
         spanning = rng.standard_normal((d, d))
-        x = rng.standard_normal(d)
-        once = reflect_across_affine_span(x, spanning)
-        twice = reflect_across_affine_span(once, spanning)
-        assert np.abs(twice - x).max() < 1e-12
+        c, u = _hyperplane(spanning)
+        assert abs(float(np.dot(u, u)) - 1.0) < 1e-12
+        assert np.abs((spanning - c) @ u).max() < 1e-9
 
 
 def test_reflect_degenerate():
     with pytest.raises(DegenerateHyperplane):
-        reflect_across_affine_span(np.array([1.0, 1.0]),
-                                   np.array([[0.0, 0]]))
+        _hyperplane(np.array([[0.0, 0]]))
     full_rank = np.array([[0.0, 0], [1, 0], [0, 1]])
     with pytest.raises(DegenerateHyperplane):
-        reflect_across_affine_span(np.array([1.0, 1.0]), full_rank)
+        _hyperplane(full_rank)
 
 
 @pytest.mark.parametrize("spec", [
@@ -405,3 +416,111 @@ def test_realize_rejects_what_validate_rejects(spec):
         realize(spec)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+    with pytest.raises(SpecError) as read:
+        spec.ranks
+    assert type(read.value) is type(want.value)
+    assert str(read.value) == str(want.value)
+
+
+def _relabeled(spec, perm):
+    """spec with point perm[k] + 1 renamed k + 1."""
+    new = {old + 1: k + 1 for k, old in enumerate(perm)}
+    return OrderSpec("complete", spec.n, tuple(
+        tuple((new[a], new[b]) for a, b in cls) for cls in spec.classes))
+
+
+def test_linear_realizer_commutes_with_relabeling():
+    # renaming the points so the minimal pair is (n-1, n), the others in
+    # their order, gives the same realization with its rows permuted
+    rng = np.random.default_rng(21)
+    for n in range(3, 8):
+        for _ in range(10):
+            spec = random_linear_order(rng, n)
+            i1, j1 = spec.classes[0][0]
+            perm = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+            perm += [i1 - 1, j1 - 1]
+            rel = _relabeled(spec, perm)
+            assert rel.classes[0] == ((n - 1, n),)
+            got, want = realize_linear_complete(spec), realize(rel)
+            assert np.array_equal(got.config.P[perm], want.config.P)
+            assert got.epsilon == want.epsilon
+            assert got.min_eigenvalues == want.min_eigenvalues
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.permutations(complete_pairs(n))))
+def test_linear_realize_with_minimal_pair_anywhere(chain):
+    n = max(j for _, j in chain)
+    spec = OrderSpec("complete", n, tuple((p,) for p in chain))
+    report = realize(spec)
+    assert report.config.dim == n - 2
+    assert verifier.verify(report.config, spec).matched
+    i, j = chain[0]
+    assert 0.0 < distances_of(report.config)[i - 1, j - 1] < 1.0
+
+
+def _transposed(spec):
+    return OrderSpec("bipartite", spec.m, tuple(
+        tuple((j, i) for i, j in cls) for cls in spec.classes), m=spec.n)
+
+
+def test_bipartite_tall_spec_is_its_transpose_swapped():
+    rng = np.random.default_rng(32)
+    for n, m in ((2, 1), (4, 2), (5, 3), (6, 5)):
+        spec = random_bipartite_preorder(rng, n, m)
+        tall, wide = realize(spec), realize(_transposed(spec))
+        assert np.array_equal(tall.config.P, wide.config.Q)
+        assert np.array_equal(tall.config.Q, wide.config.P)
+        assert tall.epsilon == wide.epsilon
+        assert tall.margin == wide.margin
+        assert tall.min_eigenvalues == wide.min_eigenvalues
+
+
+def test_bipartite_realizer_builds_no_per_apex_gram(monkeypatch):
+    grams = count_calls(monkeypatch, schoenberg.gram_from_distances)
+    eigens = count_calls(monkeypatch, schoenberg.min_eigenvalue)
+    rng = np.random.default_rng(33)
+    for n, m in ((3, 3), (2, 5), (5, 2), (1, 4), (4, 1)):
+        spec = random_bipartite_preorder(rng, n, m)
+        del grams[:], eigens[:]
+        report = realize_preorder_bipartite(spec)
+        assert len(report.min_eigenvalues) == max(n, m)
+        assert len(grams) <= 1
+        assert not eigens
+
+
+def test_validate_runs_once_per_spec_object(monkeypatch):
+    calls = count_calls(monkeypatch, orders.validate)
+    rng = np.random.default_rng(34)
+    for spec in (random_linear_order(rng, 5), random_preorder(rng, 5),
+                 random_bipartite_preorder(rng, 2, 4),
+                 random_bipartite_preorder(rng, 4, 2)):
+        del calls[:]
+        parsed = orders.from_json(orders.to_json(spec))
+        config = realize(parsed).config
+        assert verifier.verify(config, parsed).matched
+        assert len(calls) == 1
+
+
+def test_bipartite_grams_match_per_apex_reference():
+    # reference: each apex's distance matrix through gram_from_distances,
+    # as the realizer did one apex at a time; results must agree bit for bit
+    rng = np.random.default_rng(35)
+    for n, m in ((1, 3), (3, 1), (2, 5), (4, 4), (6, 3), (9, 12)):
+        spec = random_bipartite_preorder(rng, n, m)
+        report = realize_preorder_bipartite(spec)
+        R = spec.ranks.reshape(n, m)
+        if m < n:
+            R = R.T
+        k, eps = R.shape[0], report.epsilon
+        D = np.full((k + 1, k + 1), 1.0 + eps)
+        np.fill_diagonal(D, 0.0)
+        simplex = gram_from_distances(D[:k, :k], k)
+        eigs = []
+        for col in R.T:
+            D[k, :k] = D[:k, k] = 1.0 + col * eps
+            eigs.append(min_eigenvalue(gram_from_distances(D, k)))
+        assert report.min_eigenvalues == tuple(eigs)
+        P = report.config.P if m >= n else report.config.Q
+        assert np.array_equal(P, factor_points(simplex, k).P)

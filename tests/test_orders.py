@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_linear_order, random_preorder
+from conftest import random_preorder, rank
 from ordembed import orders
 from ordembed.errors import (DuplicatePair, EmptyClass, IndexOutOfRange,
-                             MissingPair, NotComplete, NotLinear, SpecError,
-                             UnknownPair)
+                             MissingPair, SpecError)
 from ordembed.orders import OrderSpec
 
 
@@ -65,30 +66,33 @@ def test_pair_normalization_reversed_complete():
     spec = OrderSpec("complete", 3, (((2, 1),), ((3, 1),), ((3, 2),)))
     orders.validate(spec)
     assert spec.classes[0] == ((1, 2),)
-    assert spec.rank_of((3, 1)) == 2
+    assert rank(spec, (3, 1)) == 2
 
 
 def test_rank_of_preorder4(preorder4_spec):
-    assert preorder4_spec.rank_of((1, 3)) == 2
-    assert preorder4_spec.rank_of((1, 2)) == 1
-    assert preorder4_spec.rank_of((1, 4)) == 4
+    assert rank(preorder4_spec, (1, 3)) == 2
+    assert rank(preorder4_spec, (1, 2)) == 1
+    assert rank(preorder4_spec, (1, 4)) == 4
 
 
 def test_rank_of_single_class():
     spec = OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)),))
     for p in orders.complete_pairs(4):
-        assert spec.rank_of(p) == 1
+        assert rank(spec, p) == 1
 
 
 def test_rank_of_bip32_bipartite(bip32_spec):
-    assert bip32_spec.rank_of((1, 2)) == 3
-    assert bip32_spec.rank_of((2, 1)) == 1
-    assert bip32_spec.rank_of((3, 2)) == 2
+    assert rank(bip32_spec, (1, 2)) == 3
+    assert rank(bip32_spec, (2, 1)) == 1
+    assert rank(bip32_spec, (3, 2)) == 2
 
 
-def test_rank_of_unknown_pair(preorder4_spec):
-    with pytest.raises(UnknownPair):
-        preorder4_spec.rank_of((1, 5))
+def test_rank_of_unknown_pair():
+    # a pair outside the pair set has no rank: reading ranks refuses it
+    spec = OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)),
+                                     ((1, 5),)))
+    with pytest.raises(IndexOutOfRange, match=r"^pair \(1, 5\) out of range$"):
+        spec.ranks
 
 
 def test_rank_constant_on_classes_increasing_across():
@@ -97,7 +101,7 @@ def test_rank_constant_on_classes_increasing_across():
         spec = random_preorder(rng, n)
         for k, cls in enumerate(spec.classes, start=1):
             for p in cls:
-                assert spec.rank_of(p) == k
+                assert rank(spec, p) == k
 
 
 def test_is_linear(preorder4_spec):
@@ -106,76 +110,6 @@ def test_is_linear(preorder4_spec):
     assert lin.is_linear()
     single = OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)),))
     assert not single.is_linear()
-
-
-def test_relabel_min_to_last_already_last():
-    rng = np.random.default_rng(0)
-    hits = 0
-    for _ in range(60):
-        spec = random_linear_order(rng, 5)
-        if spec.classes[0][0] != (4, 5):
-            continue
-        hits += 1
-        relabeled, sigma = orders.relabel_min_to_last(spec)
-        assert sigma == {i: i for i in range(1, 6)}
-        assert relabeled == spec
-    assert hits >= 1
-
-
-def test_relabel_min_to_last_n4():
-    spec = OrderSpec("complete", 4, (
-        ((1, 2),), ((1, 3),), ((1, 4),), ((2, 3),), ((2, 4),), ((3, 4),)))
-    relabeled, sigma = orders.relabel_min_to_last(spec)
-    assert sigma[1] == 3 and sigma[2] == 4
-    assert relabeled.classes[0] == ((3, 4),)
-
-
-def test_relabel_min_2_4_at_n5():
-    pairs = orders.complete_pairs(5)
-    rest = [p for p in pairs if p != (2, 4)]
-    spec = OrderSpec("complete", 5,
-                     (((2, 4),),) + tuple((p,) for p in rest))
-    relabeled, sigma = orders.relabel_min_to_last(spec)
-    assert sigma[2] == 4 and sigma[4] == 5
-    assert sigma[1] == 1 and sigma[3] == 2 and sigma[5] == 3
-    assert relabeled.classes[0] == ((4, 5),)
-
-
-def _order_type(spec):
-    out = {}
-    for k, cls in enumerate(spec.classes, start=1):
-        for p in cls:
-            out[p] = k
-    return out
-
-
-def test_relabel_preserves_order_type_brute_force():
-    # oracle: apply sigma to every pair by hand, re-sort by original rank,
-    # and compare rank relations pairwise
-    rng = np.random.default_rng(21)
-    for n in range(3, 8):
-        for _ in range(25):
-            spec = random_linear_order(rng, n)
-            relabeled, sigma = orders.relabel_min_to_last(spec)
-            before = _order_type(spec)
-            after = _order_type(relabeled)
-            for a in before:
-                sa = tuple(sorted((sigma[a[0]], sigma[a[1]])))
-                for b in before:
-                    sb = tuple(sorted((sigma[b[0]], sigma[b[1]])))
-                    assert (before[a] < before[b]) == (after[sa] < after[sb])
-            assert relabeled.classes[0] == ((n - 1, n),)
-            assert sorted(sigma.values()) == list(range(1, n + 1))
-
-
-def test_relabel_rejects_preorder(preorder4_spec):
-    with pytest.raises(NotLinear):
-        orders.relabel_min_to_last(preorder4_spec)
-
-
-def test_relabel_rejects_bipartite(bip32_spec):
-    with pytest.raises(NotComplete):
-        orders.relabel_min_to_last(bip32_spec)
 
 
 def test_json_round_trip_complete(preorder4_spec):
@@ -197,7 +131,7 @@ def test_json_interface_document():
             '[[[1,2]],[[2,3],[1,3]],[[3,4],[2,4]],[[1,4]]]}')
     spec = orders.from_json(text)
     assert spec.n == 4
-    assert spec.rank_of((2, 4)) == 3
+    assert rank(spec, (2, 4)) == 3
 
 
 def test_from_json_rejects_garbage():
@@ -247,3 +181,43 @@ def test_validate_names_first_missing_bipartite_pair():
     spec = OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 2)),), m=2)
     with pytest.raises(MissingPair, match=r"^pair \(2, 1\) not covered$"):
         orders.validate(spec)
+
+
+@st.composite
+def _raw_partitions(draw):
+    """(kind, n, m, classes) of a valid partition before normalization:
+    a random pair order, random class cuts, and complete pairs flipped to
+    (j, i) at random."""
+    if draw(st.booleans()):
+        kind, n, m = "complete", draw(st.integers(2, 9)), None
+        pairs = orders.complete_pairs(n)
+    else:
+        kind, n, m = "bipartite", draw(st.integers(1, 6)), draw(
+            st.integers(1, 6))
+        pairs = orders.bipartite_pairs(n, m)
+    order = draw(st.permutations(pairs))
+    cuts = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs),
+                          max_size=len(pairs)))
+    classes = []
+    for p, cut, flip in zip(order, cuts, flips):
+        if cut or not classes:
+            classes.append([])
+        classes[-1].append(p[::-1] if kind == "complete" and flip else p)
+    return kind, n, m, classes
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_raw_partitions())
+def test_ranks_match_dict_oracle(raw):
+    kind, n, m, classes = raw
+    spec = OrderSpec(kind, n, tuple(map(tuple, classes)), m=m)
+    oracle = {}
+    for k, cls in enumerate(classes, start=1):
+        for i, j in cls:
+            oracle[(min(i, j), max(i, j)) if kind == "complete"
+                   else (i, j)] = k
+    want = [oracle[p] for p in spec.pair_set()]
+    assert spec.ranks.dtype == np.int64
+    assert spec.ranks.tolist() == want

@@ -1,10 +1,9 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_preorder
+from conftest import count_calls, random_preorder, rank
 from ordembed import schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.errors import ShapeMismatch
@@ -63,7 +62,7 @@ def test_verify_tetrahedron_vs_preorder4_mismatch(preorder4_spec):
     report = verify(config, preorder4_spec)
     assert report.verdict == "mismatch"
     a, b = report.witness
-    assert preorder4_spec.rank_of(a) != preorder4_spec.rank_of(b)
+    assert rank(preorder4_spec, a) != rank(preorder4_spec, b)
     induced = induced_preorder(config)
     assert len(induced.classes) == 1
 
@@ -169,26 +168,9 @@ def test_witness_is_lex_first_disagreement(preorder4_spec):
     assert report.witness == ((1, 2), (1, 3))
 
 
-def _count_distance_kernel(monkeypatch):
-    """Replace schoenberg.distances_of in every ordembed namespace that
-    binds it with a wrapper that records each call."""
-    real = schoenberg.distances_of
-    calls = []
-
-    def counted(config):
-        calls.append(config)
-        return real(config)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "ordembed" or name.startswith("ordembed.")) and \
-                getattr(module, "distances_of", None) is real:
-            monkeypatch.setattr(module, "distances_of", counted)
-    return calls
-
-
 def test_verify_and_induce_read_distances_once(monkeypatch, preorder4_spec,
                                                bip32_spec):
-    calls = _count_distance_kernel(monkeypatch)
+    calls = count_calls(monkeypatch, schoenberg.distances_of)
     single = OrderSpec("complete", 4, (tuple(complete_pairs(4)),))
     for spec, config in (
             (preorder4_spec, realize_preorder_complete(preorder4_spec).config),
