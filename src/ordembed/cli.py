@@ -47,8 +47,7 @@ def _load_config(path: str) -> PointConfig:
 def _write_csv(config: PointConfig, path: str) -> None:
     rows = config.P if config.Q is None else np.vstack([config.P, config.Q])
     lines = [",".join(f"x{k + 1}" for k in range(config.dim))]
-    for row in rows:
-        lines.append(",".join(schoenberg._fmt(v) for v in row))
+    lines += schoenberg.format_rows(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

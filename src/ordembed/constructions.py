@@ -79,12 +79,7 @@ def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
 def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     """Smallest gap between max distance of one class and min distance of
     the next, over consecutive classes."""
-    d = pair_distances(config)
-    cls = spec.ranks - 1
-    lo = np.full(spec.num_classes, np.inf)
-    hi = np.full(spec.num_classes, -np.inf)
-    np.minimum.at(lo, cls, d)
-    np.maximum.at(hi, cls, d)
+    lo, hi = spec.extremes(pair_distances(config))
     gaps = lo[1:] - hi[:-1]
     return float(gaps.min()) if gaps.size else float("inf")
 

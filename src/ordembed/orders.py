@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class OrderSpec:
     """A total preorder on D_n (kind 'complete') or B_{n,m} ('bipartite').
 
     classes[k] holds the pairs of rank k+1; rank 1 means smallest distance.
+    A complete pair given as (j, i) with j > i is stored as (i, j).
     """
 
     kind: str
@@ -43,16 +44,36 @@ class OrderSpec:
     m: int | None = None
 
     def __post_init__(self):
-        norm = []
-        for cls in self.classes:
-            cur = []
-            for p in cls:
-                i, j = int(p[0]), int(p[1])
-                if self.kind == "complete" and i > j:
-                    i, j = j, i
-                cur.append((i, j))
-            norm.append(tuple(cur))
-        object.__setattr__(self, "classes", tuple(norm))
+        # one C-speed walk per level into the int64 (i, j) array that
+        # validate and ranks read
+        classes = tuple(map(tuple, map(map, repeat(tuple), self.classes)))
+        pairs = list(chain.from_iterable(classes))
+        if set(map(len, pairs)) - {2}:
+            bad = next(p for p in pairs if len(p) != 2)
+            raise SpecError(f"malformed pair {bad!r}")
+        flat = list(chain.from_iterable(pairs))
+        rebuild = bool(set(map(type, flat)) - {int})
+        if rebuild:
+            flat = list(map(int, flat))
+        try:
+            ij = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            ij = np.array(flat, dtype=object).reshape(-1, 2)
+        swap = ij[:, 0] > ij[:, 1]
+        if self.kind == "complete" and swap.any():
+            ij[swap] = ij[swap][:, ::-1]
+            rebuild = True
+        sizes = list(map(len, classes))
+        if rebuild:
+            it = map(tuple, ij.tolist())
+            classes = tuple(tuple(islice(it, k)) for k in sizes)
+        if ij.dtype == object:
+            # an index beyond int64 saturates, which keeps it out of range
+            # of every n and m below 2**63 - 1
+            ij = ij.clip(-2 ** 63, 2 ** 63 - 1).astype(np.int64)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_ij", ij)
+        object.__setattr__(self, "_sizes", np.array(sizes, dtype=np.int64))
 
     @property
     def num_classes(self) -> int:
@@ -73,29 +94,43 @@ class OrderSpec:
         (i-1)(2n-i)/2 + (j-i-1) for a complete pair and (i-1)m + (j-1)
         for a bipartite one; validation bounds every index first."""
         validate(self)
-        n = self.n
-        ij = np.fromiter(chain.from_iterable(chain.from_iterable(
-            self.classes)), dtype=np.int64).reshape(-1, 2)
-        i, j = ij[:, 0], ij[:, 1]
-        if self.kind == "complete":
-            at = (i - 1) * (2 * n - i) // 2 + (j - i - 1)
-        else:
-            at = (i - 1) * self.m + (j - 1)
-        ranks = np.empty(len(ij), dtype=np.int64)
-        ranks[at] = np.repeat(np.arange(1, self.num_classes + 1),
-                              [len(cls) for cls in self.classes])
+        ranks = np.empty(len(self._ij), dtype=np.int64)
+        ranks[_lex_index(self)] = np.repeat(
+            np.arange(1, self.num_classes + 1), self._sizes)
         return ranks
+
+    def extremes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest of values (one per pair, in pair_set() order)
+        within each class, as two float arrays indexed by rank - 1."""
+        at = self.ranks - 1
+        lo = np.full(self.num_classes, np.inf)
+        hi = np.full(self.num_classes, -np.inf)
+        np.minimum.at(lo, at, values)
+        np.maximum.at(hi, at, values)
+        return lo, hi
 
     def is_linear(self) -> bool:
         return all(len(cls) == 1 for cls in self.classes)
 
 
+def _lex_index(spec: OrderSpec) -> np.ndarray:
+    """Position of every listed pair in pair_set(), for in-range pairs."""
+    i, j = spec._ij[:, 0], spec._ij[:, 1]
+    if spec.kind == "complete":
+        return (i - 1) * (2 * spec.n - i) // 2 + (j - i - 1)
+    return (i - 1) * spec.m + (j - 1)
+
+
 def validate(spec: OrderSpec) -> None:
     """Check the partition invariants; raise a SpecError naming the first
-    offending pair on failure. Ranges are checked arithmetically and pairs
-    are counted, so the pair universe is never built; naming a missing pair
-    scans it in order up to the first gap, past at most the pairs the spec
-    lists. Validation costs time in the size of the spec, not of n.
+    offence a class-by-class, pair-by-pair scan meets (an empty class, a
+    pair out of range, a pair listed twice), else the lexicographically
+    first pair no class lists. Each check is an array operation on the
+    spec's (i, j) array: a range mask; a bincount of the lexicographic
+    pair indices when as many pairs are listed as the pair set holds; on
+    failure, a stable sort by (i, j) that puts each repeat after its first
+    occurrence and shows the first gap. The pair set is never built, so
+    validation costs time in the size of the spec, not of n.
 
     Reading spec.ranks runs this once per spec object, so the library
     reads ranks rather than calling it."""
@@ -113,27 +148,40 @@ def validate(spec: OrderSpec) -> None:
         if n < 1 or m < 1:
             raise IndexOutOfRange("bipartite spec needs n, m >= 1")
         total = n * m
-    seen = set()
-    for cls in spec.classes:
-        if not cls:
-            raise EmptyClass("empty class in spec")
-        for p in cls:
-            i, j = p
-            if not (1 <= i < j <= n if complete
-                    else 1 <= i <= n and 1 <= j <= m):
-                raise IndexOutOfRange(f"pair {p} out of range")
-            if p in seen:
-                raise DuplicatePair(f"pair {p} occurs twice")
-            seen.add(p)
-    if len(seen) < total:
-        if complete:
-            universe = ((i, j) for i in range(1, n + 1)
-                        for j in range(i + 1, n + 1))
-        else:
-            universe = ((i, j) for i in range(1, n + 1)
-                        for j in range(1, m + 1))
-        missing = next(p for p in universe if p not in seen)
-        raise MissingPair(f"pair {missing} not covered")
+    i, j = spec._ij[:, 0], spec._ij[:, 1]
+    sizes = spec._sizes
+    if complete:
+        inside = (1 <= i) & (i < j) & (j <= n)
+    else:
+        inside = (1 <= i) & (i <= n) & (1 <= j) & (j <= m)
+    count = len(i)
+    if (count == total and sizes.all() and inside.all()
+            and (np.bincount(_lex_index(spec), minlength=total) == 1).all()):
+        return
+    outside = np.flatnonzero(~inside)
+    stop = int(outside[0]) if outside.size else count
+    order = np.lexsort((j[:stop], i[:stop]))
+    si, sj = i[order], j[order]
+    again = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
+    first = min(stop, int(order[1:][again].min()) if again.any() else stop)
+    empty = (np.cumsum(sizes) - sizes)[sizes == 0]
+    if empty.size and empty[0] <= first:
+        raise EmptyClass("empty class in spec")
+    if first < count:
+        p = next(islice(chain.from_iterable(spec.classes), first, None))
+        if first == stop:
+            raise IndexOutOfRange(f"pair {p} out of range")
+        raise DuplicatePair(f"pair {p} occurs twice")
+    # in range and distinct, so too few: up to the first gap, pair k of
+    # the set is the successor of sorted listed pair k-1
+    last = sj == (n if complete else m)
+    want_i = np.concatenate(([1], np.where(last, si + 1, si)))
+    want_j = np.concatenate(([2 if complete else 1],
+                             np.where(last, si + 2 if complete else 1,
+                                      sj + 1)))
+    gap = (si != want_i[:-1]) | (sj != want_j[:-1])
+    k = int(gap.argmax()) if gap.any() else count
+    raise MissingPair(f"pair {(int(want_i[k]), int(want_j[k]))} not covered")
 
 
 def canonical(spec: OrderSpec) -> OrderSpec:
@@ -176,18 +224,21 @@ def from_json_dict(data: dict) -> OrderSpec:
         m = _int(data["m"], "m")
     if not isinstance(raw, (list, tuple)):
         raise SpecError(f"classes must be a list, got {raw!r}")
-    classes = []
-    for cls in raw:
-        if not isinstance(cls, (list, tuple)):
-            raise SpecError(f"a class must be a list, got {cls!r}")
-        cur = []
-        for p in cls:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and type(p[0]) is int and type(p[1]) is int):
-                raise SpecError(f"malformed pair {p!r}")
-            cur.append((p[0], p[1]))
-        classes.append(tuple(cur))
-    spec = OrderSpec(kind, n, tuple(classes), m=m)
+    # bulk checks at C speed; only when one fails is the offender located,
+    # the first that a class-by-class, pair-by-pair scan meets
+    lists = list(map(isinstance, raw, repeat((list, tuple))))
+    upto = lists.index(False) if False in lists else len(raw)
+    pairs = list(chain.from_iterable(raw[:upto]))
+    if not (all(map(isinstance, pairs, repeat((list, tuple))))
+            and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        bad = next(p for p in pairs if not (
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and type(p[0]) is int and type(p[1]) is int))
+        raise SpecError(f"malformed pair {bad!r}")
+    if upto < len(raw):
+        raise SpecError(f"a class must be a list, got {raw[upto]!r}")
+    spec = OrderSpec(kind, n, raw, m=m)
     spec.ranks  # validates, and caches the ranks for every later reader
     return spec
 

@@ -123,20 +123,21 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-# element count of the largest temporary distances_of allocates
+# element count of the largest temporary pair_distances allocates
 CHUNK = 1 << 16
 
 
-def distances_of(config: PointConfig) -> np.ndarray:
-    """Complete configs: full symmetric n x n matrix. Bipartite: n x m
-    rectangle of P-to-Q distances.
+def pair_distances(config: PointConfig) -> np.ndarray:
+    """Distance of every pair, in the lexicographic pair order of
+    OrderSpec.pair_set(): the upper triangle of a complete config row by
+    row, or the P-to-Q rectangle of a bipartite one.
 
     The program's only distance kernel. Each unordered pair is computed
     once, in chunks of pairs whose temporaries hold at most CHUNK elements
-    (one pair's coordinates when dim exceeds CHUNK): apart from arrays the
-    size of the result, memory does not grow with n or dim. Per pair the
-    float operations and their order are those of the n x n x dim
-    broadcast, so the result is bit for bit the same."""
+    (one pair's coordinates when dim exceeds CHUNK): apart from the result,
+    memory does not grow with n or dim. Per pair the float operations and
+    their order are those of the n x n x dim broadcast, so the result is
+    bit for bit the same."""
     P = np.asarray(config.P, dtype=float)
     Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
     if config.Q is None:
@@ -153,25 +154,27 @@ def distances_of(config: PointConfig) -> np.ndarray:
             i, j = np.divmod(np.arange(a, min(a + step, count)), len(Q))
         diff = P.take(i, axis=0) - Q.take(j, axis=0)
         np.sqrt(np.add.reduce(diff * diff, axis=1), out=vals[a:a + step])
+    return vals
+
+
+def distances_of(config: PointConfig) -> np.ndarray:
+    """Complete configs: full symmetric n x n matrix. Bipartite: n x m
+    rectangle of P-to-Q distances. Both lay pair_distances out as a matrix,
+    for callers that want one."""
+    vals = pair_distances(config)
     if config.Q is not None:
-        return vals.reshape(len(P), len(Q))
-    D = np.zeros((len(P), len(P)))
-    D[rows, cols] = vals
+        return vals.reshape(len(config.P), len(config.Q))
+    n = len(config.P)
+    D = np.zeros((n, n))
+    D[upper_pairs(n)] = vals
     return D + D.T
 
 
-def pair_distances(config: PointConfig) -> np.ndarray:
-    """Distance of every pair, in the lexicographic pair order of
-    OrderSpec.pair_set(): the upper triangle of a complete config row by
-    row, or the P-to-Q rectangle of a bipartite one."""
-    D = distances_of(config)
-    if config.Q is None:
-        return D[upper_pairs(len(D))]
-    return D.ravel()
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def format_rows(A) -> list[str]:
+    """Each row of A as comma-separated numbers with 17 significant digits,
+    which parse back to the exact binary values."""
+    return [",".join(map("{:.17g}".format, row))
+            for row in np.asarray(A, dtype=float).tolist()]
 
 
 def json_float(x: float) -> float | None:
@@ -184,8 +187,7 @@ def config_to_json(config: PointConfig) -> str:
     """Serialize with 17 significant digits so parsing reproduces the
     exact binary values."""
     def rows(A):
-        return "[" + ",".join(
-            "[" + ",".join(_fmt(v) for v in row) + "]" for row in A) + "]"
+        return "[" + ",".join("[" + r + "]" for r in format_rows(A)) + "]"
 
     out = f'{{"dim":{config.dim},"P":{rows(config.P)}'
     if config.Q is not None:

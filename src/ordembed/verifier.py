@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .orders import OrderSpec, bipartite_pairs, complete_pairs
-from .schoenberg import PointConfig, json_float, pair_distances
+from .orders import OrderSpec
+from .schoenberg import PointConfig, json_float, pair_distances, upper_pairs
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -21,14 +22,34 @@ TOL_REL = 1e-9
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedOrder:
-    classes: tuple[tuple[Pair, ...], ...]
+    """The preorder a configuration's pair distances induce. classes is
+    built on first read (verify does not read it); == compares classes,
+    gaps and spread."""
+
     gaps: tuple[float, ...]
     spread: float
     # class rank and distance of every pair, in lexicographic pair order
-    ranks: np.ndarray = field(repr=False, compare=False)
-    distances: np.ndarray = field(repr=False, compare=False)
+    ranks: np.ndarray = field(repr=False)
+    distances: np.ndarray = field(repr=False)
+    n: int
+    m: int | None = None
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Pair, ...], ...]:
+        # ties in distance keep lexicographic order, as in induced_preorder
+        order = np.argsort(self.distances, kind="stable")
+        i, j = _pairs_at(self.n, self.m, order)
+        ranked = list(zip(i.tolist(), j.tolist()))
+        ends = np.cumsum(np.bincount(self.ranks)[1:]).tolist()
+        return tuple(tuple(ranked[a:b]) for a, b in zip([0] + ends, ends))
+
+    def __eq__(self, other):
+        if not isinstance(other, InducedOrder):
+            return NotImplemented
+        return ((self.classes, self.gaps, self.spread)
+                == (other.classes, other.gaps, other.spread))
 
 
 @dataclass(frozen=True)
@@ -50,10 +71,6 @@ def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
     if vals.size == 0:
         raise ShapeMismatch("a configuration of fewer than two points "
                             "induces no order")
-    if config.Q is None:
-        pairs = complete_pairs(len(config.P))
-    else:
-        pairs = bipartite_pairs(len(config.P), len(config.Q))
     threshold = tol_abs + tol_rel * float(vals.max())
     # a stable sort breaks distance ties by lexicographic pair order
     order = np.argsort(vals, kind="stable")
@@ -64,13 +81,22 @@ def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
     ranks[order] = np.concatenate(([1], 1 + np.cumsum(cut)))
     starts = np.flatnonzero(np.concatenate(([True], cut)))
     ends = np.append(starts[1:], vals.size)
-    ranked = [pairs[k] for k in order.tolist()]
-    classes = tuple(tuple(ranked[a:b])
-                    for a, b in zip(starts.tolist(), ends.tolist()))
     return InducedOrder(
-        classes=classes, gaps=tuple(steps[cut].tolist()),
+        gaps=tuple(steps[cut].tolist()),
         spread=float((ascending[ends - 1] - ascending[starts]).max()),
-        ranks=ranks, distances=vals)
+        ranks=ranks, distances=vals, n=len(config.P),
+        m=None if config.Q is None else len(config.Q))
+
+
+def _pairs_at(n: int, m: int | None, index: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (i, j) arrays of the pairs at the given lexicographic
+    positions of the complete (m None) or bipartite pair set."""
+    if m is None:
+        rows, cols = upper_pairs(n)
+        return rows[index] + 1, cols[index] + 1
+    i, j = np.divmod(index, m)
+    return i + 1, j + 1
 
 
 def check_shape(config: PointConfig, spec: OrderSpec) -> None:
@@ -93,15 +119,31 @@ def check_shape(config: PointConfig, spec: OrderSpec) -> None:
 
 def _first_disagreement(spec: OrderSpec, induced: InducedOrder
                         ) -> tuple[Pair, Pair]:
-    """Lexicographically first pair of pairs whose relative order differs."""
+    """Lexicographically first pair of pairs (a, b), a before b in pair
+    order, that spec (ranks want) and configuration (ranks got) order
+    differently: sign(want[b] - want[a]) != sign(got[b] - got[a]).
+
+    From each spec class's least and greatest induced rank, a pair has such
+    a partner iff its class holds two induced ranks, an earlier class
+    reaches its induced rank (prefix max) or a later one does (suffix min).
+    The relation is symmetric, so the first marked pair a* has a partner
+    after it (one before it would be marked earlier): a* opens the witness
+    and one sign compare finds b. O(N + K) for N pairs and K classes."""
     want, got = spec.ranks, induced.ranks
-    pairs = spec.pair_set()
-    for a in range(want.size):
-        differ = (np.sign(want[a + 1:] - want[a])
-                  != np.sign(got[a + 1:] - got[a]))
-        if differ.any():
-            return pairs[a], pairs[a + 1 + int(differ.argmax())]
-    raise AssertionError("mismatch verdict without a disagreeing pair")
+    lo, hi = spec.extremes(got)
+    before = np.concatenate(([-np.inf], np.maximum.accumulate(hi)[:-1]))
+    after = np.concatenate((np.minimum.accumulate(lo[::-1])[::-1][1:],
+                            [np.inf]))
+    cls = want - 1
+    marked = (lo != hi)[cls] | (before[cls] >= got) | (after[cls] <= got)
+    if not marked.any():
+        raise AssertionError("mismatch verdict without a disagreeing pair")
+    a = int(marked.argmax())
+    differ = (np.sign(want[a + 1:] - want[a])
+              != np.sign(got[a + 1:] - got[a]))
+    i, j = _pairs_at(spec.n, spec.m if spec.kind == "bipartite" else None,
+                     np.array([a, a + 1 + int(differ.argmax())]))
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,

@@ -221,3 +221,66 @@ def test_ranks_match_dict_oracle(raw):
     want = [oracle[p] for p in spec.pair_set()]
     assert spec.ranks.dtype == np.int64
     assert spec.ranks.tolist() == want
+
+
+# (spec text, error type, message): the first offence of a class-by-class,
+# pair-by-pair scan, named as that scan names it
+_FROM_JSON_ERRORS = [
+    ('{"kind":"complete","n":3,"classes":[[[1,2],[1,4]],[],[[1,3],[2,3]]]}',
+     IndexOutOfRange, "pair (1, 4) out of range"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2]],[],[[1,4]],[[1,3],[2,3]]]}',
+     EmptyClass, "empty class in spec"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2]],[[1,3],[1,2]],[[2,5]],'
+     '[[2,3]]]}', DuplicatePair, "pair (1, 2) occurs twice"),
+    ('{"kind":"complete","n":4,"classes":[[[2,1],[3,1]],[[1,2]],'
+     '[[1,4],[2,3],[2,4],[3,4]]]}', DuplicatePair, "pair (1, 2) occurs twice"),
+    ('{"kind":"complete","n":4,"classes":[[[1,2],[5,3]]]}',
+     IndexOutOfRange, "pair (3, 5) out of range"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2],[2,2]],[]]}',
+     IndexOutOfRange, "pair (2, 2) out of range"),
+    ('{"kind":"complete","n":4,"classes":[[[1,2],[1,3],[1,4],[2,3],[2,4],'
+     '[3,4]],[[4,3]]]}', DuplicatePair, "pair (3, 4) occurs twice"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2],[1,9223372036854775808]]]}',
+     IndexOutOfRange, "pair (1, 9223372036854775808) out of range"),
+    ('{"kind":"complete","n":3,"classes":[[[true,2]]]}',
+     SpecError, "malformed pair [True, 2]"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2.0]]]}',
+     SpecError, "malformed pair [1, 2.0]"),
+    ('{"kind":"complete","n":3,"classes":[[[1,"2"]]]}',
+     SpecError, "malformed pair [1, '2']"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2],[1,2,3]]]}',
+     SpecError, "malformed pair [1, 2, 3]"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2]],5,[[1,2.5]]]}',
+     SpecError, "a class must be a list, got 5"),
+    ('{"kind":"complete","n":3,"classes":[[[1,2]],[[1,2.5]],5]}',
+     SpecError, "malformed pair [1, 2.5]"),
+    ('{"kind":"bipartite","n":2,"m":3,"classes":[[[1,1],[1,2],[1,3],[2,3]]]}',
+     MissingPair, "pair (2, 1) not covered"),
+    ('{"kind":"complete","n":3,"classes":[]}',
+     MissingPair, "pair (1, 2) not covered"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _FROM_JSON_ERRORS)
+def test_from_json_names_the_first_offence(text, error, message):
+    with pytest.raises(SpecError) as err:
+        orders.from_json(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_from_json_dict_takes_tuple_pairs():
+    spec = orders.from_json_dict(
+        {"kind": "complete", "n": 3, "classes": ([(1, 2), (1, 3)], ((3, 2),))})
+    assert spec.classes == (((1, 2), (1, 3)), ((2, 3),))
+    with pytest.raises(SpecError, match=r"^malformed pair \(2, 1\.0\)$"):
+        orders.from_json_dict(
+            {"kind": "complete", "n": 2, "classes": [[(2, 1.0)]]})
+
+
+def test_spec_indices_become_python_ints():
+    spec = OrderSpec("complete", 3, ([(np.int64(2), np.int64(1))],
+                                     [(1, 3), (3, 2)]))
+    assert spec.classes == (((1, 2),), ((1, 3), (2, 3)))
+    assert all(type(v) is int for cls in spec.classes for p in cls for v in p)
+    assert spec.ranks.tolist() == [1, 2, 2]

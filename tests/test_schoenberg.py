@@ -312,3 +312,18 @@ def test_distances_of_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_format_rows_bytes_match_per_value_format():
+    A = np.array([[5e-324, -5e-324, 2.2250738585072014e-308 / 3],
+                  [0.0, -0.0, 1e308],
+                  [-1e308, 3.0, -7.0],
+                  [2.0 ** 53, 0.1, -1.0 / 3.0]])
+    want = [",".join(format(float(x), ".17g") for x in row) for row in A]
+    assert schoenberg.format_rows(A) == want
+    config = PointConfig(dim=3, P=A[:2], Q=A[2:])
+    text = config_to_json(config)
+    assert text == ('{"dim":3,"P":[[' + "],[".join(want[:2]) + ']],"Q":[['
+                    + "],[".join(want[2:]) + "]]}")
+    back = config_from_json(text)
+    assert np.array_equal(back.P, A[:2]) and np.array_equal(back.Q, A[2:])

@@ -1,15 +1,19 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls, random_preorder, rank
 from ordembed import schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.errors import ShapeMismatch
-from ordembed.orders import OrderSpec, complete_pairs
+from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 from ordembed.schoenberg import PointConfig, pair_distances
-from ordembed.verifier import induced_preorder, report_to_json, verify
+from ordembed.verifier import (_first_disagreement, induced_preorder,
+                               report_to_json, verify)
 
 
 def _line(*xs):
@@ -170,7 +174,7 @@ def test_witness_is_lex_first_disagreement(preorder4_spec):
 
 def test_verify_and_induce_read_distances_once(monkeypatch, preorder4_spec,
                                                bip32_spec):
-    calls = count_calls(monkeypatch, schoenberg.distances_of)
+    calls = count_calls(monkeypatch, schoenberg.pair_distances)
     single = OrderSpec("complete", 4, (tuple(complete_pairs(4)),))
     for spec, config in (
             (preorder4_spec, realize_preorder_complete(preorder4_spec).config),
@@ -189,3 +193,136 @@ def test_induced_distances_are_the_pair_distances(bip32_spec):
     induced = induced_preorder(config)
     assert np.array_equal(induced.distances, pair_distances(config))
     assert verify(config, bip32_spec).distinctness == induced.distances.min()
+
+
+def _quadratic_witness(spec, got):
+    # reference: for each pair in order, the first later pair whose
+    # relative order differs
+    want = spec.ranks
+    pairs = spec.pair_set()
+    for a in range(want.size):
+        differ = (np.sign(want[a + 1:] - want[a])
+                  != np.sign(got[a + 1:] - got[a]))
+        if differ.any():
+            return pairs[a], pairs[a + 1 + int(differ.argmax())]
+    return None
+
+
+def _partition(pairs, order, shape, cuts):
+    if shape == "one":
+        cuts = [False] * len(pairs)
+    elif shape == "linear":
+        cuts = [True] * len(pairs)
+    classes = []
+    for k, cut in zip(order, cuts):
+        if cut or not classes:
+            classes.append([])
+        classes[-1].append(pairs[k])
+    return tuple(map(tuple, classes))
+
+
+@st.composite
+def _spec_pairs(draw):
+    """A spec and a second order on the same pairs: an unrelated random
+    order, the spec with its first and last classes swapped, or with two
+    adjacent classes swapped."""
+    if draw(st.booleans()):
+        kind, n, m = "complete", draw(st.integers(2, 8)), None
+        pairs = complete_pairs(n)
+    else:
+        kind, n, m = "bipartite", draw(st.integers(1, 6)), draw(
+            st.integers(1, 6))
+        pairs = bipartite_pairs(n, m)
+    count = len(pairs)
+    shapes = st.sampled_from(["random", "one", "linear"])
+    cuts = st.lists(st.booleans(), min_size=count, max_size=count)
+    order = st.permutations(range(count))
+    spec = OrderSpec(kind, n, _partition(pairs, draw(order), draw(shapes),
+                                         draw(cuts)), m=m)
+    how = draw(st.sampled_from(["random", "first_last", "adjacent"]))
+    classes = list(spec.classes)
+    if how == "random" or len(classes) < 2:
+        other = _partition(pairs, draw(order), draw(shapes), draw(cuts))
+    elif how == "first_last":
+        classes[0], classes[-1] = classes[-1], classes[0]
+        other = tuple(classes)
+    else:
+        k = draw(st.integers(0, len(classes) - 2))
+        classes[k], classes[k + 1] = classes[k + 1], classes[k]
+        other = tuple(classes)
+    return spec, OrderSpec(kind, n, other, m=m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_spec_pairs())
+def test_witness_matches_quadratic_search(specs):
+    spec, other = specs
+    want = _quadratic_witness(spec, other.ranks)
+    if want is None:
+        assert np.array_equal(spec.ranks, other.ranks)
+        return
+    got = _first_disagreement(spec, SimpleNamespace(ranks=other.ranks))
+    assert got == want
+    assert all(type(v) is int for pair in got for v in pair)
+
+
+def test_deep_witness_at_n200_matches_quadratic_search():
+    # swapping two rank-adjacent singleton classes leaves one disagreeing
+    # pair of pairs; choose the swap whose witness sits deepest in the
+    # pair order
+    rng = np.random.default_rng(50)
+    config = PointConfig(dim=3, P=rng.standard_normal((200, 3)))
+    classes = list(induced_preorder(config).classes)
+    assert all(len(c) == 1 for c in classes)
+    lex = {p: k for k, p in enumerate(complete_pairs(200))}
+    depth = [min(lex[classes[k][0]], lex[classes[k + 1][0]])
+             for k in range(len(classes) - 1)]
+    k = int(np.argmax(depth))
+    assert depth[k] > 19000
+    classes[k], classes[k + 1] = classes[k + 1], classes[k]
+    spec = OrderSpec("complete", 200, tuple(classes))
+    report = verify(config, spec)
+    assert report.verdict == "mismatch"
+    assert report.witness == _quadratic_witness(
+        spec, induced_preorder(config).ranks)
+
+
+def _classes_by_scan(config, tol_abs=verifier.TOL_ABS,
+                     tol_rel=verifier.TOL_REL):
+    # reference: pairs listed by a stable distance sort, split at every
+    # gap above the threshold
+    vals = pair_distances(config)
+    pairs = (complete_pairs(len(config.P)) if config.Q is None
+             else bipartite_pairs(len(config.P), len(config.Q)))
+    order = np.argsort(vals, kind="stable")
+    threshold = tol_abs + tol_rel * vals.max()
+    classes = [[pairs[order[0]]]]
+    for prev, k in zip(order[:-1], order[1:]):
+        if vals[k] - vals[prev] > threshold:
+            classes.append([])
+        classes[-1].append(pairs[k])
+    return tuple(map(tuple, classes))
+
+
+def test_induced_classes_match_scan_with_ties():
+    rng = np.random.default_rng(51)
+    for _ in range(40):
+        n, m, d = (int(v) for v in rng.integers(1, 9, size=3))
+        P = rng.integers(-2, 3, size=(n + 1, d)).astype(float)
+        Q = rng.integers(-2, 3, size=(m, d)).astype(float)
+        for config in (PointConfig(dim=d, P=P),
+                       PointConfig(dim=d, P=P, Q=Q)):
+            induced = induced_preorder(config)
+            assert induced.classes == _classes_by_scan(config)
+            assert all(type(v) is int for cls in induced.classes
+                       for p in cls for v in p)
+
+
+def test_induced_order_equality_reads_classes():
+    rng = np.random.default_rng(52)
+    P = rng.standard_normal((6, 3))
+    a = induced_preorder(PointConfig(dim=3, P=P))
+    b = induced_preorder(PointConfig(dim=3, P=P.copy()))
+    assert a == b
+    assert a != induced_preorder(PointConfig(dim=3, P=P[::-1].copy()))
+    assert a != a.classes
