@@ -15,11 +15,11 @@ from .constructions import (EpsilonSearch, RealizationReport, choose_epsilon,
 from .counterexamples import (FalsifierConfig, FalsifierReport, falsify,
                               gallery, infeasible_dimension,
                               simplex_diameter_bound, stress_loss)
-from .errors import (BadIndex, BadSize, DegenerateHyperplane,
-                     DistanceMismatch, DimTooSmall, DuplicatePair, EmptyClass,
-                     EpsilonExhausted, IndexOutOfRange, MissingPair,
-                     NonFiniteEntry, NotLinear, NotPSD, OrdembedError,
-                     ShapeMismatch, SpecError, UnknownName)
+from .errors import (BadIndex, BadSize, DimTooSmall, DistanceMismatch,
+                     DuplicatePair, EmptyClass, EpsilonExhausted,
+                     IndexOutOfRange, MissingPair, NonFiniteEntry, NotLinear,
+                     NotPSD, OrdembedError, ShapeMismatch, SpecError,
+                     UnknownName)
 from .orders import OrderSpec, bipartite_pairs, complete_pairs, validate
 from .schoenberg import (GramMatrix, PointConfig, distances_of, factor_points,
                          gram_from_distances, min_eigenvalue)
@@ -28,9 +28,9 @@ from .verifier import InducedOrder, VerifyReport, induced_preorder, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadIndex", "BadSize", "DegenerateHyperplane", "DimTooSmall",
-    "DistanceMismatch", "DuplicatePair", "EmptyClass", "EpsilonExhausted",
-    "EpsilonSearch", "FalsifierConfig", "FalsifierReport", "GramMatrix",
+    "BadIndex", "BadSize", "DimTooSmall", "DistanceMismatch",
+    "DuplicatePair", "EmptyClass", "EpsilonExhausted", "EpsilonSearch",
+    "FalsifierConfig", "FalsifierReport", "GramMatrix",
     "IndexOutOfRange", "InducedOrder", "MissingPair", "NonFiniteEntry",
     "NotLinear", "NotPSD", "OrderSpec", "OrdembedError", "PointConfig",
     "RealizationReport", "ShapeMismatch", "SpecError", "UnknownName",

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import constructions, counterexamples, orders, schoenberg, verifier
-from .constructions import EpsilonSearch, RealizationReport
+from .constructions import EpsilonSearch
 from .counterexamples import FalsifierConfig
 from .errors import EpsilonExhausted, OrdembedError, SpecError
 from .orders import OrderSpec
@@ -53,15 +53,10 @@ def _write_csv(config: PointConfig, path: str) -> None:
         fh.write("\n")
 
 
-def _realization_report_json(report: RealizationReport) -> str:
-    out = {
-        "dim": report.config.dim,
-        "epsilon": schoenberg.json_float(report.epsilon),
-        "margin": schoenberg.json_float(report.margin),
-        "min_eigenvalues": [schoenberg.json_float(x)
-                            for x in report.min_eigenvalues],
-    }
-    return json.dumps(out)
+def _verify_json(report: verifier.VerifyReport) -> str:
+    return schoenberg.report_json({
+        "verdict": report.verdict, "margin": report.margin,
+        "distinctness": report.distinctness, "witness": report.witness})
 
 
 def _search_from_flags(spec: OrderSpec, args) -> EpsilonSearch | None:
@@ -93,10 +88,12 @@ def cmd_realize(args) -> int:
         _write_csv(report.config, args.csv)
     check = verifier.verify(report.config, spec, tol_abs=args.tol_abs,
                             tol_rel=args.tol_rel)
-    print(_realization_report_json(report))
+    print(schoenberg.report_json({
+        "dim": report.config.dim, "epsilon": report.epsilon,
+        "margin": report.margin, "min_eigenvalues": report.min_eigenvalues}))
     if not check.matched:
         _diagnose(OrdembedError(
-            f"self-verification failed: {verifier.report_to_json(check)}"))
+            f"self-verification failed: {_verify_json(check)}"))
         return 4
     return 0
 
@@ -110,7 +107,7 @@ def cmd_verify(args) -> int:
     except OrdembedError as exc:
         _diagnose(exc)
         return 2
-    print(verifier.report_to_json(report))
+    print(_verify_json(report))
     return 0 if report.matched else 1
 
 
@@ -151,7 +148,10 @@ def cmd_falsify(args) -> int:
         _diagnose(exc)
         return 2
     report = counterexamples.falsify(spec, cfg)
-    line = counterexamples.report_to_json(report)
+    line = schoenberg.report_json({
+        "feasible": report.feasible, "best_loss": report.best_loss,
+        "restarts": report.restarts,
+        "per_restart_losses": report.per_restart_losses})
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(line)
         fh.write("\n")

@@ -8,7 +8,8 @@ Three pipelines:
 All three perturb a regular simplex: pairs of rank k get target distance
 1 + k*eps, and eps shrinks geometrically until every Gram matrix involved
 is positive definite with margin eta. Positive definiteness of the limit
-guarantees the search terminates.
+guarantees the search terminates. Each realizer splits its points into a
+base simplex and apexes and builds them with one primitive, place_apexes.
 """
 from __future__ import annotations
 
@@ -17,12 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateHyperplane, DistanceMismatch, EpsilonExhausted,
-                     NonFiniteEntry, NotLinear, ShapeMismatch)
+from .errors import (DistanceMismatch, EpsilonExhausted, NonFiniteEntry,
+                     NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
 from .schoenberg import (CHUNK, GramMatrix, PointConfig, factor_points,
-                         gram_from_distances, min_eigenvalue, pair_distances,
-                         upper_pairs)
+                         pair_distances, upper_pairs)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -84,27 +84,95 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     return float(gaps.min()) if gaps.size else float("inf")
 
 
+def _apex_grams(base: np.ndarray, apexes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Gram of the base relative to its last point, and the least
+    eigenvalue of each apex's Gram: that corner bordered by the apex.
+
+    base holds the k x k target distances among the base points, apexes
+    the m x k target distances of each apex to them. The float operations
+    are those of gram_from_distances on each apex's (k+1)-point distance
+    matrix with the last base point as base; the bordered Grams differ
+    only in their last row and column, so they are written as a stack and
+    eigen-solved in batches of at most CHUNK entries."""
+    if not (np.isfinite(base).all() and np.isfinite(apexes).all()):
+        raise NonFiniteEntry("distance matrix has non-finite entries")
+    m, k = apexes.shape
+    b2, a2 = base * base, apexes * apexes
+    db2 = b2[-1, :-1]
+    corner = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
+    edge = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
+    tip = 0.5 * (a2[:, -1] + a2[:, -1])
+    step = max(1, CHUNK // (k * k))
+    lam = np.empty(m)
+    for a in range(0, m, step):
+        G = np.empty((min(step, m - a), k, k))
+        G[:, :-1, :-1] = corner
+        G[:, :-1, -1] = G[:, -1, :-1] = edge[a:a + step]
+        G[:, -1, -1] = tip[a:a + step]
+        if not np.isfinite(G).all():
+            raise NonFiniteEntry("matrix has non-finite entries")
+        lam[a:a + step] = np.linalg.eigvalsh(G)[:, 0]
+    return corner, lam
+
+
+def place_apexes(corner: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """k base points and m apexes in R^k, each apex at its target
+    distances from the base and all of them on one side of its hyperplane.
+
+    The paper's one construction. corner, the Gram of the k base points
+    relative to the last (from _apex_grams), is factored once: the base
+    lands with its last point at the origin and every last coordinate
+    zero. Apex j's first k-1 coordinates q solve b_i . q = (|b_i|^2 +
+    a_jk^2 - a_ji^2) / 2 over the other base points b_i (one solve for all
+    apexes), and its last is the nonnegative height sqrt(a_jk^2 - |q|^2):
+    the same-side choice. Returns the base rows, then the apex rows.
+    A singular base or a negative squared height (an apex Gram that is
+    not positive semidefinite, which the eta check rules out unless eta
+    <= 0 or the distances are huge) raises NotPSD."""
+    k = len(corner) + 1
+    B = factor_points(GramMatrix(corner, base=k, n=k), k).P
+    a2 = apexes * apexes
+    rhs = 0.5 * (np.diag(corner)[:, None] + a2[:, -1] - a2[:, :-1].T)
+    try:
+        q = np.linalg.solve(B[:-1, :-1], rhs).T
+    except np.linalg.LinAlgError:
+        raise NotPSD("base Gram is singular") from None
+    h2 = a2[:, -1] - (q * q).sum(axis=1)
+    if (h2 < 0).any():
+        raise NotPSD(f"apex height squared {h2.min():.3e} below zero")
+    return np.vstack([B, np.column_stack([q, np.sqrt(h2)])])
+
+
 def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
                               search: EpsilonSearch | None = None
                               ) -> RealizationReport:
-    """n points in R^(n-1) inducing the given preorder on D_n exactly."""
+    """n points in R^(n-1) inducing the given preorder on D_n exactly.
+
+    The base is points 1..n-2 followed by point n, the apex point n-1, so
+    the apex Gram is the Gram of the whole target matrix relative to
+    point n."""
     spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
     n = spec.n
+    order = [*range(n - 2), n - 1, n - 2]
     search = search or default_search(spec)
+    state: dict = {}
 
     def pd(eps: float) -> bool:
-        G = gram_from_distances(perturbed_distances(spec, eps), n)
-        return min_eigenvalue(G) > eta
+        M = perturbed_distances(spec, eps)[np.ix_(order, order)]
+        corner, lam = _apex_grams(M[:-1, :-1], M[-1:, :-1])
+        state.update(corner=corner, apexes=M[-1:, :-1], eigs=lam)
+        return bool(lam[0] > eta)
 
     eps = choose_epsilon(search, pd)
-    G = gram_from_distances(perturbed_distances(spec, eps), n)
-    lam = min_eigenvalue(G)
-    config = factor_points(G, n - 1)
+    P = np.empty((n, n - 1))
+    P[order] = place_apexes(state["corner"], state["apexes"])
+    config = PointConfig(dim=n - 1, P=P)
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
-                             min_eigenvalues=(lam,))
+                             min_eigenvalues=tuple(state["eigs"].tolist()))
 
 
 def align_isometry(source: np.ndarray, target: np.ndarray
@@ -114,7 +182,7 @@ def align_isometry(source: np.ndarray, target: np.ndarray
     Both lists must be congruent: the pair distances of the two lists,
     from pair_distances, agree within TOL_ALIGN * scale. The orthogonal
     factor comes from the singular decomposition of the cross-covariance,
-    reflections permitted.
+    reflections permitted. The realizers do not use it.
     """
     S = np.asarray(source, dtype=float)
     T = np.asarray(target, dtype=float)
@@ -133,37 +201,17 @@ def align_isometry(source: np.ndarray, target: np.ndarray
     return R, t
 
 
-def _hyperplane(spanning: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid and unit normal of the affine hyperplane spanned by the
-    given points; they must span codimension exactly 1."""
-    S = np.asarray(spanning, dtype=float)
-    d = S.shape[1]
-    c = S.mean(axis=0)
-    _, sv, Vt = np.linalg.svd(S - c, full_matrices=True)
-    svals = np.zeros(d)
-    svals[: sv.size] = sv
-    tol = 1e-9 * max(1.0, float(svals.max(initial=0.0)))
-    rank = int((svals > tol).sum())
-    if rank != d - 1:
-        raise DegenerateHyperplane(
-            f"spanning set has affine rank {rank}, need {d - 1}")
-    return c, Vt[d - 1]
-
-
 def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
                             search: EpsilonSearch | None = None
                             ) -> RealizationReport:
     """n points in R^(n-2) inducing the given linear order on D_n.
 
-    Pipeline: order the points so the minimal pair's two endpoints come
-    last (an index permutation of the target matrix; the others keep their
-    relative order); prescribe 1 + k*eps on every other pair; embed the
-    first n-1 and the first n-2 plus the last point separately from two
-    Gram matrices; align the shared n-2 points rigidly; reflect the second
-    apex to the first apex's side of their affine hyperplane; accept eps
-    once both Grams clear eta and the apex distance falls in (0, 1); undo
-    the permutation on the rows. The distance of the minimal pair is never
-    prescribed; it is forced below 1 as eps shrinks.
+    The base is the n-2 points outside the minimal pair, in their order,
+    and the apexes are that pair's two endpoints; every pair but the
+    minimal one gets 1 + k*eps. eps is accepted once both apex Grams clear
+    eta and the apexes, placed on one side of the base, lie at a distance
+    in (0, 1). The distance of the minimal pair is never prescribed; it is
+    forced below 1 as eps shrinks.
     """
     spec.ranks  # validates
     if spec.kind != "complete":
@@ -174,47 +222,29 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
     i1, j1 = spec.classes[0][0]
-    perm = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
-    perm += [i1 - 1, j1 - 1]
+    order = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+    order += [i1 - 1, j1 - 1]
     search = search or default_search(spec)
     state: dict = {}
 
-    # the permuted points without the last, and without the second to last
-    idx_g, idx_h = perm[:-1], perm[:-2] + perm[-1:]
-
     def attempt(eps: float) -> bool:
-        M = perturbed_distances(spec, eps)
-        G = gram_from_distances(M[np.ix_(idx_g, idx_g)], n - 1)
-        H = gram_from_distances(M[np.ix_(idx_h, idx_h)], n - 1)
-        lam_g, lam_h = min_eigenvalue(G), min_eigenvalue(H)
-        if lam_g <= eta or lam_h <= eta:
+        M = perturbed_distances(spec, eps)[np.ix_(order, order[:-2])]
+        corner, lam = _apex_grams(M[:-2], M[-2:])
+        if not (lam > eta).all():
             return False
-        Pg = factor_points(G, n - 2).P
-        Ph = factor_points(H, n - 2).P
-        shared_g, apex_g = Pg[: n - 2], Pg[n - 2]
-        shared_h, apex_h = Ph[: n - 2], Ph[n - 2]
-        R, t = align_isometry(shared_h, shared_g)
-        qn = R @ apex_h + t
-        try:
-            c, u = _hyperplane(shared_g)
-        except DegenerateHyperplane:
+        P = place_apexes(corner, M[-2:])
+        if not 0.0 < float(np.linalg.norm(P[-2] - P[-1])) < 1.0:
             return False
-        if float(np.dot(apex_g - c, u)) * float(np.dot(qn - c, u)) < 0:
-            qn = qn - 2.0 * float(np.dot(qn - c, u)) * u
-        dmin = float(np.linalg.norm(apex_g - qn))
-        if not 0.0 < dmin < 1.0:
-            return False
-        state["P"] = np.vstack([shared_g, apex_g[None, :], qn[None, :]])
-        state["eigs"] = (lam_g, lam_h)
+        state.update(P=P, eigs=lam)
         return True
 
     eps = choose_epsilon(search, attempt)
-    P = np.empty_like(state["P"])
-    P[perm] = state["P"]
+    P = np.empty((n, n - 2))
+    P[order] = state["P"]
     config = PointConfig(dim=n - 2, P=P)
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
-                             min_eigenvalues=state["eigs"])
+                             min_eigenvalues=tuple(state["eigs"].tolist()))
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -222,16 +252,12 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
                                ) -> RealizationReport:
     """n + m points in R^min(n,m) inducing the given preorder on B_{n,m}.
 
-    The smaller collection is a fixed regular simplex of side 1 + eps whose
-    last coordinate is zero (when m < n the rank matrix is transposed and
-    P and Q swap at the end); each apex of the other collection is
-    recovered from its prescribed squared distances 1 + r*eps by a linear
-    solve, with the orthogonal coordinate's sign fixed nonnegative. One
-    shared eps must make all apex Gram matrices positive definite with
-    margin eta. Those Grams differ only in their last row and column, so
-    each eps step writes them as a stack straight from the rank matrix and
-    checks them with one batched eigen-solve per block of at most CHUNK
-    entries; the accepted step's minimum eigenvalues are the report's.
+    The base is the smaller collection, a regular simplex of side 1 + eps
+    (when m < n the rank matrix is transposed and P and Q swap at the
+    end); each point of the other collection is an apex at distances
+    1 + r*eps. One shared eps must make all apex Grams positive definite
+    with margin eta; the accepted step's least eigenvalues are the
+    report's.
     """
     spec.ranks  # validates
     if spec.kind != "bipartite":
@@ -245,52 +271,22 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     state: dict = {}
 
     def pd(eps: float) -> bool:
-        # row j of A holds apex j's prescribed distances to the simplex
-        A = 1.0 + R.T * eps
-        if not np.isfinite(A).all():
-            raise NonFiniteEntry("distance matrix has non-finite entries")
-        # apex j's Gram is the simplex's Gram (base point n) bordered by
-        # row j of edge and tip[j]; the float operations are those of
-        # gram_from_distances on apex j's distance matrix
-        s2 = (1.0 + eps) * (1.0 + eps)
-        corner = np.full((n - 1, n - 1), 0.5 * (s2 + s2 - s2))
-        np.fill_diagonal(corner, 0.5 * (s2 + s2))
-        a2 = A * A
-        edge = 0.5 * (s2 + a2[:, n - 1:] - a2[:, : n - 1])
-        tip = 0.5 * (a2[:, n - 1] + a2[:, n - 1])
-        step = max(1, CHUNK // (n * n))
-        lam = np.empty(m)
-        for a in range(0, m, step):
-            G = np.empty((min(step, m - a), n, n))
-            G[:, : n - 1, : n - 1] = corner
-            G[:, : n - 1, n - 1] = G[:, n - 1, : n - 1] = edge[a:a + step]
-            G[:, n - 1, n - 1] = tip[a:a + step]
-            if not np.isfinite(G).all():
-                raise NonFiniteEntry("matrix has non-finite entries")
-            lam[a:a + step] = np.linalg.eigvalsh(G)[:, 0]
-        state.update(A=A, corner=corner, eigs=lam)
+        base = np.full((n, n), 1.0 + eps)
+        np.fill_diagonal(base, 0.0)
+        # row j holds apex j's target distances to the simplex
+        apexes = 1.0 + R.T * eps
+        corner, lam = _apex_grams(base, apexes)
+        state.update(corner=corner, apexes=apexes, eigs=lam)
         return bool((lam > eta).all())
 
     eps = choose_epsilon(search, pd)
-    A = state["A"]
-    P = factor_points(GramMatrix(state["corner"], base=n, n=n), n).P
-    Q = np.zeros((m, n))
-    if n == 1:
-        # a single simplex point at the origin: each apex sits at its
-        # prescribed distance along the only axis
-        Q[:, 0] = A[:, 0]
-    else:
-        Pt = P[: n - 1, : n - 1]
-        for j in range(m):
-            a = A[j]
-            b = (P[: n - 1] ** 2).sum(axis=1) + a[n - 1] ** 2 - a[: n - 1] ** 2
-            qt = np.linalg.solve(2.0 * Pt, b)
-            h2 = a[n - 1] ** 2 - float((qt ** 2).sum())
-            if h2 < 0:
-                # the PD acceptance makes this impossible; guard anyway
-                raise EpsilonExhausted("apex height underflow at accepted eps")
-            Q[j, : n - 1] = qt
-            Q[j, n - 1] = np.sqrt(h2)
+    try:
+        X = place_apexes(state["corner"], state["apexes"])
+    except NotPSD as exc:
+        # the simplex base is never singular: an apex fell below it
+        raise EpsilonExhausted(
+            "apex height underflow at accepted eps") from exc
+    P, Q = X[:n], X[n:]
     if swap:
         P, Q = Q, P
     config = PointConfig(dim=n, P=P, Q=Q)

@@ -13,7 +13,6 @@ impossibility arguments all assume the relevant points distinct). An
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +20,14 @@ import numpy as np
 from . import orders, verifier
 from .errors import BadSize, UnknownName
 from .orders import OrderSpec
-from .schoenberg import PointConfig, json_float, upper_pairs
+from .schoenberg import PointConfig, upper_pairs
 
 MARGIN = 5e-2
 FLOOR = 5e-2
 FEASIBLE_LOSS = 1e-10
 STOP_LOSS = 1e-14
 VERIFY_TOL = 1e-5
+STEP_INIT = 1.0
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-18
 STALL_REL = 1e-8
@@ -294,8 +294,6 @@ class FalsifierConfig:
     margin: float = MARGIN
     floor: float = FLOOR
     seed: int = 0
-    step_init: float = 1.0
-    armijo_c: float = ARMIJO_C
 
     def __post_init__(self):
         if self.dim < 1:
@@ -306,8 +304,6 @@ class FalsifierConfig:
             raise BadSize("margin must be positive")
         if self.floor < 0:
             raise BadSize("floor must be nonnegative")
-        if self.step_init <= 0 or not 0 < self.armijo_c < 1:
-            raise BadSize("bad backtracking parameters")
 
 
 @dataclass(frozen=True)
@@ -323,9 +319,9 @@ class FalsifierReport:
 
 
 def _descend(terms: _StressTerms, X: np.ndarray, iters: int, margin: float,
-             floor: float, step_init: float = 1.0,
-             armijo_c: float = ARMIJO_C) -> tuple[float, np.ndarray]:
-    """Gradient descent with backtracking (halve until Armijo decrease).
+             floor: float) -> tuple[float, np.ndarray]:
+    """Gradient descent with backtracking: from STEP_INIT, halve until the
+    Armijo decrease with constant ARMIJO_C.
 
     Stops early below STOP_LOSS, or once progress stalls: relative decrease
     at most STALL_REL for STALL_ITERS consecutive steps, or no acceptable
@@ -339,12 +335,12 @@ def _descend(terms: _StressTerms, X: np.ndarray, iters: int, margin: float,
         gnorm2 = float((g * g).sum())
         if gnorm2 == 0.0:
             break
-        step = step_init
+        step = STEP_INIT
         accepted = False
         while step >= MIN_STEP:
             Xn = X - step * g
             trial = _loss_only(terms, Xn, margin, floor)
-            if trial[0] <= f - armijo_c * step * gnorm2:
+            if trial[0] <= f - ARMIJO_C * step * gnorm2:
                 accepted = True
                 break
             step *= 0.5
@@ -385,8 +381,7 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         X0 = rng.standard_normal((terms.n_points, cfg.dim))
-        f, X = _descend(terms, X0, cfg.iters, cfg.margin, cfg.floor,
-                        cfg.step_init, cfg.armijo_c)
+        f, X = _descend(terms, X0, cfg.iters, cfg.margin, cfg.floor)
         losses.append(f)
         if f < best_loss:
             best_loss = f
@@ -402,14 +397,3 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     return FalsifierReport(feasible=feasible, best_loss=best_loss,
                            best_config=_split_config(spec, final_X, cfg.dim),
                            per_restart_losses=tuple(losses))
-
-
-def report_to_json(report: FalsifierReport) -> str:
-    out = {
-        "feasible": report.feasible,
-        "best_loss": json_float(report.best_loss),
-        "restarts": report.restarts,
-        "per_restart_losses": [json_float(f)
-                               for f in report.per_restart_losses],
-    }
-    return json.dumps(out)

@@ -53,10 +53,6 @@ class EpsilonExhausted(OrdembedError):
     """The epsilon search ran out of steps without acceptance."""
 
 
-class DegenerateHyperplane(OrdembedError):
-    """Spanning points do not span a codimension-1 affine subspace."""
-
-
 class DistanceMismatch(OrdembedError):
     """Two point lists are not congruent, so no isometry aligns them."""
 

@@ -95,9 +95,18 @@ class OrderSpec:
         for a bipartite one; validation bounds every index first."""
         validate(self)
         ranks = np.empty(len(self._ij), dtype=np.int64)
-        ranks[_lex_index(self)] = np.repeat(
+        ranks[self._lex] = np.repeat(
             np.arange(1, self.num_classes + 1), self._sizes)
         return ranks
+
+    @cached_property
+    def _lex(self) -> np.ndarray:
+        """Position of every listed pair in pair_set(), for in-range pairs;
+        validate's fast path computes it and ranks reuses it."""
+        i, j = self._ij[:, 0], self._ij[:, 1]
+        if self.kind == "complete":
+            return (i - 1) * (2 * self.n - i) // 2 + (j - i - 1)
+        return (i - 1) * self.m + (j - 1)
 
     def extremes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest of values (one per pair, in pair_set() order)
@@ -111,14 +120,6 @@ class OrderSpec:
 
     def is_linear(self) -> bool:
         return all(len(cls) == 1 for cls in self.classes)
-
-
-def _lex_index(spec: OrderSpec) -> np.ndarray:
-    """Position of every listed pair in pair_set(), for in-range pairs."""
-    i, j = spec._ij[:, 0], spec._ij[:, 1]
-    if spec.kind == "complete":
-        return (i - 1) * (2 * spec.n - i) // 2 + (j - i - 1)
-    return (i - 1) * spec.m + (j - 1)
 
 
 def validate(spec: OrderSpec) -> None:
@@ -156,7 +157,7 @@ def validate(spec: OrderSpec) -> None:
         inside = (1 <= i) & (i <= n) & (1 <= j) & (j <= m)
     count = len(i)
     if (count == total and sizes.all() and inside.all()
-            and (np.bincount(_lex_index(spec), minlength=total) == 1).all()):
+            and (np.bincount(spec._lex, minlength=total) == 1).all()):
         return
     outside = np.flatnonzero(~inside)
     stop = int(outside[0]) if outside.size else count

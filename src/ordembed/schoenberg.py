@@ -183,6 +183,18 @@ def json_float(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
+def report_json(fields: dict) -> str:
+    """The one writer of reports: fields as a JSON line, with every float,
+    also inside a list or tuple, through json_float."""
+    def plain(v):
+        if isinstance(v, float):
+            return json_float(v)
+        if isinstance(v, (list, tuple)):
+            return list(map(plain, v))
+        return v
+    return json.dumps({k: plain(v) for k, v in fields.items()})
+
+
 def config_to_json(config: PointConfig) -> str:
     """Serialize with 17 significant digits so parsing reproduces the
     exact binary values."""
@@ -196,12 +208,16 @@ def config_to_json(config: PointConfig) -> str:
 
 
 def config_from_json(text: str) -> PointConfig:
+    """Inverse of config_to_json. Integers are read as floats, so the
+    "-0" written for -0.0 keeps its sign and an integer too large for a
+    float becomes infinity (rejected as non-finite)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=float)
         dim = int(data["dim"])
         P = np.asarray(data["P"], dtype=float)
         Q = np.asarray(data["Q"], dtype=float) if "Q" in data else None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ShapeMismatch(f"malformed point config: {exc}") from exc
     if P.ndim != 2 or P.shape[1] != dim:
         raise ShapeMismatch(f"P must be rows of length dim={dim}")

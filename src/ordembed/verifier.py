@@ -6,7 +6,6 @@ and exact whenever the realization's gaps dominate the tolerances.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .orders import OrderSpec
-from .schoenberg import PointConfig, json_float, pair_distances, upper_pairs
+from .schoenberg import PointConfig, pair_distances, upper_pairs
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -161,14 +160,3 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
     return VerifyReport(verdict="match" if witness is None else "mismatch",
                         witness=witness, margin=margin,
                         distinctness=distinctness)
-
-
-def report_to_json(report: VerifyReport) -> str:
-    out = {
-        "verdict": report.verdict,
-        "margin": json_float(report.margin),
-        "distinctness": json_float(report.distinctness),
-        "witness": (None if report.witness is None
-                    else [list(report.witness[0]), list(report.witness[1])]),
-    }
-    return json.dumps(out)

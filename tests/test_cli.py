@@ -290,6 +290,20 @@ def test_induce_one_point_exits_two(tmp_path, capsys):
     assert _diag(capsys)["error"] == "ShapeMismatch"
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"dim": 1e400, "P": [[0.0], [1.0]]}', "ShapeMismatch"),
+    ('{"dim": 1, "P": [[0], [1' + '0' * 400 + ']]}', "NonFiniteEntry"),
+], ids=["dim-overflow", "coordinate-overflow"])
+def test_verify_and_induce_reject_overflowing_points(text, error, tmp_path,
+                                                     capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(text)
+    spec = _spec_file(OrderSpec("complete", 2, (((1, 2),),)), tmp_path)
+    for argv in (["verify", spec, str(pts)], ["induce", str(pts)]):
+        assert cli.main(argv) == 2
+        assert _diag(capsys)["error"] == error
+
+
 def test_realize_one_class_report_is_strict_json(tmp_path, capsys):
     single = OrderSpec("complete", 3, (tuple(orders.complete_pairs(3)),))
     rc = cli.main(["realize", _spec_file(single, tmp_path),

@@ -9,15 +9,15 @@ from conftest import (count_calls, random_bipartite_linear,
                       random_bipartite_preorder, random_linear_order,
                       random_preorder, rank)
 from ordembed import counterexamples, orders, schoenberg, verifier
-from ordembed.constructions import (EpsilonSearch, _hyperplane,
+from ordembed.constructions import (EpsilonSearch, _apex_grams,
                                     align_isometry, choose_epsilon,
                                     default_search, perturbed_distances,
-                                    realize, realize_linear_complete,
+                                    place_apexes, realize,
+                                    realize_linear_complete,
                                     realize_preorder_bipartite,
                                     realize_preorder_complete)
-from ordembed.errors import (DegenerateHyperplane, DistanceMismatch,
-                             EpsilonExhausted, NotLinear, ShapeMismatch,
-                             SpecError)
+from ordembed.errors import (DistanceMismatch, EpsilonExhausted, NotLinear,
+                             ShapeMismatch, SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import (distances_of, factor_points,
                                  gram_from_distances, min_eigenvalue)
@@ -343,8 +343,9 @@ def test_align_rejects_incongruent():
 
 
 def test_align_shared_points_of_linear_construction():
-    # replicate the two factorizations of the shared points for n=5 and
-    # check they align to within 1e-8
+    # factor the same n-2 points of a linear construction twice, relative
+    # to either endpoint of the minimal pair, and check they align to
+    # within 1e-8
     rng = np.random.default_rng(19)
     spec = random_linear_order(rng, 5)
     n = 5
@@ -363,39 +364,6 @@ def test_align_shared_points_of_linear_construction():
     ph = factor_points(H, dim=n - 2).P[: n - 2]
     R, t = align_isometry(pg, ph)
     assert np.abs(pg @ R.T + t - ph).max() < 1e-8
-
-
-def test_reflect_across_x_axis():
-    c, u = _hyperplane(np.array([[0.0, 0], [1, 0]]))
-    assert np.abs(c - np.array([0.5, 0.0])).max() < 1e-12
-    assert abs(abs(u[1]) - 1.0) < 1e-12 and abs(u[0]) < 1e-12
-    x = np.array([0.3, 2.0])
-    out = x - 2.0 * float(np.dot(x - c, u)) * u
-    assert np.abs(out - np.array([0.3, -2.0])).max() < 1e-12
-
-
-def test_reflect_fixes_hyperplane_points():
-    c, u = _hyperplane(np.array([[0.0, 0], [1, 0]]))
-    assert abs(float(np.dot(np.array([0.7, 0.0]) - c, u))) < 1e-12
-
-
-def test_reflect_involution():
-    # the normal is a unit vector orthogonal to the spanning points' span
-    rng = np.random.default_rng(20)
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        spanning = rng.standard_normal((d, d))
-        c, u = _hyperplane(spanning)
-        assert abs(float(np.dot(u, u)) - 1.0) < 1e-12
-        assert np.abs((spanning - c) @ u).max() < 1e-9
-
-
-def test_reflect_degenerate():
-    with pytest.raises(DegenerateHyperplane):
-        _hyperplane(np.array([[0.0, 0]]))
-    full_rank = np.array([[0.0, 0], [1, 0], [0, 1]])
-    with pytest.raises(DegenerateHyperplane):
-        _hyperplane(full_rank)
 
 
 @pytest.mark.parametrize("spec", [
@@ -478,16 +446,22 @@ def test_bipartite_tall_spec_is_its_transpose_swapped():
 
 
 def test_bipartite_realizer_builds_no_per_apex_gram(monkeypatch):
+    # no realizer re-checks a Gram it built itself or aligns two
+    # factorizations: _apex_grams and place_apexes do all of it
     grams = count_calls(monkeypatch, schoenberg.gram_from_distances)
     eigens = count_calls(monkeypatch, schoenberg.min_eigenvalue)
+    aligns = count_calls(monkeypatch, align_isometry)
     rng = np.random.default_rng(33)
     for n, m in ((3, 3), (2, 5), (5, 2), (1, 4), (4, 1)):
-        spec = random_bipartite_preorder(rng, n, m)
-        del grams[:], eigens[:]
-        report = realize_preorder_bipartite(spec)
+        report = realize(random_bipartite_preorder(rng, n, m))
         assert len(report.min_eigenvalues) == max(n, m)
-        assert len(grams) <= 1
-        assert not eigens
+    for n in (2, 3, 6):
+        report = realize_preorder_complete(random_preorder(rng, n))
+        assert len(report.min_eigenvalues) == 1
+    for n in (3, 4, 7):
+        report = realize_linear_complete(random_linear_order(rng, n))
+        assert len(report.min_eigenvalues) == 2
+    assert not grams and not eigens and not aligns
 
 
 def test_validate_runs_once_per_spec_object(monkeypatch):
@@ -524,3 +498,56 @@ def test_bipartite_grams_match_per_apex_reference():
         assert report.min_eigenvalues == tuple(eigs)
         P = report.config.P if m >= n else report.config.Q
         assert np.array_equal(P, factor_points(simplex, k).P)
+
+
+def test_place_apexes_meets_every_target_on_one_side():
+    # random points in R^k: the first k are the base, the rest apexes; the
+    # placement must reproduce every prescribed distance, keep the base's
+    # last coordinates zero and put each apex at a nonnegative height
+    rng = np.random.default_rng(36)
+    for k in (1, 2, 3, 6, 10):
+        for m in (1, 4):
+            X = rng.standard_normal((k + m, k)) * 3.0
+            D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+            corner, lam = _apex_grams(D[:k, :k], D[k:, :k])
+            assert (lam > 0).all()
+            Y = place_apexes(corner, D[k:, :k])
+            assert Y.shape == (k + m, k)
+            assert not Y[:k, -1].any() and not Y[k - 1].any()
+            assert (Y[k:, -1] >= 0).all()
+            got = distances_of(schoenberg.PointConfig(dim=k, P=Y))
+            scale = float(D.max())
+            assert np.abs(got[:k] - D[:k]).max() <= 1e-12 * scale
+            assert np.abs(got[k:, :k] - D[k:, :k]).max() <= 1e-12 * scale
+
+
+def test_preorder_grams_match_whole_matrix_reference():
+    # reference: the whole target matrix through gram_from_distances with
+    # base n, as the realizer did before apex placement
+    rng = np.random.default_rng(37)
+    for n in (2, 3, 4, 6, 9, 15):
+        for _ in range(5):
+            spec = random_preorder(rng, n)
+            report = realize_preorder_complete(spec)
+            M = perturbed_distances(spec, report.epsilon)
+            want = min_eigenvalue(gram_from_distances(M, n))
+            assert report.min_eigenvalues == (want,)
+            assert verifier.verify(report.config, spec).matched
+
+
+def test_linear_grams_match_per_apex_reference():
+    # reference: each endpoint of the minimal pair with the other n-2
+    # points, through gram_from_distances with the last of those as base
+    rng = np.random.default_rng(38)
+    for n in (3, 4, 5, 8, 12):
+        for _ in range(5):
+            spec = random_linear_order(rng, n)
+            report = realize_linear_complete(spec)
+            i1, j1 = spec.classes[0][0]
+            others = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+            M = perturbed_distances(spec, report.epsilon)
+            want = tuple(
+                min_eigenvalue(gram_from_distances(
+                    M[np.ix_(others + [apex], others + [apex])], n - 2))
+                for apex in (i1 - 1, j1 - 1))
+            assert report.min_eigenvalues == want

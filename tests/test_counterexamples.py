@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (fd_gradient, random_bipartite_preorder, random_preorder,
                       rank, reflected_simplex_gap)
-from ordembed import counterexamples, orders, verifier
+from ordembed import cli, counterexamples, orders, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
-                                      infeasible_dimension, report_to_json,
+                                      infeasible_dimension,
                                       simplex_diameter_bound, stress_loss)
 from ordembed.errors import BadSize, ShapeMismatch, UnknownName
 from ordembed.orders import OrderSpec, complete_pairs
@@ -230,8 +230,6 @@ def test_falsifier_config_validation():
         FalsifierConfig(dim=1, iters=0)
     with pytest.raises(BadSize):
         FalsifierConfig(dim=1, margin=0.0)
-    with pytest.raises(BadSize):
-        FalsifierConfig(dim=1, step_init=0.0)
 
 
 def test_falsify_feasible_case_verifies():
@@ -258,14 +256,16 @@ def test_falsify_deterministic():
     a = falsify(spec, cfg)
     b = falsify(spec, cfg)
     assert a.per_restart_losses == b.per_restart_losses
-    assert report_to_json(a) == report_to_json(b)
+    assert (a.feasible, a.best_loss) == (b.feasible, b.best_loss)
     assert np.array_equal(a.best_config.P, b.best_config.P)
 
 
-def test_falsify_report_json():
-    spec = gallery("diameter_preorder", 3)
-    report = falsify(spec, FalsifierConfig(dim=1, restarts=3, iters=300))
-    data = json.loads(report_to_json(report))
+def test_falsify_report_json(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    orders.save(gallery("diameter_preorder", 3), str(spec_path))
+    cli.main(["falsify", str(spec_path), str(tmp_path / "report.json"),
+              "--dim", "1", "--restarts", "3", "--iters", "300"])
+    data = json.loads(capsys.readouterr().out)
     assert set(data) == {"feasible", "best_loss", "restarts",
                          "per_restart_losses"}
     assert data["restarts"] == 3

@@ -327,3 +327,5 @@ def test_format_rows_bytes_match_per_value_format():
                     + "],[".join(want[2:]) + "]]}")
     back = config_from_json(text)
     assert np.array_equal(back.P, A[:2]) and np.array_equal(back.Q, A[2:])
+    # -0.0 is written "-0" and read back with its sign
+    assert np.array_equal(np.signbit(back.P), np.signbit(A[:2]))

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, random_preorder, rank
-from ordembed import schoenberg, verifier
+from ordembed import cli, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.errors import ShapeMismatch
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 from ordembed.schoenberg import PointConfig, pair_distances
-from ordembed.verifier import (_first_disagreement, induced_preorder,
-                               report_to_json, verify)
+from ordembed.verifier import _first_disagreement, induced_preorder, verify
 
 
 def _line(*xs):
@@ -151,17 +150,17 @@ def test_self_consistency_on_realizations():
 
 def test_report_json_shapes(preorder4_spec):
     config = realize_preorder_complete(preorder4_spec).config
-    data = json.loads(report_to_json(verify(config, preorder4_spec)))
+    data = json.loads(cli._verify_json(verify(config, preorder4_spec)))
     assert data["verdict"] == "match"
     assert data["witness"] is None
     assert data["margin"] > 0
     single = OrderSpec("complete", 4, (tuple(complete_pairs(4)),))
     tetra = realize_preorder_complete(single).config
-    mis = json.loads(report_to_json(verify(tetra, preorder4_spec)))
+    mis = json.loads(cli._verify_json(verify(tetra, preorder4_spec)))
     assert mis["verdict"] == "mismatch"
     assert isinstance(mis["witness"], list) and len(mis["witness"]) == 2
     # a single induced class has no inter-class gap to report
-    one = json.loads(report_to_json(verify(tetra, single)))
+    one = json.loads(cli._verify_json(verify(tetra, single)))
     assert one["margin"] is None
 
 
