@@ -1,10 +1,17 @@
 """Command-line front end: realize, verify, induce, gallery, falsify.
 
 JSON is the interchange format throughout; coordinates can additionally be
-exported as CSV. Errors are reported as single-line JSON on stderr. Exit
-codes: realize 0 ok / 2 invalid spec / 3 construction failure / 4 failed
-self-verification; verify 0 match / 1 mismatch / 2 bad input; induce and
-gallery 0 ok / 2 bad input; falsify 0 feasible / 1 infeasible / 2 bad input.
+exported as CSV. Errors are reported as single-line JSON on stderr; main
+alone maps a raised error to its exit code. Exit codes per command:
+
+  realize  0 ok, 2 bad input or output, 3 EpsilonExhausted, 4 self-check failed
+  verify   0 match, 1 mismatch, 2 bad input
+  induce   0 ok, 2 bad input
+  gallery  0 ok, 2 bad name, size or output
+  falsify  0 feasible, 1 infeasible, 2 bad input or output
+
+Bad input is any other OrdembedError, BadSize for --eta, --epsilon,
+--shrink and --max-steps included; bad output is an OSError on OUT or --csv.
 """
 from __future__ import annotations
 
@@ -40,8 +47,6 @@ def _load_config(path: str) -> PointConfig:
         return schoenberg.load_config(path)
     except OSError as exc:
         raise SpecError(f"cannot read points {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _write_csv(config: PointConfig, path: str) -> None:
@@ -49,8 +54,7 @@ def _write_csv(config: PointConfig, path: str) -> None:
     lines = [",".join(f"x{k + 1}" for k in range(config.dim))]
     lines += schoenberg.format_rows(rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _verify_json(report: verifier.VerifyReport) -> str:
@@ -69,20 +73,9 @@ def _search_from_flags(spec: OrderSpec, args) -> EpsilonSearch | None:
 
 
 def cmd_realize(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        search = _search_from_flags(spec, args)
-    except (SpecError, ValueError) as exc:
-        _diagnose(exc)
-        return 2
-    try:
-        report = constructions.realize(spec, eta=args.eta, search=search)
-    except EpsilonExhausted as exc:
-        _diagnose(exc)
-        return 3
-    except OrdembedError as exc:
-        _diagnose(exc)
-        return 2
+    spec = _load_spec(args.spec)
+    report = constructions.realize(spec, eta=args.eta,
+                                   search=_search_from_flags(spec, args))
     schoenberg.save_config(report.config, args.out)
     if args.csv:
         _write_csv(report.config, args.csv)
@@ -99,26 +92,17 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        config = _load_config(args.points)
-        report = verifier.verify(config, spec, tol_abs=args.tol_abs,
-                                 tol_rel=args.tol_rel)
-    except OrdembedError as exc:
-        _diagnose(exc)
-        return 2
+    spec = _load_spec(args.spec)
+    report = verifier.verify(_load_config(args.points), spec,
+                             tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     print(_verify_json(report))
     return 0 if report.matched else 1
 
 
 def cmd_induce(args) -> int:
-    try:
-        config = _load_config(args.points)
-        induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
-                                            tol_rel=args.tol_rel)
-    except OrdembedError as exc:
-        _diagnose(exc)
-        return 2
+    config = _load_config(args.points)
+    induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
+                                        tol_rel=args.tol_rel)
     if config.Q is None:
         spec = OrderSpec("complete", len(config.P), induced.classes)
     else:
@@ -129,32 +113,22 @@ def cmd_induce(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    try:
-        spec = counterexamples.gallery(args.name, args.n)
-    except OrdembedError as exc:
-        _diagnose(exc)
-        return 2
-    orders.save(spec, args.out)
+    orders.save(counterexamples.gallery(args.name, args.n), args.out)
     return 0
 
 
 def cmd_falsify(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        cfg = FalsifierConfig(dim=args.dim, restarts=args.restarts,
-                              iters=args.iters, margin=args.margin,
-                              floor=args.floor, seed=args.seed)
-    except OrdembedError as exc:
-        _diagnose(exc)
-        return 2
+    spec = _load_spec(args.spec)
+    cfg = FalsifierConfig(dim=args.dim, restarts=args.restarts,
+                          iters=args.iters, margin=args.margin,
+                          floor=args.floor, seed=args.seed)
     report = counterexamples.falsify(spec, cfg)
     line = schoenberg.report_json({
         "feasible": report.feasible, "best_loss": report.best_loss,
         "restarts": report.restarts,
         "per_restart_losses": report.per_restart_losses})
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(line)
-        fh.write("\n")
+        fh.write(line + "\n")
     print(line)
     return 0 if report.feasible else 1
 
@@ -214,8 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OrdembedError, OSError) as exc:
+        _diagnose(exc)
+        return 3 if isinstance(exc, EpsilonExhausted) else 2
 
 
 if __name__ == "__main__":

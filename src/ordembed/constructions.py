@@ -9,7 +9,8 @@ All three perturb a regular simplex: pairs of rank k get target distance
 1 + k*eps, and eps shrinks geometrically until every Gram matrix involved
 is positive definite with margin eta. Positive definiteness of the limit
 guarantees the search terminates. Each realizer splits its points into a
-base simplex and apexes and builds them with one primitive, place_apexes.
+base simplex and apexes and hands their target distances to one search,
+_realize_apexes, which builds them with one primitive, place_apexes.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DistanceMismatch, EpsilonExhausted, NonFiniteEntry,
-                     NotLinear, NotPSD, ShapeMismatch)
+from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
+                     NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
 from .schoenberg import (CHUNK, GramMatrix, PointConfig, factor_points,
                          pair_distances, upper_pairs)
@@ -37,12 +38,12 @@ class EpsilonSearch:
     max_steps: int = 60
 
     def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError("initial must be positive")
+        if not self.initial > 0:
+            raise BadSize("initial must be positive")
         if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink_factor must lie in (0,1)")
+            raise BadSize("shrink_factor must lie in (0,1)")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise BadSize("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def place_apexes(corner: np.ndarray, apexes: np.ndarray) -> np.ndarray:
     apexes), and its last is the nonnegative height sqrt(a_jk^2 - |q|^2):
     the same-side choice. Returns the base rows, then the apex rows.
     A singular base or a negative squared height (an apex Gram that is
-    not positive semidefinite, which the eta check rules out unless eta
-    <= 0 or the distances are huge) raises NotPSD."""
+    not positive semidefinite, which the eta check rules out unless the
+    distances are huge) raises NotPSD."""
     k = len(corner) + 1
     B = factor_points(GramMatrix(corner, base=k, n=k), k).P
     a2 = apexes * apexes
@@ -142,6 +143,47 @@ def place_apexes(corner: np.ndarray, apexes: np.ndarray) -> np.ndarray:
     if (h2 < 0).any():
         raise NotPSD(f"apex height squared {h2.min():.3e} below zero")
     return np.vstack([B, np.column_stack([q, np.sqrt(h2)])])
+
+
+def _realize_apexes(spec: OrderSpec, eta: float,
+                    search: EpsilonSearch | None,
+                    target: Callable[[float], tuple[np.ndarray, np.ndarray]],
+                    order: list[int],
+                    accept: Callable[[np.ndarray], bool] | None = None
+                    ) -> RealizationReport:
+    """The realizers' one epsilon search.
+
+    target(eps) gives the base and apex target distances (the arguments
+    of _apex_grams). A step is accepted once every apex Gram clears eta,
+    place_apexes places the apexes and accept, if given, passes the
+    placed rows; any other step is rejected. Placed row k is row order[k]
+    of the configuration, P or P stacked over Q."""
+    if not eta > 0:
+        raise BadSize(f"eta must be positive, got {eta}")
+    state: dict = {}
+
+    def step(eps: float) -> bool:
+        base, apexes = target(eps)
+        corner, lam = _apex_grams(base, apexes)
+        if not (lam > eta).all():
+            return False
+        try:
+            X = place_apexes(corner, apexes)
+        except NotPSD:
+            return False
+        if accept is not None and not accept(X):
+            return False
+        state.update(X=X, eigs=lam)
+        return True
+
+    eps = choose_epsilon(search or default_search(spec), step)
+    rows = np.empty_like(state["X"])
+    rows[order] = state["X"]
+    Q = rows[spec.n:] if spec.kind == "bipartite" else None
+    config = PointConfig(dim=rows.shape[1], P=rows[:spec.n], Q=Q)
+    return RealizationReport(config=config, epsilon=eps,
+                             margin=_realized_margin(spec, config),
+                             min_eigenvalues=tuple(state["eigs"].tolist()))
 
 
 def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
@@ -157,22 +199,12 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
     n = spec.n
     order = [*range(n - 2), n - 1, n - 2]
-    search = search or default_search(spec)
-    state: dict = {}
 
-    def pd(eps: float) -> bool:
+    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
         M = perturbed_distances(spec, eps)[np.ix_(order, order)]
-        corner, lam = _apex_grams(M[:-1, :-1], M[-1:, :-1])
-        state.update(corner=corner, apexes=M[-1:, :-1], eigs=lam)
-        return bool(lam[0] > eta)
+        return M[:-1, :-1], M[-1:, :-1]
 
-    eps = choose_epsilon(search, pd)
-    P = np.empty((n, n - 1))
-    P[order] = place_apexes(state["corner"], state["apexes"])
-    config = PointConfig(dim=n - 1, P=P)
-    return RealizationReport(config=config, epsilon=eps,
-                             margin=_realized_margin(spec, config),
-                             min_eigenvalues=tuple(state["eigs"].tolist()))
+    return _realize_apexes(spec, eta, search, target, order)
 
 
 def align_isometry(source: np.ndarray, target: np.ndarray
@@ -224,27 +256,15 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
     i1, j1 = spec.classes[0][0]
     order = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
     order += [i1 - 1, j1 - 1]
-    search = search or default_search(spec)
-    state: dict = {}
 
-    def attempt(eps: float) -> bool:
+    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
         M = perturbed_distances(spec, eps)[np.ix_(order, order[:-2])]
-        corner, lam = _apex_grams(M[:-2], M[-2:])
-        if not (lam > eta).all():
-            return False
-        P = place_apexes(corner, M[-2:])
-        if not 0.0 < float(np.linalg.norm(P[-2] - P[-1])) < 1.0:
-            return False
-        state.update(P=P, eigs=lam)
-        return True
+        return M[:-2], M[-2:]
 
-    eps = choose_epsilon(search, attempt)
-    P = np.empty((n, n - 2))
-    P[order] = state["P"]
-    config = PointConfig(dim=n - 2, P=P)
-    return RealizationReport(config=config, epsilon=eps,
-                             margin=_realized_margin(spec, config),
-                             min_eigenvalues=tuple(state["eigs"].tolist()))
+    def apart(X: np.ndarray) -> bool:
+        return 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0
+
+    return _realize_apexes(spec, eta, search, target, order, apart)
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -253,46 +273,28 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     """n + m points in R^min(n,m) inducing the given preorder on B_{n,m}.
 
     The base is the smaller collection, a regular simplex of side 1 + eps
-    (when m < n the rank matrix is transposed and P and Q swap at the
-    end); each point of the other collection is an apex at distances
-    1 + r*eps. One shared eps must make all apex Grams positive definite
-    with margin eta; the accepted step's least eigenvalues are the
-    report's.
+    (Q when m < n, with the rank matrix transposed); each point of the
+    other collection is an apex at distances 1 + r*eps. One shared eps
+    must make all apex Grams positive definite with margin eta; the
+    accepted step's least eigenvalues are the report's.
     """
     spec.ranks  # validates
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
-    R = spec.ranks.reshape(spec.n, spec.m)
-    swap = spec.m < spec.n
-    if swap:
+    n, m = spec.n, spec.m
+    R = spec.ranks.reshape(n, m)
+    order = list(range(n + m))
+    if m < n:
         R = R.T
-    n, m = R.shape
-    search = search or default_search(spec)
-    state: dict = {}
+        order = order[n:] + order[:n]
 
-    def pd(eps: float) -> bool:
-        base = np.full((n, n), 1.0 + eps)
+    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
+        base = np.full((len(R),) * 2, 1.0 + eps)
         np.fill_diagonal(base, 0.0)
         # row j holds apex j's target distances to the simplex
-        apexes = 1.0 + R.T * eps
-        corner, lam = _apex_grams(base, apexes)
-        state.update(corner=corner, apexes=apexes, eigs=lam)
-        return bool((lam > eta).all())
+        return base, 1.0 + R.T * eps
 
-    eps = choose_epsilon(search, pd)
-    try:
-        X = place_apexes(state["corner"], state["apexes"])
-    except NotPSD as exc:
-        # the simplex base is never singular: an apex fell below it
-        raise EpsilonExhausted(
-            "apex height underflow at accepted eps") from exc
-    P, Q = X[:n], X[n:]
-    if swap:
-        P, Q = Q, P
-    config = PointConfig(dim=n, P=P, Q=Q)
-    return RealizationReport(config=config, epsilon=eps,
-                             margin=_realized_margin(spec, config),
-                             min_eigenvalues=tuple(state["eigs"].tolist()))
+    return _realize_apexes(spec, eta, search, target, order)
 
 
 def realize(spec: OrderSpec, eta: float = ETA,

@@ -210,15 +210,18 @@ def config_to_json(config: PointConfig) -> str:
 def config_from_json(text: str) -> PointConfig:
     """Inverse of config_to_json. Integers are read as floats, so the
     "-0" written for -0.0 keeps its sign and an integer too large for a
-    float becomes infinity (rejected as non-finite)."""
+    float becomes infinity (rejected as non-finite). dim must be an
+    integral number; booleans, strings and fractions are refused."""
     try:
         data = json.loads(text, parse_int=float)
-        dim = int(data["dim"])
+        dim = data["dim"]
         P = np.asarray(data["P"], dtype=float)
         Q = np.asarray(data["Q"], dtype=float) if "Q" in data else None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed point config: {exc}") from exc
+    if not (isinstance(dim, float) and dim.is_integer()):
+        raise ShapeMismatch(f"dim must be an integer, got {dim!r}")
+    dim = int(dim)
     if P.ndim != 2 or P.shape[1] != dim:
         raise ShapeMismatch(f"P must be rows of length dim={dim}")
     if Q is not None and (Q.ndim != 2 or Q.shape[1] != dim):

@@ -48,6 +48,13 @@ def random_bipartite_linear(rng: np.random.Generator, n: int,
     return OrderSpec("bipartite", n, tuple((p,) for p in perm), m=m)
 
 
+def one_spec_per_realizer(seed: int) -> tuple[OrderSpec, ...]:
+    """A preorder, a linear order and a bipartite preorder."""
+    rng = np.random.default_rng(seed)
+    return (random_preorder(rng, 5), random_linear_order(rng, 5),
+            random_bipartite_preorder(rng, 3, 4))
+
+
 def rank(spec: OrderSpec, pair) -> int:
     """Class rank of pair, read from spec.ranks; a complete pair may be
     given as (j, i)."""

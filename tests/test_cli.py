@@ -1,11 +1,14 @@
 """End-to-end command-line tests, run in process through cli.main."""
+import builtins
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import (random_bipartite_preorder, random_linear_order,
-                      random_preorder)
+from conftest import (one_spec_per_realizer, random_bipartite_preorder,
+                      random_linear_order, random_preorder)
 from ordembed import (cli, constructions, counterexamples, orders, schoenberg,
                       verifier)
 from ordembed.orders import OrderSpec
@@ -83,6 +86,51 @@ def test_realize_epsilon_exhaustion_exits_three(preorder4_spec, tmp_path,
     assert rc == 3
     assert _diag(capsys)["error"] == "EpsilonExhausted"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+def test_realize_nonpositive_eta_exits_two(eta, tmp_path, capsys):
+    # complete, linear and bipartite specs alike
+    out = tmp_path / "o.json"
+    for spec in one_spec_per_realizer(5):
+        rc = cli.main(["realize", _spec_file(spec, tmp_path), str(out),
+                       "--eta", eta])
+        assert rc == 2
+        diag = _diag(capsys)
+        assert diag["error"] == "BadSize"
+        assert diag["message"].startswith("eta must be positive")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "0"], ["--shrink", "2"], ["--max-steps", "0"]],
+    ids=["epsilon", "shrink", "max-steps"])
+def test_realize_bad_search_flag_exits_two(flags, preorder4_spec, tmp_path,
+                                           capsys):
+    rc = cli.main(["realize", _spec_file(preorder4_spec, tmp_path),
+                   str(tmp_path / "o.json"), *flags])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "BadSize"
+
+
+@pytest.mark.parametrize("output", ["realize", "csv", "gallery", "falsify"])
+def test_unwritable_output_exits_two(output, preorder4_spec, tmp_path,
+                                     capsys):
+    spec_path = _spec_file(preorder4_spec, tmp_path)
+    ok, missing = str(tmp_path / "o.json"), str(tmp_path / "absent" / "o")
+    argv = {
+        "realize": ["realize", spec_path, missing],
+        "csv": ["realize", spec_path, ok, "--csv", missing],
+        "gallery": ["gallery", "d4_linear", "4", missing],
+        "falsify": ["falsify", spec_path, missing, "--dim", "2",
+                    "--restarts", "1", "--iters", "10"],
+    }[output]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    # the one stderr line is the diagnostic: no traceback
+    diag = json.loads(capsys.readouterr().err)
+    assert issubclass(getattr(builtins, diag["error"]), OSError)
+    assert missing in diag["message"]
 
 
 def test_realize_self_verification_gate(preorder4_spec, tmp_path, capsys):
@@ -293,7 +341,11 @@ def test_induce_one_point_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("text, error", [
     ('{"dim": 1e400, "P": [[0.0], [1.0]]}', "ShapeMismatch"),
     ('{"dim": 1, "P": [[0], [1' + '0' * 400 + ']]}', "NonFiniteEntry"),
-], ids=["dim-overflow", "coordinate-overflow"])
+    ('{"dim": 2.7, "P": [[0, 0], [1, 1]]}', "ShapeMismatch"),
+    ('{"dim": true, "P": [[0], [1]]}', "ShapeMismatch"),
+    ('{"dim": "2", "P": [[0, 0], [1, 1]]}', "ShapeMismatch"),
+], ids=["dim-overflow", "coordinate-overflow", "dim-fraction", "dim-bool",
+        "dim-string"])
 def test_verify_and_induce_reject_overflowing_points(text, error, tmp_path,
                                                      capsys):
     pts = tmp_path / "pts.json"
@@ -332,3 +384,96 @@ def test_realize_rejects_one_class_spec_without_building_pairs(
     diag = _diag(capsys)
     assert diag["error"] == "MissingPair"
     assert diag["message"] == "pair (1, 3) not covered"
+
+
+# boundary guard: every generated input file ends in a documented exit
+# code with a one-line diagnostic, never in an exception out of cli.main
+_EXIT_CODES = {"realize": {0, 2, 3, 4}, "verify": {0, 1, 2},
+               "induce": {0, 2}, "falsify": {0, 1, 2}}
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(allow_nan=False), st.text(max_size=3),
+                  st.lists(st.integers(-1, 4), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=2))
+
+
+def _retype(draw, doc, keys):
+    """Drop a key or give it a value of the wrong type, or neither."""
+    for key in draw(st.lists(st.sampled_from(keys), max_size=1)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JUNK)
+    return doc
+
+
+@st.composite
+def _documents(draw):
+    """A spec and a configuration of its shape. The spec partitions its
+    pair set, then gets out-of-range indices, repeated, missing or ragged
+    pairs and empty classes; the configuration gets ragged or missing
+    rows; either may then lose a key or get a value of the wrong type."""
+    kind = draw(st.sampled_from(["complete", "bipartite"]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pairs = (orders.complete_pairs(n) if kind == "complete"
+             else orders.bipartite_pairs(n, m))
+    pairs = [list(p) for p in draw(st.permutations(pairs))]
+    classes = []
+    for p in pairs:
+        if not classes or draw(st.booleans()):
+            classes.append([])
+        classes[-1].append(p)
+    faults = st.sampled_from(
+        [None, "index", "repeat", "missing", "ragged", "empty"])
+    for fault in draw(st.lists(faults, max_size=2)):
+        if fault == "empty" or (fault and not any(classes)):
+            classes.insert(draw(st.integers(0, len(classes))), [])
+        elif fault == "index":
+            pair = draw(st.sampled_from(pairs))
+            pair[draw(st.integers(0, 1))] = draw(
+                st.sampled_from([0, -1, n + 1, m + 1, 10**6]))
+        elif fault == "repeat":
+            draw(st.sampled_from(classes)).append(
+                list(draw(st.sampled_from(pairs))))
+        elif fault == "missing":
+            cls = draw(st.sampled_from([c for c in classes if c]))
+            cls.pop(draw(st.integers(0, len(cls) - 1)))
+        elif fault == "ragged":
+            draw(st.sampled_from(pairs)).append(1)
+    spec = {"kind": kind, "n": n, "classes": classes}
+
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)
+    config = {"dim": dim, "P": draw(st.lists(rows, min_size=n, max_size=n))}
+    if kind == "bipartite":
+        spec["m"] = m
+        config["Q"] = draw(st.lists(rows, min_size=m, max_size=m))
+    faults = st.sampled_from([None, "ragged", "missing"])
+    for fault in draw(st.lists(faults, max_size=1)):
+        if fault == "ragged":
+            config["P"].append([0.0] * (dim + 1))
+        elif fault == "missing":
+            config["P"].pop()
+    return (_retype(draw, spec, ["kind", "n", "m", "classes"]),
+            _retype(draw, config, ["dim", "P", "Q"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=_documents())
+def test_generated_inputs_end_in_documented_exit_codes(docs, tmp_path,
+                                                        capsys):
+    spec, pts = tmp_path / "spec.json", tmp_path / "pts.json"
+    spec.write_text(json.dumps(docs[0]))
+    pts.write_text(json.dumps(docs[1]))
+    out = str(tmp_path / "out.json")
+    for argv in (["realize", str(spec), out],
+                 ["verify", str(spec), str(pts)],
+                 ["induce", str(pts)],
+                 ["falsify", str(spec), out, "--dim", "2",
+                  "--restarts", "1", "--iters", "20"]):
+        capsys.readouterr()
+        rc = cli.main(argv)
+        assert rc in _EXIT_CODES[argv[0]]
+        if rc in (2, 3):
+            assert "error" in json.loads(capsys.readouterr().err)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (count_calls, random_bipartite_linear,
-                      random_bipartite_preorder, random_linear_order,
-                      random_preorder, rank)
-from ordembed import counterexamples, orders, schoenberg, verifier
+from conftest import (count_calls, one_spec_per_realizer,
+                      random_bipartite_linear, random_bipartite_preorder,
+                      random_linear_order, random_preorder, rank)
+from ordembed import (constructions, counterexamples, orders, schoenberg,
+                      verifier)
 from ordembed.constructions import (EpsilonSearch, _apex_grams,
                                     align_isometry, choose_epsilon,
                                     default_search, perturbed_distances,
@@ -16,20 +17,50 @@ from ordembed.constructions import (EpsilonSearch, _apex_grams,
                                     realize_linear_complete,
                                     realize_preorder_bipartite,
                                     realize_preorder_complete)
-from ordembed.errors import (DistanceMismatch, EpsilonExhausted, NotLinear,
-                             ShapeMismatch, SpecError)
+from ordembed.errors import (BadSize, DistanceMismatch, EpsilonExhausted,
+                             NotLinear, NotPSD, ShapeMismatch, SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import (distances_of, factor_points,
                                  gram_from_distances, min_eigenvalue)
 
 
 def test_epsilon_search_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSize):
         EpsilonSearch(initial=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSize):
+        EpsilonSearch(initial=float("nan"))
+    with pytest.raises(BadSize):
         EpsilonSearch(initial=1.0, shrink_factor=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSize):
         EpsilonSearch(initial=1.0, max_steps=0)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+def test_realizers_reject_nonpositive_eta(eta):
+    for spec in one_spec_per_realizer(9):
+        with pytest.raises(BadSize, match="eta must be positive"):
+            realize(spec, eta=eta)
+
+
+def test_unplaceable_step_is_rejected(monkeypatch):
+    # a step whose apexes cannot be placed is one more rejected step, for
+    # every realizer: the search moves on to the next eps
+    for spec in one_spec_per_realizer(9):
+        plain = realize(spec)
+        refused = []
+
+        def refuse_first(corner, apexes):
+            if not refused:
+                refused.append(True)
+                raise NotPSD("refused")
+            return place_apexes(corner, apexes)
+
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "place_apexes", refuse_first)
+            report = realize(spec)
+        assert refused
+        assert report.epsilon < plain.epsilon
+        assert verifier.verify(report.config, spec).matched
 
 
 def test_choose_epsilon_sequence():
