@@ -25,7 +25,7 @@ import numpy as np
 from . import constructions, counterexamples, orders, schoenberg, verifier
 from .constructions import EpsilonSearch
 from .counterexamples import FalsifierConfig
-from .errors import EpsilonExhausted, OrdembedError, SpecError
+from .errors import EpsilonExhausted, OrdembedError
 from .orders import OrderSpec
 from .schoenberg import PointConfig
 
@@ -33,20 +33,6 @@ from .schoenberg import PointConfig
 def _diagnose(exc: Exception) -> None:
     line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
     print(line, file=sys.stderr)
-
-
-def _load_spec(path: str) -> OrderSpec:
-    try:
-        return orders.load(path)
-    except OSError as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
-
-
-def _load_config(path: str) -> PointConfig:
-    try:
-        return schoenberg.load_config(path)
-    except OSError as exc:
-        raise SpecError(f"cannot read points {path}: {exc}") from exc
 
 
 def _write_csv(config: PointConfig, path: str) -> None:
@@ -73,7 +59,7 @@ def _search_from_flags(spec: OrderSpec, args) -> EpsilonSearch | None:
 
 
 def cmd_realize(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = orders.load(args.spec)
     report = constructions.realize(spec, eta=args.eta,
                                    search=_search_from_flags(spec, args))
     schoenberg.save_config(report.config, args.out)
@@ -92,23 +78,19 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
-    report = verifier.verify(_load_config(args.points), spec,
+    spec = orders.load(args.spec)
+    report = verifier.verify(schoenberg.load_config(args.points), spec,
                              tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     print(_verify_json(report))
     return 0 if report.matched else 1
 
 
 def cmd_induce(args) -> int:
-    config = _load_config(args.points)
+    config = schoenberg.load_config(args.points)
     induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
                                         tol_rel=args.tol_rel)
-    if config.Q is None:
-        spec = OrderSpec("complete", len(config.P), induced.classes)
-    else:
-        spec = OrderSpec("bipartite", len(config.P), induced.classes,
-                         m=len(config.Q))
-    print(orders.to_json(orders.canonical(spec)))
+    print(orders.to_json(orders.from_ranks(induced.ranks, induced.n,
+                                           induced.m)))
     return 0
 
 
@@ -118,7 +100,7 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = orders.load(args.spec)
     cfg = FalsifierConfig(dim=args.dim, restarts=args.restarts,
                           iters=args.iters, margin=args.margin,
                           floor=args.floor, seed=args.seed)

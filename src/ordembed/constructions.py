@@ -253,7 +253,7 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
         raise ShapeMismatch("realize_linear_complete needs n >= 3")
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
-    i1, j1 = spec.classes[0][0]
+    i1, j1 = spec._ij[0].tolist()
     order = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
     order += [i1 - 1, j1 - 1]
 

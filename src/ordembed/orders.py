@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
                      SpecError)
+from .schoenberg import upper_pairs
 
 Pair = tuple[int, int]
 
@@ -30,54 +31,48 @@ def bipartite_pairs(n: int, m: int) -> list[Pair]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class OrderSpec:
-    """A total preorder on D_n (kind 'complete') or B_{n,m} ('bipartite').
-
-    classes[k] holds the pairs of rank k+1; rank 1 means smallest distance.
-    A complete pair given as (j, i) with j > i is stored as (i, j).
+    """A total preorder on D_n (kind 'complete') or B_{n,m} ('bipartite'),
+    stored as one int64 array of the listed (i, j) pairs, class by class,
+    and the class sizes. A complete pair given as (j, i) is stored as
+    (i, j); classes is built on first read. == compares kind, n, m, classes.
     """
 
     kind: str
     n: int
-    classes: tuple[tuple[Pair, ...], ...]
     m: int | None = None
 
-    def __post_init__(self):
-        # one C-speed walk per level into the int64 (i, j) array that
-        # validate and ranks read
-        classes = tuple(map(tuple, map(map, repeat(tuple), self.classes)))
+    def __init__(self, kind: str, n: int, classes, m: int | None = None):
         pairs = list(chain.from_iterable(classes))
         if set(map(len, pairs)) - {2}:
             bad = next(p for p in pairs if len(p) != 2)
-            raise SpecError(f"malformed pair {bad!r}")
+            raise SpecError(f"malformed pair {tuple(bad)!r}")
         flat = list(chain.from_iterable(pairs))
-        rebuild = bool(set(map(type, flat)) - {int})
-        if rebuild:
+        if set(map(type, flat)) - {int}:
             flat = list(map(int, flat))
-        try:
-            ij = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            ij = np.array(flat, dtype=object).reshape(-1, 2)
-        swap = ij[:, 0] > ij[:, 1]
-        if self.kind == "complete" and swap.any():
-            ij[swap] = ij[swap][:, ::-1]
-            rebuild = True
         sizes = list(map(len, classes))
-        if rebuild:
-            it = map(tuple, ij.tolist())
-            classes = tuple(tuple(islice(it, k)) for k in sizes)
-        if ij.dtype == object:
-            # an index beyond int64 saturates, which keeps it out of range
-            # of every n and m below 2**63 - 1
-            ij = ij.clip(-2 ** 63, 2 ** 63 - 1).astype(np.int64)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "_ij", ij)
-        object.__setattr__(self, "_sizes", np.array(sizes, dtype=np.int64))
+        vars(self).update(vars(_new(kind, n, m, flat, sizes)))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Pair, ...], ...]:
+        """classes[k] holds the pairs of rank k+1; rank 1 means smallest
+        distance."""
+        it = map(tuple, self._ij.tolist())
+        return tuple(tuple(islice(it, k)) for k in self._sizes.tolist())
+
+    def __eq__(self, other):
+        return (isinstance(other, OrderSpec) and (self.kind, self.n, self.m)
+                == (other.kind, other.n, other.m)
+                and np.array_equal(self._sizes, other._sizes)
+                and np.array_equal(self._ij, other._ij))
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.m, self._sizes.tobytes()))
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self._sizes)
 
     def pair_set(self) -> list[Pair]:
         if self.kind == "complete":
@@ -119,7 +114,21 @@ class OrderSpec:
         return lo, hi
 
     def is_linear(self) -> bool:
-        return all(len(cls) == 1 for cls in self.classes)
+        return bool((self._sizes == 1).all())
+
+
+def _new(kind: str, n: int, m: int | None, flat, sizes) -> OrderSpec:
+    """The spec of checked indices flat (i1, j1, i2, ... or (N, 2) array)."""
+    try:
+        ij = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        ij = np.array(flat, dtype=object).reshape(-1, 2)
+    swap = (ij[:, 0] > ij[:, 1]) & (kind == "complete")
+    ij[swap] = ij[swap][:, ::-1]
+    spec = OrderSpec.__new__(OrderSpec)
+    vars(spec).update(kind=kind, n=n, m=m, _ij=ij,
+                      _sizes=np.array(sizes, dtype=np.int64))
+    return spec
 
 
 def validate(spec: OrderSpec) -> None:
@@ -149,8 +158,11 @@ def validate(spec: OrderSpec) -> None:
         if n < 1 or m < 1:
             raise IndexOutOfRange("bipartite spec needs n, m >= 1")
         total = n * m
-    i, j = spec._ij[:, 0], spec._ij[:, 1]
-    sizes = spec._sizes
+    # an index beyond int64 (an object array) saturates, which keeps it out
+    # of range of every n and m below 2**63 - 1
+    ij = spec._ij if spec._ij.dtype != object else spec._ij.clip(
+        -2 ** 63, 2 ** 63 - 1).astype(np.int64)
+    i, j, sizes = ij[:, 0], ij[:, 1], spec._sizes
     if complete:
         inside = (1 <= i) & (i < j) & (j <= n)
     else:
@@ -187,16 +199,36 @@ def validate(spec: OrderSpec) -> None:
 
 def canonical(spec: OrderSpec) -> OrderSpec:
     """Same preorder with the pairs inside each class sorted lexicographically."""
-    return OrderSpec(spec.kind, spec.n,
-                     tuple(tuple(sorted(cls)) for cls in spec.classes),
-                     m=spec.m)
+    at = np.repeat(np.arange(spec.num_classes), spec._sizes)
+    order = np.lexsort((spec._ij[:, 1], spec._ij[:, 0], at))
+    return _new(spec.kind, spec.n, spec.m, spec._ij[order], spec._sizes)
+
+
+def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
+    """The canonical spec whose rank vector (ranks 1..K, all taken) is
+    ranks, on D_n (m None) or B_{n,m}: a stable sort of ranks lists each
+    class's pairs lexicographically, and np.bincount gives the sizes."""
+    pairs = _pairs_at(n, m, np.argsort(ranks, kind="stable"))
+    return _new("complete" if m is None else "bipartite", n, m, pairs,
+                np.bincount(ranks)[1:])
+
+
+def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
+    """The 1-based (i, j) rows of the pairs at the given lexicographic
+    positions of the complete (m None) or bipartite pair set."""
+    if m is None:
+        rows, cols = upper_pairs(n)
+        return np.column_stack((rows[index], cols[index])) + 1
+    return np.column_stack(np.divmod(index, m)) + 1
 
 
 def to_json_dict(spec: OrderSpec) -> dict:
     out = {"kind": spec.kind, "n": spec.n}
     if spec.kind == "bipartite":
         out["m"] = spec.m
-    out["classes"] = [[list(p) for p in cls] for cls in spec.classes]
+    pairs = spec._ij.tolist()
+    ends = np.cumsum(spec._sizes).tolist()
+    out["classes"] = [pairs[a:b] for a, b in zip([0] + ends, ends)]
     return out
 
 
@@ -230,16 +262,17 @@ def from_json_dict(data: dict) -> OrderSpec:
     lists = list(map(isinstance, raw, repeat((list, tuple))))
     upto = lists.index(False) if False in lists else len(raw)
     pairs = list(chain.from_iterable(raw[:upto]))
-    if not (all(map(isinstance, pairs, repeat((list, tuple))))
-            and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+    shaped = (all(map(isinstance, pairs, repeat((list, tuple))))
+              and set(map(len, pairs)) <= {2})
+    flat = list(chain.from_iterable(pairs)) if shaped else []
+    if not (shaped and set(map(type, flat)) <= {int}):
         bad = next(p for p in pairs if not (
             isinstance(p, (list, tuple)) and len(p) == 2
             and type(p[0]) is int and type(p[1]) is int))
         raise SpecError(f"malformed pair {bad!r}")
     if upto < len(raw):
         raise SpecError(f"a class must be a list, got {raw[upto]!r}")
-    spec = OrderSpec(kind, n, raw, m=m)
+    spec = _new(kind, n, m, flat, list(map(len, raw)))
     spec.ranks  # validates, and caches the ranks for every later reader
     return spec
 
@@ -247,14 +280,18 @@ def from_json_dict(data: dict) -> OrderSpec:
 def from_json(text: str) -> OrderSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
 
 
 def load(path: str) -> OrderSpec:
-    with open(path, encoding="utf-8") as fh:
-        return from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read spec {path}: {exc}") from exc
+    return from_json(text)
 
 
 def save(spec: OrderSpec, path: str) -> None:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (BadIndex, DimTooSmall, NonFiniteEntry, NotPSD,
-                     ShapeMismatch)
+                     ShapeMismatch, SpecError)
 
 
 def check_distance_matrix(D: np.ndarray) -> np.ndarray:
@@ -217,7 +217,7 @@ def config_from_json(text: str) -> PointConfig:
         dim = data["dim"]
         P = np.asarray(data["P"], dtype=float)
         Q = np.asarray(data["Q"], dtype=float) if "Q" in data else None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ShapeMismatch(f"malformed point config: {exc}") from exc
     if not (isinstance(dim, float) and dim.is_integer()):
         raise ShapeMismatch(f"dim must be an integer, got {dim!r}")
@@ -232,8 +232,13 @@ def config_from_json(text: str) -> PointConfig:
 
 
 def load_config(path: str) -> PointConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        error = SpecError if isinstance(exc, OSError) else ShapeMismatch
+        raise error(f"cannot read points {path}: {exc}") from exc
+    return config_from_json(text)
 
 
 def save_config(config: PointConfig, path: str) -> None:

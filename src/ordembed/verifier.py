@@ -12,13 +12,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
-from .orders import OrderSpec
-from .schoenberg import PointConfig, pair_distances, upper_pairs
+from .orders import OrderSpec, Pair, _pairs_at
+from .schoenberg import PointConfig, pair_distances
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
-
-Pair = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +37,7 @@ class InducedOrder:
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
         # ties in distance keep lexicographic order, as in induced_preorder
         order = np.argsort(self.distances, kind="stable")
-        i, j = _pairs_at(self.n, self.m, order)
-        ranked = list(zip(i.tolist(), j.tolist()))
+        ranked = list(map(tuple, _pairs_at(self.n, self.m, order).tolist()))
         ends = np.cumsum(np.bincount(self.ranks)[1:]).tolist()
         return tuple(tuple(ranked[a:b]) for a, b in zip([0] + ends, ends))
 
@@ -87,17 +84,6 @@ def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
         m=None if config.Q is None else len(config.Q))
 
 
-def _pairs_at(n: int, m: int | None, index: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """1-based (i, j) arrays of the pairs at the given lexicographic
-    positions of the complete (m None) or bipartite pair set."""
-    if m is None:
-        rows, cols = upper_pairs(n)
-        return rows[index] + 1, cols[index] + 1
-    i, j = np.divmod(index, m)
-    return i + 1, j + 1
-
-
 def check_shape(config: PointConfig, spec: OrderSpec) -> None:
     """Raise ShapeMismatch unless config holds exactly the points that
     spec's pairs index."""
@@ -140,9 +126,9 @@ def _first_disagreement(spec: OrderSpec, induced: InducedOrder
     a = int(marked.argmax())
     differ = (np.sign(want[a + 1:] - want[a])
               != np.sign(got[a + 1:] - got[a]))
-    i, j = _pairs_at(spec.n, spec.m if spec.kind == "bipartite" else None,
-                     np.array([a, a + 1 + int(differ.argmax())]))
-    return tuple(zip(i.tolist(), j.tolist()))
+    pairs = _pairs_at(spec.n, spec.m if spec.kind == "bipartite" else None,
+                      np.array([a, a + 1 + int(differ.argmax())]))
+    return tuple(map(tuple, pairs.tolist()))
 
 
 def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,

@@ -309,6 +309,47 @@ def test_realize_induce_round_trip_batch(tmp_path, capsys):
         assert out == orders.to_json(orders.canonical(spec)) + "\n"
 
 
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.sampled_from(["preorder", "linear", "bipartite"]),
+       n=st.integers(2, 7), m=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_induce_prints_the_canonical_spec(shape, n, m, seed, tmp_path,
+                                          capsys):
+    rng = np.random.default_rng(seed)
+    spec = {"preorder": lambda: random_preorder(rng, n),
+            "linear": lambda: random_linear_order(rng, n),
+            "bipartite": lambda: random_bipartite_preorder(rng, n, m)}[shape]()
+    pts = str(tmp_path / "pts.json")
+    assert cli.main(["realize", _spec_file(spec, tmp_path), pts]) == 0
+    capsys.readouterr()
+    assert cli.main(["induce", pts]) == 0
+    assert capsys.readouterr().out == (
+        orders.to_json(orders.canonical(spec)) + "\n")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100000],
+                         ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("command, role", [
+    ("realize", "spec"), ("verify", "spec"), ("verify", "points"),
+    ("induce", "points"), ("falsify", "spec")])
+def test_undecodable_or_deep_file_exits_two(content, command, role, tmp_path,
+                                            capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    pts = tmp_path / "pts.json"
+    pts.write_text('{"dim": 1, "P": [[0.0], [1.0]]}')
+    spec = str(bad) if role == "spec" else _spec_file(
+        OrderSpec("complete", 2, (((1, 2),),)), tmp_path)
+    points = str(bad) if role == "points" else str(pts)
+    out = str(tmp_path / "out.json")
+    argv = {"realize": [spec, out], "verify": [spec, points],
+            "induce": [points], "falsify": [spec, out, "--dim", "1"]}
+    assert cli.main([command, *argv[command]]) == 2
+    want = "SpecError" if role == "spec" else "ShapeMismatch"
+    assert _diag(capsys)["error"] == want
+
+
 @pytest.mark.parametrize("text", [
     '{"kind": "complete", "n": 3, "classes": 5}',
     '{"kind": "complete", "n": 3, "classes": [5]}',

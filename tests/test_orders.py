@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_preorder, rank
-from ordembed import orders
+from conftest import (random_bipartite_preorder, random_linear_order,
+                      random_preorder, rank)
+from ordembed import constructions, orders, verifier
 from ordembed.errors import (DuplicatePair, EmptyClass, IndexOutOfRange,
                              MissingPair, SpecError)
 from ordembed.orders import OrderSpec
@@ -221,6 +222,45 @@ def test_ranks_match_dict_oracle(raw):
     want = [oracle[p] for p in spec.pair_set()]
     assert spec.ranks.dtype == np.int64
     assert spec.ranks.tolist() == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_raw_partitions())
+def test_json_and_canonical_match_sorted_oracle(raw):
+    kind, n, m, classes = raw
+    norm = [[tuple(sorted(p)) if kind == "complete" else tuple(p)
+             for p in cls] for cls in classes]
+    head = {"kind": kind, "n": n, **({} if m is None else {"m": m})}
+
+    def text(classes):
+        return json.dumps(dict(head, classes=[[list(p) for p in cls]
+                                              for cls in classes]))
+
+    ordered = [sorted(cls) for cls in norm]
+    as_lists = OrderSpec(kind, n, classes, m=m)
+    as_tuples = OrderSpec(kind, n, tuple(tuple(map(tuple, cls))
+                                         for cls in classes), m=m)
+    assert as_lists == as_tuples
+    for spec in (as_lists, as_tuples):
+        assert orders.to_json(spec) == text(norm)
+        assert orders.from_json(orders.to_json(spec)) == spec
+        canon = orders.canonical(spec)
+        assert orders.to_json(canon) == text(ordered)
+        assert canon.classes == tuple(map(tuple, ordered))
+        assert (canon == spec) == (ordered == norm)
+        assert orders.from_ranks(spec.ranks, n, m) == canon
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_preorder(rng, 7),
+    lambda rng: random_linear_order(rng, 7),
+    lambda rng: random_bipartite_preorder(rng, 3, 4)],
+    ids=["preorder", "linear", "bipartite"])
+def test_realize_and_verify_never_build_class_tuples(make):
+    spec = orders.from_json(orders.to_json(make(np.random.default_rng(3))))
+    report = constructions.realize(spec)
+    assert verifier.verify(report.config, spec).matched
+    assert "classes" not in vars(spec)
 
 
 # (spec text, error type, message): the first offence of a class-by-class,
