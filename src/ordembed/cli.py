@@ -8,7 +8,7 @@ alone maps a raised error to its exit code. Exit codes per command:
   verify   0 match, 1 mismatch, 2 bad input
   induce   0 ok, 2 bad input
   gallery  0 ok, 2 bad name, size or output
-  falsify  0 feasible, 1 infeasible, 2 bad input or output
+  falsify  0 feasible, 1 refuted or undecided, 2 bad input or output
 
 Bad input is any other OrdembedError, BadSize for --eta, --epsilon,
 --shrink and --max-steps included; bad output is an OSError on OUT or --csv.
@@ -106,9 +106,11 @@ def cmd_falsify(args) -> int:
                           floor=args.floor, seed=args.seed)
     report = counterexamples.falsify(spec, cfg)
     line = schoenberg.report_json({
-        "feasible": report.feasible, "best_loss": report.best_loss,
-        "restarts": report.restarts,
-        "per_restart_losses": report.per_restart_losses})
+        "feasible": report.feasible, "verdict": report.verdict,
+        "best_loss": report.best_loss, "restarts": report.restarts,
+        "per_restart_losses": report.per_restart_losses,
+        "per_restart_stops": [s._asdict()
+                              for s in report.per_restart_stops]})
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     print(line)

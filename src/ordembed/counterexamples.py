@@ -7,13 +7,14 @@ random restarts: squared distances are scale-normalized to mean one, strict
 class steps are hinge constraints with a margin, within-class ties are
 equality constraints, and every point pair must clear a distinctness floor
 so the search stays away from configurations with merged points (the
-impossibility arguments all assume the relevant points distinct). An
-"infeasible" verdict is evidence under the given budget, never a proof.
+impossibility arguments all assume the relevant points distinct). A
+"refuted" verdict is evidence under the given budget, never a proof.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,10 +158,23 @@ def simplex_diameter_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 # stress loss
 
-class _StressTerms:
-    """Precomputed index arrays for the loss terms of one spec in R^dim."""
+# the zero that np.maximum clamps against, as an array so that no call
+# converts a Python float
+_ZERO = np.zeros(())
 
-    def __init__(self, spec: OrderSpec, dim: int):
+
+class _StressTerms:
+    """Index arrays and constants for the loss terms of one spec in R^dim.
+
+    The loss terms form one vector t = [eq | hinge | low]: t = (sh[first] +
+    shift) - sh[second] over the normalized squared distances sh, with
+    hinge and low clamped at zero. Each entry rounds as its plain formula
+    does: sh_a + margin is margin + sh_a, and sh_a + 0.0 is sh_a since sh
+    is never -0.0.
+    """
+
+    def __init__(self, spec: OrderSpec, dim: int, margin: float,
+                 floor: float):
         n = spec.n
         ranks = spec.ranks
         if spec.kind == "complete":
@@ -181,23 +195,53 @@ class _StressTerms:
             qa, qb = _differing_rows(R.T)
             xi = np.concatenate([pa, n + qa])
             xj = np.concatenate([pb, n + qb])
-        # both ends of every difference: pairs, then distinctness terms
-        self.ends = (np.concatenate([ii, xi]), np.concatenate([jj, xj]))
-        # pairs grouped by class, lexicographic within a class
+        k = ranks.size
+        diffs = k + xi.size
+        # both ends of every difference: pairs, distinctness terms, then
+        # point 0 to itself, whose squared distance is the exact zero that
+        # the low terms take as their first operand
+        zero = np.zeros(1, dtype=int)
+        self.ends = np.concatenate([ii, xi, zero, jj, xj, zero])
+        self.n_pairs = k
+        self.n_diffs = diffs
+        # pairs grouped by class, lexicographic within a class; eq joins
+        # neighbours in a class, hinge the smallest pairs of adjacent classes
         by_class = np.argsort(ranks, kind="stable")
         same = ranks[by_class[1:]] == ranks[by_class[:-1]]
-        self.eq_a = by_class[:-1][same]
-        self.eq_b = by_class[1:][same]
-        # the lexicographically smallest pair of each class
+        eq_a = by_class[:-1][same]
+        eq_b = by_class[1:][same]
         first = by_class[np.concatenate(([True], ~same))]
-        self.hi_a = first[:-1]
-        self.hi_b = first[1:]
-        self.n_pairs = ranks.size
-        # scatter bins in the order the gradient terms accumulate: pairs of
-        # the hinge and equality terms (each +, then -), and flat (point,
-        # coordinate) of the pair and distinctness terms (each +, then -)
-        self.g_at = np.concatenate([self.hi_a, self.hi_b,
-                                    self.eq_a, self.eq_b])
+        hi_a = first[:-1]
+        hi_b = first[1:]
+        e, h = eq_a.size, hi_a.size
+        self.first = np.concatenate([eq_a, hi_a, np.full(diffs, diffs)])
+        self.second = np.concatenate([eq_b, hi_b, np.arange(diffs)])
+        self.shift = np.concatenate([np.zeros(e), np.full(h, float(margin)),
+                                     np.full(diffs, float(floor))])
+        self.n_eq = e
+        # the loss adds the sums of the hinge, eq, pair low and distinctness
+        # low terms, in that order; an empty part, whose sum 0.0 leaves the
+        # loss unchanged, is skipped
+        self.parts = tuple(slice(a, b) for a, b in (
+            (e, e + h), (0, e), (e + h, e + h + k),
+            (e + h + k, e + h + diffs)) if b > a)
+        # scatter of the loss gradient in sh, in the order the terms
+        # accumulate: hinge (+, then -), eq (+, then -), low; each weight is
+        # a term times its factor (x * -2.0 is exactly -(2.0 * x))
+        self.g_at = np.concatenate([hi_a, hi_b, eq_a, eq_b,
+                                    np.arange(diffs)])
+        self.w_at = np.concatenate([e + np.arange(h), e + np.arange(h),
+                                    np.arange(e), np.arange(e),
+                                    e + h + np.arange(diffs)])
+        self.w_factor = np.repeat([2.0, -2.0, 2.0, -2.0, -2.0],
+                                  [h, h, e, e, diffs])
+        # scatter of the coordinate gradient: the rows of every difference
+        # (pairs +, pairs -, distinctness +, distinctness -), flat (point,
+        # coordinate) bins
+        self.rows = np.concatenate([np.arange(k), np.arange(k),
+                                    np.arange(k, diffs), np.arange(k, diffs)])
+        self.row_sign = np.repeat([1.0, -1.0, 1.0, -1.0],
+                                  [k, k, diffs - k, diffs - k])[:, None]
         x_at = np.concatenate([ii, jj, xi, xj])
         self.x_at = (x_at[:, None] * dim + np.arange(dim)).ravel()
 
@@ -214,46 +258,55 @@ def _stack(config: PointConfig) -> np.ndarray:
     return np.vstack([config.P, config.Q])
 
 
-def _loss_only(terms: _StressTerms, X: np.ndarray, margin: float,
-               floor: float):
+def _loss_only(terms: _StressTerms, X: np.ndarray):
     """Loss at a trial point X, with the terms that _loss_grad reuses
     once the step to X is accepted."""
-    # rows [:n_pairs] are the pairs, the rest the distinctness terms; the
-    # sums are np.add.reduce, which ndarray.sum and .mean wrap
+    # rows [:n_pairs] of D are the pairs, then the distinctness terms and
+    # the zero row; the sums are np.add.reduce, which ndarray.sum wraps
     k = terms.n_pairs
-    D = X[terms.ends[0]] - X[terms.ends[1]]
+    E = X.take(terms.ends, 0)
+    half = terms.n_diffs + 1
+    D = E[:half] - E[half:]
     S = np.add.reduce(D * D, axis=1)
     mu = np.add.reduce(S[:k]) / k
     sh = S / mu
-    hinge = np.maximum(0.0, margin + sh[terms.hi_a] - sh[terms.hi_b])
-    eq = sh[terms.eq_a] - sh[terms.eq_b]
-    low = np.maximum(0.0, floor - sh)
-    low2 = low * low
-    loss = float(np.add.reduce(hinge * hinge) + np.add.reduce(eq * eq)
-                 + np.add.reduce(low2[:k]) + np.add.reduce(low2[k:]))
-    return loss, (D, mu, sh, hinge, eq, low)
+    t = (sh.take(terms.first) + terms.shift) - sh.take(terms.second)
+    clamped = t[terms.n_eq:]
+    np.maximum(_ZERO, clamped, out=clamped)
+    t2 = t * t
+    loss = 0.0
+    for part in terms.parts:
+        loss += float(np.add.reduce(t2[part]))
+    return loss, (D, mu, sh, t)
 
 
-def _loss_grad(terms: _StressTerms, X: np.ndarray, margin: float,
-               floor: float, trial=None) -> tuple[float, np.ndarray]:
+def _loss_grad(terms: _StressTerms, X: np.ndarray,
+               trial=None) -> tuple[float, np.ndarray]:
     """Loss and gradient at X; trial, if given, is _loss_only at X."""
-    loss, (D, mu, sh, hinge, eq, low) = (
-        _loss_only(terms, X, margin, floor) if trial is None else trial)
+    loss, (D, mu, sh, t) = _loss_only(terms, X) if trial is None else trial
     k = terms.n_pairs
-    # each bincount adds its weights bin by bin in input order, the same
-    # additions as one np.add.at per term in that order (with no terms it
-    # returns integer zeros, hence no in-place update)
-    g = np.bincount(terms.g_at,
-                    2.0 * np.concatenate([hinge, -hinge, eq, -eq]), k)
-    g = g - 2.0 * low[:k]
-    gx = -2.0 * low[k:]
+    diffs = terms.n_diffs
+    # gradient in sh: bincount adds its weights bin by bin in input order,
+    # the same additions as one np.add.at per term in that order; the low
+    # term comes last, so a pair's bin ends as (its sum) - 2 low. A
+    # distinctness bin is 0.0 - 2 low, which differs from -2 low only in
+    # the sign of a zero; the coordinate gradient's bins start at +0.0, so
+    # no bin of it can tell
+    G = np.bincount(terms.g_at, t.take(terms.w_at) * terms.w_factor, diffs)
     # normalization: every sh_p = s_p / mu depends on all s_q through mu
-    mu_term = (np.add.reduce(g * sh[:k])
-               + np.add.reduce(gx * sh[k:])) / k
-    gs = (g - mu_term) / mu
-    contrib = (2.0 * gs)[:, None] * D[:k]
-    contrib_x = (2.0 * gx / mu)[:, None] * D[k:]
-    w = np.concatenate([contrib, -contrib, contrib_x, -contrib_x])
+    P = G * sh[:diffs]
+    mu_term = float(np.add.reduce(P[:k]))
+    if diffs > k:
+        mu_term += float(np.add.reduce(P[k:]))
+    mu_term /= k
+    # in place: 2 (G_p - mu_term) / mu for the pairs, 2 G_x / mu for the
+    # distinctness terms
+    G_p, G_x = G[:k], G[k:]
+    np.subtract(G_p, mu_term, out=G_p)
+    np.multiply(G_x, 2.0, out=G_x)
+    np.divide(G, mu, out=G)
+    np.multiply(G_p, 2.0, out=G_p)
+    w = (G[:, None] * D[:diffs]).take(terms.rows, 0) * terms.row_sign
     grad = np.bincount(terms.x_at, w.ravel(), X.size)
     return loss, grad.reshape(X.shape)
 
@@ -280,7 +333,7 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     spec.ranks  # validates
     verifier.check_shape(config, spec)
     X = _stack(config)
-    return _loss_grad(_StressTerms(spec, X.shape[1]), X, margin, floor)
+    return _loss_grad(_StressTerms(spec, X.shape[1], margin, floor), X)
 
 
 # ---------------------------------------------------------------------------
@@ -306,56 +359,71 @@ class FalsifierConfig:
             raise BadSize("floor must be nonnegative")
 
 
+class RestartStop(NamedTuple):
+    """How one descent restart ended, after how many accepted steps.
+
+    reason: converged (loss below STOP_LOSS), stall (STALL_ITERS steps in
+    a row of relative decrease at most STALL_REL), no_step (no Armijo step
+    above MIN_STEP), zero_gradient, or cap (the iteration budget ran out).
+    """
+    reason: str
+    iters: int
+
+
 @dataclass(frozen=True)
 class FalsifierReport:
-    feasible: bool
+    """verdict: feasible (a verified witness was found); undecided (some
+    restart hit the cap, or ended below FEASIBLE_LOSS without verifying);
+    refuted otherwise. The per-restart fields hold the restarts that ran:
+    every one when no witness verifies, else up to the first that does."""
+    verdict: str
     best_loss: float
     best_config: PointConfig
     per_restart_losses: tuple[float, ...]
+    per_restart_stops: tuple[RestartStop, ...]
+    feasible: bool = field(init=False)
     restarts: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "feasible", self.verdict == "feasible")
         object.__setattr__(self, "restarts", len(self.per_restart_losses))
 
 
-def _descend(terms: _StressTerms, X: np.ndarray, iters: int, margin: float,
-             floor: float) -> tuple[float, np.ndarray]:
+def _descend(terms: _StressTerms, X: np.ndarray,
+             iters: int) -> tuple[float, np.ndarray, RestartStop]:
     """Gradient descent with backtracking: from STEP_INIT, halve until the
     Armijo decrease with constant ARMIJO_C.
 
-    Stops early below STOP_LOSS, or once progress stalls: relative decrease
-    at most STALL_REL for STALL_ITERS consecutive steps, or no acceptable
-    step above MIN_STEP.
+    Runs at most iters accepted steps and says how it stopped (see
+    RestartStop).
     """
-    f, g = _loss_grad(terms, X, margin, floor)
+    f, g = _loss_grad(terms, X)
     stall = 0
-    for _ in range(iters):
+    for it in range(iters):
         if f < STOP_LOSS:
-            break
-        gnorm2 = float((g * g).sum())
+            return f, X, RestartStop("converged", it)
+        gnorm2 = float(np.add.reduce(g * g, axis=None))
         if gnorm2 == 0.0:
-            break
+            return f, X, RestartStop("zero_gradient", it)
         step = STEP_INIT
-        accepted = False
-        while step >= MIN_STEP:
+        while True:
             Xn = X - step * g
-            trial = _loss_only(terms, Xn, margin, floor)
+            trial = _loss_only(terms, Xn)
             if trial[0] <= f - ARMIJO_C * step * gnorm2:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
+            if step < MIN_STEP:
+                return f, X, RestartStop("no_step", it)
         X = Xn
         f_prev = f
-        f, g = _loss_grad(terms, X, margin, floor, trial)
+        f, g = _loss_grad(terms, X, trial)
         if f_prev - f <= STALL_REL * max(f, 1e-300):
             stall += 1
             if stall >= STALL_ITERS:
-                break
+                return f, X, RestartStop("stall", it + 1)
         else:
             stall = 0
-    return f, X
+    return f, X, RestartStop("converged" if f < STOP_LOSS else "cap", iters)
 
 
 def _split_config(spec: OrderSpec, X: np.ndarray, dim: int) -> PointConfig:
@@ -367,33 +435,39 @@ def _split_config(spec: OrderSpec, X: np.ndarray, dim: int) -> PointConfig:
 def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     """Search for a realization of spec in R^dim by restarted descent.
 
-    feasible is true iff some restart drives the loss below FEASIBLE_LOSS
-    and the verifier confirms the resulting configuration induces exactly
-    the spec's classes (tolerances VERIFY_TOL, the residual scale that a
-    just-accepted loss permits). Deterministic for a fixed seed: restart r
-    draws its start from default_rng([seed, r]).
+    A restart's witness counts once its loss is below FEASIBLE_LOSS and
+    the verifier confirms the configuration induces exactly the spec's
+    classes (tolerances VERIFY_TOL, the residual scale that a
+    just-accepted loss permits). The search stops at the first witness,
+    since no later restart can change that verdict. Deterministic for a
+    fixed seed: restart r draws its start from default_rng([seed, r]).
     """
-    terms = _StressTerms(spec, cfg.dim)  # reads spec.ranks, which validates
+    # reads spec.ranks, which validates
+    terms = _StressTerms(spec, cfg.dim, cfg.margin, cfg.floor)
     losses = []
+    stops = []
     best_loss = float("inf")
     best_X = None
-    witness_X = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         X0 = rng.standard_normal((terms.n_points, cfg.dim))
-        f, X = _descend(terms, X0, cfg.iters, cfg.margin, cfg.floor)
+        f, X, stop = _descend(terms, X0, cfg.iters)
         losses.append(f)
+        stops.append(stop)
         if f < best_loss:
             best_loss = f
             best_X = X
-        if f < FEASIBLE_LOSS and witness_X is None:
-            candidate = _split_config(spec, X, cfg.dim)
-            report = verifier.verify(candidate, spec, tol_abs=VERIFY_TOL,
-                                     tol_rel=VERIFY_TOL)
-            if report.matched:
-                witness_X = X
-    feasible = witness_X is not None
-    final_X = witness_X if feasible else best_X
-    return FalsifierReport(feasible=feasible, best_loss=best_loss,
+        if f < FEASIBLE_LOSS and verifier.verify(
+                _split_config(spec, X, cfg.dim), spec, tol_abs=VERIFY_TOL,
+                tol_rel=VERIFY_TOL).matched:
+            verdict, final_X = "feasible", X
+            break
+    else:
+        undecided = any(s.reason == "cap" or f < FEASIBLE_LOSS
+                        for f, s in zip(losses, stops))
+        verdict = "undecided" if undecided else "refuted"
+        final_X = best_X
+    return FalsifierReport(verdict=verdict, best_loss=best_loss,
                            best_config=_split_config(spec, final_X, cfg.dim),
-                           per_restart_losses=tuple(losses))
+                           per_restart_losses=tuple(losses),
+                           per_restart_stops=tuple(stops))

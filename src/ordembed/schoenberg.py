@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (BadIndex, DimTooSmall, NonFiniteEntry, NotPSD,
-                     ShapeMismatch, SpecError)
+                     ShapeMismatch)
 
 
 def check_distance_matrix(D: np.ndarray) -> np.ndarray:
@@ -236,8 +236,7 @@ def load_config(path: str) -> PointConfig:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        error = SpecError if isinstance(exc, OSError) else ShapeMismatch
-        raise error(f"cannot read points {path}: {exc}") from exc
+        raise ShapeMismatch(f"cannot read points {path}: {exc}") from exc
     return config_from_json(text)
 
 

@@ -137,6 +137,26 @@ def fd_gradient(spec, config, margin, floor, h=1e-6):
     return g
 
 
+def first_verified_restart(spec, cfg):
+    """A plain loop over the falsifier's restarts: the index and
+    configuration of the first whose descent ends below FEASIBLE_LOSS and
+    verifies, or (None, None)."""
+    from ordembed import counterexamples, verifier
+
+    terms = counterexamples._StressTerms(spec, cfg.dim, cfg.margin, cfg.floor)
+    tol = counterexamples.VERIFY_TOL
+    for r in range(cfg.restarts):
+        X0 = np.random.default_rng([cfg.seed, r]).standard_normal(
+            (terms.n_points, cfg.dim))
+        f, X, _ = counterexamples._descend(terms, X0, cfg.iters)
+        config = counterexamples._split_config(spec, X, cfg.dim)
+        if (f < counterexamples.FEASIBLE_LOSS
+                and verifier.verify(config, spec, tol_abs=tol,
+                                    tol_rel=tol).matched):
+            return r, config
+    return None, None
+
+
 ACCEPTANCE_RESULTS: list[tuple[int, bool, str]] = []
 
 

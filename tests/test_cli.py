@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (one_spec_per_realizer, random_bipartite_preorder,
-                      random_linear_order, random_preorder)
+from conftest import (first_verified_restart, one_spec_per_realizer,
+                      random_bipartite_preorder, random_linear_order,
+                      random_preorder)
 from ordembed import (cli, constructions, counterexamples, orders, schoenberg,
                       verifier)
 from ordembed.orders import OrderSpec
@@ -212,7 +213,8 @@ def test_induce_bipartite_round_trip(bip32_spec, tmp_path, capsys):
 def test_induce_missing_file_exits_two(tmp_path, capsys):
     rc = cli.main(["induce", str(tmp_path / "absent.json")])
     assert rc == 2
-    assert _diag(capsys)["error"] == "SpecError"
+    # every fault in a points file, an unreadable one too, is ShapeMismatch
+    assert _diag(capsys)["error"] == "ShapeMismatch"
 
 
 def test_gallery_writes_spec(tmp_path, capsys):
@@ -247,9 +249,15 @@ def test_falsify_feasible_exits_zero(tmp_path, capsys):
     assert out.read_text() == line
     report = json.loads(line)
     assert report["feasible"] is True
+    assert report["verdict"] == "feasible"
     assert report["best_loss"] < counterexamples.FEASIBLE_LOSS
-    assert report["restarts"] == 6
-    assert len(report["per_restart_losses"]) == 6
+    # the search stops at the first verified witness, so the restarts that
+    # ran are those up to and including it
+    first, _ = first_verified_restart(
+        spec, counterexamples.FalsifierConfig(dim=2, restarts=6, iters=3000))
+    assert report["restarts"] == len(report["per_restart_losses"])
+    assert report["restarts"] == len(report["per_restart_stops"])
+    assert report["restarts"] == first + 1
 
 
 def test_falsify_infeasible_exits_one(tmp_path, capsys):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (fd_gradient, random_bipartite_preorder, random_preorder,
-                      rank, reflected_simplex_gap)
+from conftest import (fd_gradient, first_verified_restart,
+                      random_bipartite_preorder, random_linear_order,
+                      random_preorder, rank, reflected_simplex_gap)
 from ordembed import cli, counterexamples, orders, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
@@ -13,6 +14,8 @@ from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
 from ordembed.errors import BadSize, ShapeMismatch, UnknownName
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import PointConfig
+
+STOP_REASONS = {"converged", "stall", "no_step", "zero_gradient", "cap"}
 
 
 def test_gallery_names_and_validation():
@@ -266,10 +269,15 @@ def test_falsify_report_json(tmp_path, capsys):
     cli.main(["falsify", str(spec_path), str(tmp_path / "report.json"),
               "--dim", "1", "--restarts", "3", "--iters", "300"])
     data = json.loads(capsys.readouterr().out)
-    assert set(data) == {"feasible", "best_loss", "restarts",
-                         "per_restart_losses"}
+    assert set(data) == {"feasible", "verdict", "best_loss", "restarts",
+                         "per_restart_losses", "per_restart_stops"}
     assert data["restarts"] == 3
     assert len(data["per_restart_losses"]) == 3
+    assert len(data["per_restart_stops"]) == 3
+    for stop in data["per_restart_stops"]:
+        assert set(stop) == {"reason", "iters"}
+        assert stop["reason"] in STOP_REASONS
+        assert 0 <= stop["iters"] <= 300
 
 
 def test_falsify_cross_check_with_construction():
@@ -279,3 +287,98 @@ def test_falsify_cross_check_with_construction():
     assert verifier.verify(built.config, spec).matched
     probe = falsify(spec, FalsifierConfig(dim=3, restarts=10, iters=2000))
     assert probe.feasible
+
+
+# float.hex of every seed-0 restart loss as the stress kernel written term
+# by term computed it; a kernel that rounds any step differently moves at
+# least one of these
+TRAJECTORIES = (
+    ("diameter_preorder", 4, 2, ("0x1.47ae147af7e11p-9",
+                                 "0x1.00d0422d8a1f3p-2",
+                                 "0x1.47ae147ae147cp-9")),
+    ("bip_cyclic_linear", 3, 1, ("0x1.b05421b4d9d62p-6",
+                                 "0x1.19da7b17ce088p-6",
+                                 "0x1.856f18c5c539bp-6")),
+    ("bip_affine_preorder", 3, 2, ("0x1.3c76fa9846ddfp-9",
+                                   "0x1.30e987a7a319ap-9",
+                                   "0x1.b7275d832de04p-9")),
+)
+
+
+@pytest.mark.parametrize("name, n, dim, hexes", TRAJECTORIES,
+                         ids=[f"{t[0]}-{t[1]}-d{t[2]}" for t in TRAJECTORIES])
+def test_falsify_trajectories_are_bit_identical(name, n, dim, hexes):
+    report = falsify(gallery(name, n),
+                     FalsifierConfig(dim=dim, restarts=3, iters=500))
+    assert not report.feasible
+    assert tuple(float.hex(f) for f in report.per_restart_losses) == hexes
+
+
+def test_falsify_witness_is_first_verified_restart():
+    rng = np.random.default_rng([7, 3])
+    cfg = FalsifierConfig(dim=3, restarts=3, iters=3000)
+    firsts = []
+    for _ in range(10):
+        spec = random_bipartite_preorder(rng, 3, 3)
+        first, witness = first_verified_restart(spec, cfg)
+        report = falsify(spec, cfg)
+        assert report.verdict == "feasible"
+        assert report.restarts == first + 1
+        assert len(report.per_restart_stops) == first + 1
+        assert np.array_equal(report.best_config.P, witness.P)
+        assert np.array_equal(report.best_config.Q, witness.Q)
+        firsts.append(first)
+    # the early stop is exercised past restart 0 too
+    assert max(firsts) > 0
+
+
+def test_falsify_stop_reasons_and_verdicts():
+    spec = gallery("diameter_preorder", 4)
+    capped = falsify(spec, FalsifierConfig(dim=2, restarts=2, iters=5))
+    assert capped.verdict == "undecided" and not capped.feasible
+    assert capped.per_restart_stops == (("cap", 5), ("cap", 5))
+    found = falsify(spec, FalsifierConfig(dim=3, restarts=5, iters=3000))
+    assert found.verdict == "feasible" and found.feasible
+    assert found.per_restart_stops[-1].reason == "converged"
+    refuted = falsify(spec, FalsifierConfig(dim=2, restarts=4, iters=2000))
+    assert refuted.verdict == "refuted" and refuted.restarts == 4
+    for stop in refuted.per_restart_stops:
+        assert stop.reason in STOP_REASONS - {"cap", "converged"}
+        assert 0 < stop.iters < 2000
+
+
+def test_falsify_low_loss_without_witness_is_undecided(monkeypatch):
+    # a restart below FEASIBLE_LOSS whose configuration fails verification
+    # decides nothing, and the search goes on through every restart
+    monkeypatch.setattr(counterexamples.verifier, "verify",
+                        lambda *args, **kwargs: verifier.VerifyReport(
+                            "mismatch", None, 0.0, 0.0))
+    report = falsify(gallery("diameter_preorder", 3),
+                     FalsifierConfig(dim=2, restarts=3, iters=3000))
+    assert report.verdict == "undecided"
+    assert report.restarts == 3
+    assert report.best_loss < counterexamples.FEASIBLE_LOSS
+
+
+# Random specs that the realizers build in dimension d must read feasible at
+# d. Sizes are the largest at which recall was 100% for 10 seeded specs at
+# 5 restarts x 3000 iterations (every witness within the first 2 restarts);
+# one size up, recall fell to 90% (preorder, n=8), 50% (linear, n=7) and
+# 80% (bipartite, 5x5).
+CALIBRATION = (
+    ("preorder", random_preorder, 7),
+    ("linear", random_linear_order, 6),
+    ("bipartite", lambda rng, n: random_bipartite_preorder(rng, n, n), 4),
+)
+
+
+@pytest.mark.parametrize("kind, make, n", CALIBRATION,
+                         ids=[c[0] for c in CALIBRATION])
+def test_falsify_recall_at_realized_dimension(kind, make, n):
+    rng = np.random.default_rng([7, n])
+    for _ in range(10):
+        spec = make(rng, n)
+        dim = realize(spec).config.dim
+        report = falsify(spec, FalsifierConfig(dim=dim, restarts=2,
+                                               iters=3000))
+        assert report.verdict == "feasible", f"{kind} n={n} at d={dim}"
