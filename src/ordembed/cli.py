@@ -37,10 +37,9 @@ def _diagnose(exc: Exception) -> None:
 
 def _write_csv(config: PointConfig, path: str) -> None:
     rows = config.P if config.Q is None else np.vstack([config.P, config.Q])
-    lines = [",".join(f"x{k + 1}" for k in range(config.dim))]
-    lines += schoenberg.format_rows(rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(f"x{k + 1}" for k in range(config.dim)) + "\n")
+        fh.write(schoenberg.format_rows(rows, "", "\n", ""))
 
 
 def _verify_json(report: verifier.VerifyReport) -> str:

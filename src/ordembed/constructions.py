@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (CHUNK, GramMatrix, PointConfig, factor_points,
-                         pair_distances, upper_pairs)
+from .schoenberg import (CHUNK, GramMatrix, PointConfig, check_pair_count,
+                         factor_points, pair_distances, upper_pairs)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -85,8 +85,9 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     return float(gaps.min()) if gaps.size else float("inf")
 
 
-def _apex_grams(base: np.ndarray, apexes: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _apex_grams(base: np.ndarray, apexes: np.ndarray,
+                screen: tuple[int, float] | None = None
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gram of the base relative to its last point, and the least
     eigenvalue of each apex's Gram: that corner bordered by the apex.
 
@@ -95,7 +96,12 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray
     are those of gram_from_distances on each apex's (k+1)-point distance
     matrix with the last base point as base; the bordered Grams differ
     only in their last row and column, so they are written as a stack and
-    eigen-solved in batches of at most CHUNK entries."""
+    eigen-solved in batches of at most CHUNK entries.
+
+    screen, if given, is (apex, shift): that apex's Gram is first
+    Cholesky-factored with shift off its diagonal. If it does not factor,
+    it has an eigenvalue at or below shift, and None comes back in place
+    of the eigenvalues, with nothing eigen-solved."""
     if not (np.isfinite(base).all() and np.isfinite(apexes).all()):
         raise NonFiniteEntry("distance matrix has non-finite entries")
     m, k = apexes.shape
@@ -104,6 +110,13 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray
     corner = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
     edge = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
     tip = 0.5 * (a2[:, -1] + a2[:, -1])
+    if screen is not None:
+        a, shift = screen
+        G = np.block([[corner, edge[a, :, None]], [edge[a], tip[a]]])
+        try:
+            np.linalg.cholesky(G - shift * np.eye(k))
+        except np.linalg.LinAlgError:
+            return corner, None
     step = max(1, CHUNK // (k * k))
     lam = np.empty(m)
     for a in range(0, m, step):
@@ -157,15 +170,24 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     of _apex_grams). A step is accepted once every apex Gram clears eta,
     place_apexes places the apexes and accept, if given, passes the
     placed rows; any other step is rejected. Placed row k is row order[k]
-    of the configuration, P or P stacked over Q."""
+    of the configuration, P or P stacked over Q. A spec of more than
+    MAX_PAIRS pairs raises BadSize first.
+
+    After a step rejected by its eigenvalues, the next step first screens
+    the Gram that had the least: if it does not Cholesky-factor with eta
+    off its diagonal, the step is rejected without an eigen-solve."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
+    check_pair_count(len(spec.ranks))
     state: dict = {}
 
     def step(eps: float) -> bool:
         base, apexes = target(eps)
-        corner, lam = _apex_grams(base, apexes)
+        corner, lam = _apex_grams(base, apexes, state.get("screen"))
+        if lam is None:
+            return False
         if not (lam > eta).all():
+            state["screen"] = (int(lam.argmin()), eta)
             return False
         try:
             X = place_apexes(corner, apexes)

@@ -13,6 +13,7 @@ impossibility arguments all assume the relevant points distinct). A
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import orders, verifier
 from .errors import BadSize, UnknownName
 from .orders import OrderSpec
-from .schoenberg import PointConfig, upper_pairs
+from .schoenberg import MAX_PAIRS, PointConfig, upper_pairs
 
 MARGIN = 5e-2
 FLOOR = 5e-2
@@ -62,8 +63,6 @@ def _lex_extension(pairs, relations):
 
 
 def _d4_linear(n: int) -> OrderSpec:
-    if n != 4:
-        raise BadSize("d4_linear is fixed at n = 4")
     pairs = orders.complete_pairs(4)
     relations = [((1, 2), (1, 3)), ((2, 4), (3, 4))]
     relations += [(p, (1, 4)) for p in pairs if p != (1, 4)]
@@ -72,8 +71,6 @@ def _d4_linear(n: int) -> OrderSpec:
 
 
 def _block_linear(n: int) -> OrderSpec:
-    if n < 4:
-        raise BadSize("block_linear needs n >= 4")
     low = [(i, j) for i in range(1, n - 2) for j in (n - 2, n - 1, n)]
     mid = [(n - 2, n - 1), (n - 2, n), (n - 1, n)]
     top = orders.complete_pairs(n - 3) if n >= 5 else []
@@ -82,15 +79,11 @@ def _block_linear(n: int) -> OrderSpec:
 
 
 def _diameter_preorder(n: int) -> OrderSpec:
-    if n < 3:
-        raise BadSize("diameter_preorder needs n >= 3")
     rest = tuple(p for p in orders.complete_pairs(n) if p != (n - 1, n))
     return OrderSpec("complete", n, (((n - 1, n),), rest))
 
 
 def _bip_cyclic_linear(n: int) -> OrderSpec:
-    if n < 3:
-        raise BadSize("bip_cyclic_linear needs n >= 3")
     pairs = orders.bipartite_pairs(n, n)
     relations = []
     for col in range(1, n + 1):
@@ -101,8 +94,6 @@ def _bip_cyclic_linear(n: int) -> OrderSpec:
 
 
 def _bip_affine_preorder(n: int) -> OrderSpec:
-    if n < 3:
-        raise BadSize("bip_affine_preorder needs n >= 3")
     classes = [tuple((1, j) for j in range(1, n + 1)),
                tuple((2, j) for j in range(1, n + 1))]
     for i in range(3, n):
@@ -113,14 +104,20 @@ def _bip_affine_preorder(n: int) -> OrderSpec:
     return OrderSpec("bipartite", n, tuple(classes), m=n)
 
 
-# name -> (builder, largest dimension in which the family of size n
-# provably has no realization)
+# the most points a complete or a bipartite family has within MAX_PAIRS
+_COMPLETE = range((1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2 + 1)
+_BIPARTITE = range(math.isqrt(MAX_PAIRS) + 1)
+
+# name -> (builder, admissible n, largest dimension in which the family of
+# size n provably has no realization)
 FAMILIES = {
-    "d4_linear": (_d4_linear, lambda n: 1),
-    "block_linear": (_block_linear, lambda n: n - 3),
-    "diameter_preorder": (_diameter_preorder, lambda n: n - 2),
-    "bip_cyclic_linear": (_bip_cyclic_linear, lambda n: n - 2),
-    "bip_affine_preorder": (_bip_affine_preorder, lambda n: n - 1),
+    "d4_linear": (_d4_linear, range(4, 5), lambda n: 1),
+    "block_linear": (_block_linear, _COMPLETE[4:], lambda n: n - 3),
+    "diameter_preorder": (_diameter_preorder, _COMPLETE[3:], lambda n: n - 2),
+    "bip_cyclic_linear": (_bip_cyclic_linear, _BIPARTITE[3:],
+                          lambda n: n - 2),
+    "bip_affine_preorder": (_bip_affine_preorder, _BIPARTITE[3:],
+                            lambda n: n - 1),
 }
 
 
@@ -129,13 +126,18 @@ def gallery(name: str, n: int) -> OrderSpec:
 
     The sources fix only some relations; unconstrained pairs are completed
     deterministically (lex-smallest compatible completion for the linear
-    families, row-major chaining for the affine preorder)."""
+    families, row-major chaining for the affine preorder). An n outside
+    the family's admissible range, whose top keeps the pair count within
+    MAX_PAIRS, raises BadSize before anything is built."""
     try:
-        builder, _ = FAMILIES[name]
+        builder, sizes, _ = FAMILIES[name]
     except KeyError:
         raise UnknownName(
             f"unknown gallery family {name!r}; "
             f"choose from {', '.join(FAMILIES)}") from None
+    if n not in sizes:
+        raise BadSize(f"{name} is fixed at n = {sizes[0]}" if len(sizes) == 1
+                      else f"{name} needs {sizes[0]} <= n <= {sizes[-1]}")
     spec = builder(n)
     spec.ranks  # validates
     return spec
@@ -144,7 +146,7 @@ def gallery(name: str, n: int) -> OrderSpec:
 def infeasible_dimension(name: str, n: int) -> int:
     """Largest dimension in which the family provably has no realization."""
     gallery(name, n)
-    return FAMILIES[name][1](n)
+    return FAMILIES[name][2](n)
 
 
 def simplex_diameter_bound(n: int) -> float:

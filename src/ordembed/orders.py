@@ -222,18 +222,20 @@ def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
     return np.column_stack(np.divmod(index, m)) + 1
 
 
-def to_json_dict(spec: OrderSpec) -> dict:
-    out = {"kind": spec.kind, "n": spec.n}
-    if spec.kind == "bipartite":
-        out["m"] = spec.m
-    pairs = spec._ij.tolist()
-    ends = np.cumsum(spec._sizes).tolist()
-    out["classes"] = [pairs[a:b] for a, b in zip([0] + ends, ends)]
-    return out
-
-
 def to_json(spec: OrderSpec) -> str:
-    return json.dumps(to_json_dict(spec))
+    """The spec as json.dumps writes its dict, with the classes written by
+    one % format over the (i, j) array: each class is its pairs'
+    "[%d, %d]" joined by ", " (nothing when it is empty), and the classes
+    are joined by "], [" between "[[" and "]]"."""
+    head = {"kind": spec.kind, "n": spec.n}
+    if spec.kind == "bipartite":
+        head["m"] = spec.m
+    sizes = spec._sizes.tolist()
+    each = {k: ", ".join(["[%d, %d]"] * k) for k in set(sizes)}
+    classes = "[[" + "], [".join(map(each.__getitem__, sizes)) + "]]"
+    return (json.dumps(head)[:-1] + ', "classes": '
+            + (classes if sizes else "[]")
+            % tuple(spec._ij.ravel().tolist()) + "}")
 
 
 def _int(value, what: str) -> int:

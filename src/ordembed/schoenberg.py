@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (BadIndex, DimTooSmall, NonFiniteEntry, NotPSD,
+from .errors import (BadIndex, BadSize, DimTooSmall, NonFiniteEntry, NotPSD,
                      ShapeMismatch)
 
 
@@ -125,6 +125,17 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # element count of the largest temporary pair_distances allocates
 CHUNK = 1 << 16
+# most pairs a configuration or a realized spec may have: at n = 1500
+# points (1,124,250 pairs) a realized margin is still 7 times the verifier
+# threshold, and realize takes seconds
+MAX_PAIRS = 1_200_000
+
+
+def check_pair_count(count: int) -> None:
+    """Raise BadSize for more than MAX_PAIRS pairs; callers check before
+    they allocate anything per pair."""
+    if count > MAX_PAIRS:
+        raise BadSize(f"{count} pairs exceed the cap of {MAX_PAIRS}")
 
 
 def pair_distances(config: PointConfig) -> np.ndarray:
@@ -137,14 +148,14 @@ def pair_distances(config: PointConfig) -> np.ndarray:
     (one pair's coordinates when dim exceeds CHUNK): apart from the result,
     memory does not grow with n or dim. Per pair the float operations and
     their order are those of the n x n x dim broadcast, so the result is
-    bit for bit the same."""
+    bit for bit the same. More than MAX_PAIRS pairs raise BadSize."""
     P = np.asarray(config.P, dtype=float)
     Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
+    count = (len(P) * (len(P) - 1) // 2 if config.Q is None
+             else len(P) * len(Q))
+    check_pair_count(count)
     if config.Q is None:
         rows, cols = upper_pairs(len(P))
-        count = rows.size
-    else:
-        count = len(P) * len(Q)
     vals = np.empty(count)
     step = max(1, CHUNK // max(1, P.shape[1]))
     for a in range(0, count, step):
@@ -170,11 +181,14 @@ def distances_of(config: PointConfig) -> np.ndarray:
     return D + D.T
 
 
-def format_rows(A) -> list[str]:
-    """Each row of A as comma-separated numbers with 17 significant digits,
-    which parse back to the exact binary values."""
-    return [",".join(map("{:.17g}".format, row))
-            for row in np.asarray(A, dtype=float).tolist()]
+def format_rows(A, before: str, after: str, sep: str) -> str:
+    """The rows of A, each its numbers comma-separated between before and
+    after, joined by sep. One "%.17g" format over all of A: 17 significant
+    digits parse back to the exact binary values. The program's one float
+    formatter, for points files and CSV alike."""
+    A = np.asarray(A, dtype=float)
+    row = before + ",".join(["%.17g"] * A.shape[1]) + after
+    return sep.join([row] * A.shape[0]) % tuple(A.ravel().tolist())
 
 
 def json_float(x: float) -> float | None:
@@ -199,7 +213,7 @@ def config_to_json(config: PointConfig) -> str:
     """Serialize with 17 significant digits so parsing reproduces the
     exact binary values."""
     def rows(A):
-        return "[" + ",".join("[" + r + "]" for r in format_rows(A)) + "]"
+        return "[" + format_rows(A, "[", "]", ",") + "]"
 
     out = f'{{"dim":{config.dim},"P":{rows(config.P)}'
     if config.Q is not None:

@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in process through cli.main."""
 import builtins
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (first_verified_restart, one_spec_per_realizer,
                       random_preorder)
 from ordembed import (cli, constructions, counterexamples, orders, schoenberg,
                       verifier)
+from ordembed.errors import BadSize
 from ordembed.orders import OrderSpec
 from ordembed.schoenberg import PointConfig
 
@@ -403,6 +406,43 @@ def test_verify_and_induce_reject_overflowing_points(text, error, tmp_path,
     for argv in (["verify", spec, str(pts)], ["induce", str(pts)]):
         assert cli.main(argv) == 2
         assert _diag(capsys)["error"] == error
+
+
+def test_quadratic_inputs_are_refused_before_allocating(tmp_path, capsys):
+    # 1550 one-dimensional points take 20 kB of JSON but 1,200,475 pairs,
+    # and a gallery size is one number: both are refused before anything
+    # per pair is allocated
+    n = (1 + math.isqrt(1 + 8 * schoenberg.MAX_PAIRS)) // 2 + 1
+    assert n * (n - 1) // 2 > schoenberg.MAX_PAIRS
+    pts = tmp_path / "line.json"
+    schoenberg.save_config(
+        PointConfig(dim=1, P=np.arange(n, dtype=float)[:, None]), str(pts))
+    out = str(tmp_path / "o.json")
+    tracemalloc.start()
+    try:
+        for argv in (["induce", str(pts)],
+                     ["gallery", "block_linear", "100000", out],
+                     ["gallery", "bip_cyclic_linear", "100000", out]):
+            assert cli.main(argv) == 2
+            assert _diag(capsys)["error"] == "BadSize"
+        with pytest.raises(BadSize, match="exceed the cap"):
+            schoenberg.pair_distances(PointConfig(
+                dim=1, P=np.zeros((1096, 1)), Q=np.zeros((1096, 1))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_realize_refuses_a_spec_over_the_pair_cap(monkeypatch, tmp_path,
+                                                  capsys):
+    monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
+    spec = _spec_file(OrderSpec("complete", 4, (tuple(
+        orders.complete_pairs(4)),)), tmp_path)
+    assert cli.main(["realize", spec, str(tmp_path / "o.json")]) == 2
+    assert _diag(capsys) == {"error": "BadSize",
+                             "message": "6 pairs exceed the cap of 5"}
 
 
 def test_realize_one_class_report_is_strict_json(tmp_path, capsys):

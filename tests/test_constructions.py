@@ -582,3 +582,91 @@ def test_linear_grams_match_per_apex_reference():
                     M[np.ix_(others + [apex], others + [apex])], n - 2))
                 for apex in (i1 - 1, j1 - 1))
             assert report.min_eigenvalues == want
+
+
+def _eigvalsh_search(spec, search, eta=constructions.ETA):
+    """Reference epsilon search: every step's apex Grams built whole with
+    gram_from_distances and eigen-solved, nothing screened. Returns the
+    accepted eps, the least eigenvalues there and the steps rejected."""
+    eps = search.initial
+    for rejected in range(search.max_steps):
+        if spec.kind == "bipartite":
+            R = spec.ranks.reshape(spec.n, spec.m)
+            R = R.T if spec.m < spec.n else R
+            k = len(R)
+            D = np.full((k + 1, k + 1), 1.0 + eps)
+            np.fill_diagonal(D, 0.0)
+            eigs = []
+            for col in R.T:
+                D[k, :k] = D[:k, k] = 1.0 + col * eps
+                eigs.append(min_eigenvalue(gram_from_distances(D, k)))
+            ok = min(eigs) > eta
+        elif spec.is_linear() and spec.n >= 3:
+            n = spec.n
+            i1, j1 = spec.classes[0][0]
+            others = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+            M = perturbed_distances(spec, eps)
+            eigs = [min_eigenvalue(gram_from_distances(
+                M[np.ix_(others + [a], others + [a])], n - 2))
+                for a in (i1 - 1, j1 - 1)]
+            ok = min(eigs) > eta
+            if ok:
+                corner = gram_from_distances(M[np.ix_(others, others)], n - 2)
+                X = place_apexes(corner.matrix,
+                                 M[np.ix_([i1 - 1, j1 - 1], others)])
+                ok = 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0
+        else:
+            M = perturbed_distances(spec, eps)
+            eigs = [min_eigenvalue(gram_from_distances(M, spec.n))]
+            ok = eigs[0] > eta
+        if ok:
+            return eps, tuple(eigs), rejected
+        eps *= search.shrink_factor
+    raise EpsilonExhausted("reference search exhausted")
+
+
+def test_screened_search_matches_eigvalsh_reference():
+    # the realizers Cholesky-screen every step after a rejected one; the
+    # accepted eps and its least eigenvalues must be those of a search
+    # that eigen-solves every step, also where several steps are rejected
+    rng = np.random.default_rng(39)
+    specs = [random_preorder(rng, n) for n in (3, 5, 8, 20, 60)]
+    specs += [random_linear_order(rng, n) for n in (3, 5, 8, 20, 60)]
+    specs += [random_bipartite_preorder(rng, n, m)
+              for n, m in ((1, 4), (3, 2), (5, 5), (12, 9), (30, 25))]
+    most = {}
+    for spec in specs:
+        for search in (default_search(spec), EpsilonSearch(initial=0.45),
+                       EpsilonSearch(initial=0.3, shrink_factor=0.8)):
+            eta = constructions.ETA
+            for _ in range(2):
+                report = realize(spec, eta=eta, search=search)
+                eps, eigs, rejected = _eigvalsh_search(spec, search, eta)
+                assert report.epsilon == eps
+                assert report.min_eigenvalues == eigs
+                # again with the accepted step's least eigenvalue just
+                # above eta, where a screen stricter than eta would show
+                eta = 0.9 * min(eigs)
+            kind = ("linear" if spec.kind == "complete" and spec.is_linear()
+                    else spec.kind)
+            most[kind] = max(most.get(kind, 0), rejected)
+    assert min(most.values()) >= 2, most
+
+
+def test_screen_rejects_only_what_the_eigenvalues_reject():
+    # screened on an apex, _apex_grams returns exactly the unscreened
+    # result when that apex's least eigenvalue clears the shift, and None
+    # when it does not
+    rng = np.random.default_rng(40)
+    for k, m in ((2, 1), (4, 3), (7, 12), (30, 5)):
+        X = rng.standard_normal((k + m, k))
+        D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+        base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
+        base = np.triu(base, 1) + np.triu(base, 1).T
+        apexes = D[k:, :k]
+        corner, lam = _apex_grams(base, apexes)
+        for a in range(m):
+            got_corner, got = _apex_grams(base, apexes, (a, lam[a] - 1e-3))
+            assert np.array_equal(got_corner, corner)
+            assert np.array_equal(got, lam)
+            assert _apex_grams(base, apexes, (a, lam[a] + 1e-3))[1] is None

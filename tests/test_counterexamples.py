@@ -13,7 +13,7 @@ from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
                                       simplex_diameter_bound, stress_loss)
 from ordembed.errors import BadSize, ShapeMismatch, UnknownName
 from ordembed.orders import OrderSpec, complete_pairs
-from ordembed.schoenberg import PointConfig
+from ordembed.schoenberg import MAX_PAIRS, PointConfig
 
 STOP_REASONS = {"converged", "stall", "no_step", "zero_gradient", "cap"}
 
@@ -38,6 +38,16 @@ def test_gallery_size_limits():
         gallery("bip_cyclic_linear", 2)
     with pytest.raises(BadSize):
         gallery("bip_affine_preorder", 2)
+    # past d4_linear, each admissible range ends at the last size within
+    # the pair cap
+    for name, pairs in [("block_linear", lambda n: n * (n - 1) // 2),
+                        ("diameter_preorder", lambda n: n * (n - 1) // 2),
+                        ("bip_cyclic_linear", lambda n: n * n),
+                        ("bip_affine_preorder", lambda n: n * n)]:
+        top = counterexamples.FAMILIES[name][1][-1]
+        assert pairs(top) <= MAX_PAIRS < pairs(top + 1)
+        with pytest.raises(BadSize, match=name):
+            gallery(name, top + 1)
 
 
 def test_gallery_deterministic():

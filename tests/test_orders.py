@@ -251,6 +251,32 @@ def test_json_and_canonical_match_sorted_oracle(raw):
         assert orders.from_ranks(spec.ranks, n, m) == canon
 
 
+# (kind, n, m, classes): shapes the partition strategy above never draws
+# (empty classes, no classes, indices beyond int64, reversed pairs), and
+# one bipartite spec
+_RAW_WRITER_CASES = [
+    ("complete", 3, None, [[], [(1, 2)], [], [], [(1, 3), (2, 3)], []]),
+    ("complete", 3, None, [[(1, 2)], [], [(3, 1), (2, 3)]]),
+    ("complete", 3, None, [[], []]),
+    ("complete", 3, None, [[]]),
+    ("complete", 3, None, []),
+    ("complete", 4, None, [[(2 ** 70, 1)], [(3, -2 ** 64), (1, 2)], []]),
+    ("bipartite", 2, 2, [[(2, 2 ** 63)], [], [(1, 1), (1, 2)], [(2, 1)]]),
+    ("bipartite", 2, 3, [[(1, 1), (2, 3)], [(2, 1), (1, 2), (1, 3)],
+                         [(2, 2)]]),
+]
+
+
+@pytest.mark.parametrize("raw", _RAW_WRITER_CASES)
+def test_to_json_matches_json_dumps_on_raw_specs(raw):
+    kind, n, m, classes = raw
+    norm = [[sorted(p) if kind == "complete" else list(p) for p in cls]
+            for cls in classes]
+    head = {"kind": kind, "n": n, **({} if m is None else {"m": m})}
+    spec = OrderSpec(kind, n, classes, m=m)
+    assert orders.to_json(spec) == json.dumps(dict(head, classes=norm))
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: random_preorder(rng, 7),
     lambda rng: random_linear_order(rng, 7),

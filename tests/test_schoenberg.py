@@ -320,7 +320,8 @@ def test_format_rows_bytes_match_per_value_format():
                   [-1e308, 3.0, -7.0],
                   [2.0 ** 53, 0.1, -1.0 / 3.0]])
     want = [",".join(format(float(x), ".17g") for x in row) for row in A]
-    assert schoenberg.format_rows(A) == want
+    assert schoenberg.format_rows(A, "", "\n", "") == "".join(
+        row + "\n" for row in want)
     config = PointConfig(dim=3, P=A[:2], Q=A[2:])
     text = config_to_json(config)
     assert text == ('{"dim":3,"P":[[' + "],[".join(want[:2]) + ']],"Q":[['

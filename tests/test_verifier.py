@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, random_preorder, rank
-from ordembed import cli, schoenberg, verifier
+from conftest import (count_calls, random_bipartite_preorder,
+                      random_linear_order, random_preorder, rank)
+from ordembed import cli, orders, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.errors import ShapeMismatch
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
@@ -105,6 +106,37 @@ def test_isometry_invariance():
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         moved = P @ Q.T + rng.standard_normal(d)
         assert induced_preorder(PointConfig(dim=d, P=moved)).classes == base
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_preorder(rng, 40),
+    lambda rng: random_linear_order(rng, 60),
+    lambda rng: random_bipartite_preorder(rng, 30, 30)],
+    ids=["preorder", "linear", "bipartite"])
+def test_realized_configs_survive_motion_and_scaling(make, tmp_path, capsys):
+    # realized configurations are where the margin sits closest to the
+    # verifier threshold: moved by a random orthogonal map and translation,
+    # scaled by 10^-3 or 10^3 and checked with tol_abs scaled alike, they
+    # must still match, and induce must print the same canonical spec
+    rng = np.random.default_rng(41)
+    spec = make(rng)
+    config = realize(spec).config
+    want = orders.to_json(orders.canonical(spec)) + "\n"
+    d = config.dim
+    for scale in (1e-3, 1e3):
+        R, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        shift = rng.standard_normal(d)
+
+        def move(X):
+            return None if X is None else scale * (X @ R + shift)
+
+        moved = PointConfig(dim=d, P=move(config.P), Q=move(config.Q))
+        tol = verifier.TOL_ABS * scale
+        assert verify(moved, spec, tol_abs=tol).matched
+        path = tmp_path / "moved.json"
+        schoenberg.save_config(moved, str(path))
+        assert cli.main(["induce", str(path), "--tol-abs", repr(tol)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_scale_covariance():
