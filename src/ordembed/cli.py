@@ -20,8 +20,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import constructions, counterexamples, orders, schoenberg, verifier
 from .constructions import EpsilonSearch
 from .counterexamples import FalsifierConfig
@@ -36,10 +34,9 @@ def _diagnose(exc: Exception) -> None:
 
 
 def _write_csv(config: PointConfig, path: str) -> None:
-    rows = config.P if config.Q is None else np.vstack([config.P, config.Q])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"x{k + 1}" for k in range(config.dim)) + "\n")
-        fh.write(schoenberg.format_rows(rows, "", "\n", ""))
+        fh.write(schoenberg.format_rows(config.rows(), "", "\n", ""))
 
 
 def _verify_json(report: verifier.VerifyReport) -> str:

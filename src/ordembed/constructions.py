@@ -23,7 +23,7 @@ from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
 from .schoenberg import (CHUNK, GramMatrix, PointConfig, check_pair_count,
-                         factor_points, pair_distances, upper_pairs)
+                         factor_points, pair_distances, pair_index)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -73,7 +73,7 @@ def default_search(spec: OrderSpec) -> EpsilonSearch:
 def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     """m_ij = 1 + rank(i,j)*eps, zero diagonal. Complete specs only."""
     M = np.zeros((spec.n, spec.n))
-    M[upper_pairs(spec.n)] = 1.0 + spec.ranks * eps
+    M[pair_index(spec.n, spec.m)] = 1.0 + spec.ranks * eps
     return M + M.T
 
 
@@ -201,8 +201,7 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     eps = choose_epsilon(search or default_search(spec), step)
     rows = np.empty_like(state["X"])
     rows[order] = state["X"]
-    Q = rows[spec.n:] if spec.kind == "bipartite" else None
-    config = PointConfig(dim=rows.shape[1], P=rows[:spec.n], Q=Q)
+    config = PointConfig.from_rows(rows, spec.n, spec.kind)
     return RealizationReport(config=config, epsilon=eps,
                              margin=_realized_margin(spec, config),
                              min_eigenvalues=tuple(state["eigs"].tolist()))

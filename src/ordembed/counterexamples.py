@@ -22,7 +22,7 @@ import numpy as np
 from . import orders, verifier
 from .errors import BadSize, UnknownName
 from .orders import OrderSpec
-from .schoenberg import MAX_PAIRS, PointConfig, upper_pairs
+from .schoenberg import MAX_PAIRS, PointConfig, pair_index
 
 MARGIN = 5e-2
 FLOOR = 5e-2
@@ -121,32 +121,37 @@ FAMILIES = {
 }
 
 
+def _family(name: str, n: int):
+    """The FAMILIES entry of name if n is admissible (the range's top keeps
+    the pair count within MAX_PAIRS), else UnknownName or BadSize."""
+    try:
+        family = FAMILIES[name]
+    except KeyError:
+        raise UnknownName(
+            f"unknown gallery family {name!r}; "
+            f"choose from {', '.join(FAMILIES)}") from None
+    sizes = family[1]
+    if n not in sizes:
+        raise BadSize(f"{name} is fixed at n = {sizes[0]}" if len(sizes) == 1
+                      else f"{name} needs {sizes[0]} <= n <= {sizes[-1]}")
+    return family
+
+
 def gallery(name: str, n: int) -> OrderSpec:
     """Emit a lower-bound family as a full order spec.
 
     The sources fix only some relations; unconstrained pairs are completed
     deterministically (lex-smallest compatible completion for the linear
-    families, row-major chaining for the affine preorder). An n outside
-    the family's admissible range, whose top keeps the pair count within
-    MAX_PAIRS, raises BadSize before anything is built."""
-    try:
-        builder, sizes, _ = FAMILIES[name]
-    except KeyError:
-        raise UnknownName(
-            f"unknown gallery family {name!r}; "
-            f"choose from {', '.join(FAMILIES)}") from None
-    if n not in sizes:
-        raise BadSize(f"{name} is fixed at n = {sizes[0]}" if len(sizes) == 1
-                      else f"{name} needs {sizes[0]} <= n <= {sizes[-1]}")
-    spec = builder(n)
+    families, row-major chaining for the affine preorder)."""
+    spec = _family(name, n)[0](n)
     spec.ranks  # validates
     return spec
 
 
 def infeasible_dimension(name: str, n: int) -> int:
-    """Largest dimension in which the family provably has no realization."""
-    gallery(name, n)
-    return FAMILIES[name][2](n)
+    """Largest dimension in which the family provably has no realization;
+    the spec is not built."""
+    return _family(name, n)[2](n)
 
 
 def simplex_diameter_bound(n: int) -> float:
@@ -177,17 +182,15 @@ class _StressTerms:
 
     def __init__(self, spec: OrderSpec, dim: int, margin: float,
                  floor: float):
-        n = spec.n
+        n, m = spec.n, spec.m
         ranks = spec.ranks
+        ii, jj = pair_index(n, m)
         if spec.kind == "complete":
             self.n_points = n
-            ii, jj = upper_pairs(n)
             xi = xj = np.zeros(0, dtype=int)
         else:
-            m = spec.m
             self.n_points = n + m
-            ii = np.repeat(np.arange(n), m)
-            jj = n + np.tile(np.arange(m), n)
+            jj = n + jj
             # points of one collection may legally coincide, but only when
             # their relation rows agree; rows that differ force distinct
             # points in every realization, so only those pairs get the
@@ -249,15 +252,11 @@ class _StressTerms:
 
 
 def _differing_rows(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row index pairs a < b, row-major, of the rows of R that differ."""
-    return np.nonzero(np.triu((R[:, None, :] != R[None, :, :]).any(axis=2),
-                              1))
-
-
-def _stack(config: PointConfig) -> np.ndarray:
-    if config.Q is None:
-        return np.asarray(config.P, dtype=float)
-    return np.vstack([config.P, config.Q])
+    """Row index pairs a < b, row-major, of the rows of R that differ.
+    Equal rows share a label and only labels are compared pairwise, so
+    memory grows with the square of the row count alone."""
+    label = np.unique(R, axis=0, return_inverse=True)[1].ravel()
+    return np.nonzero(np.triu(label[:, None] != label[None, :], 1))
 
 
 def _loss_only(terms: _StressTerms, X: np.ndarray):
@@ -334,7 +333,7 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     """
     spec.ranks  # validates
     verifier.check_shape(config, spec)
-    X = _stack(config)
+    X = config.rows()
     return _loss_grad(_StressTerms(spec, X.shape[1], margin, floor), X)
 
 
@@ -428,12 +427,6 @@ def _descend(terms: _StressTerms, X: np.ndarray,
     return f, X, RestartStop("converged" if f < STOP_LOSS else "cap", iters)
 
 
-def _split_config(spec: OrderSpec, X: np.ndarray, dim: int) -> PointConfig:
-    if spec.kind == "complete":
-        return PointConfig(dim=dim, P=X.copy())
-    return PointConfig(dim=dim, P=X[: spec.n].copy(), Q=X[spec.n:].copy())
-
-
 def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     """Search for a realization of spec in R^dim by restarted descent.
 
@@ -460,8 +453,8 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
             best_loss = f
             best_X = X
         if f < FEASIBLE_LOSS and verifier.verify(
-                _split_config(spec, X, cfg.dim), spec, tol_abs=VERIFY_TOL,
-                tol_rel=VERIFY_TOL).matched:
+                PointConfig.from_rows(X, spec.n, spec.kind), spec,
+                tol_abs=VERIFY_TOL, tol_rel=VERIFY_TOL).matched:
             verdict, final_X = "feasible", X
             break
     else:
@@ -469,7 +462,8 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
                         for f, s in zip(losses, stops))
         verdict = "undecided" if undecided else "refuted"
         final_X = best_X
+    best_config = PointConfig.from_rows(final_X, spec.n, spec.kind)
     return FalsifierReport(verdict=verdict, best_loss=best_loss,
-                           best_config=_split_config(spec, final_X, cfg.dim),
+                           best_config=best_config,
                            per_restart_losses=tuple(losses),
                            per_restart_stops=tuple(stops))

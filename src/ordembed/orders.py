@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
                      SpecError)
-from .schoenberg import upper_pairs
+from .schoenberg import pair_index
 
 Pair = tuple[int, int]
 
@@ -44,12 +44,26 @@ class OrderSpec:
     m: int | None = None
 
     def __init__(self, kind: str, n: int, classes, m: int | None = None):
-        pairs = list(chain.from_iterable(classes))
-        if set(map(len, pairs)) - {2}:
-            bad = next(p for p in pairs if len(p) != 2)
-            raise SpecError(f"malformed pair {tuple(bad)!r}")
-        flat = list(chain.from_iterable(pairs))
-        if set(map(type, flat)) - {int}:
+        # bulk checks at C speed; only when one fails is the offender
+        # located, the first that a class-by-class, pair-by-pair scan meets
+        if not isinstance(classes, (list, tuple)):
+            raise SpecError(f"classes must be a list, got {classes!r}")
+        lists = list(map(isinstance, classes, repeat((list, tuple))))
+        upto = lists.index(False) if False in lists else len(classes)
+        pairs = list(chain.from_iterable(classes[:upto]))
+        shaped = (all(map(isinstance, pairs, repeat((list, tuple))))
+                  and set(map(len, pairs)) <= {2})
+        flat = list(chain.from_iterable(pairs)) if shaped else []
+        types = set(map(type, flat))
+        if not (shaped and all(map(_is_index_type, types))):
+            bad = next(p for p in pairs if not (
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and _is_index_type(type(p[0]))
+                and _is_index_type(type(p[1]))))
+            raise SpecError(f"malformed pair {bad!r}")
+        if upto < len(classes):
+            raise SpecError(f"a class must be a list, got {classes[upto]!r}")
+        if types - {int}:
             flat = list(map(int, flat))
         sizes = list(map(len, classes))
         vars(self).update(vars(_new(kind, n, m, flat, sizes)))
@@ -117,6 +131,11 @@ class OrderSpec:
         return bool((self._sizes == 1).all())
 
 
+def _is_index_type(t: type) -> bool:
+    # int or a numpy integer: bool, float and str are refused, not coerced
+    return t is int or issubclass(t, np.integer)
+
+
 def _new(kind: str, n: int, m: int | None, flat, sizes) -> OrderSpec:
     """The spec of checked indices flat (i1, j1, i2, ... or (N, 2) array)."""
     try:
@@ -149,6 +168,8 @@ def validate(spec: OrderSpec) -> None:
     n, m = spec.n, spec.m
     complete = spec.kind == "complete"
     if complete:
+        if m is not None:
+            raise SpecError(f"complete spec takes no m, got {m!r}")
         if n < 2:
             raise IndexOutOfRange(f"complete spec needs n >= 2, got {n}")
         total = n * (n - 1) // 2
@@ -216,10 +237,8 @@ def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
 def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
     """The 1-based (i, j) rows of the pairs at the given lexicographic
     positions of the complete (m None) or bipartite pair set."""
-    if m is None:
-        rows, cols = upper_pairs(n)
-        return np.column_stack((rows[index], cols[index])) + 1
-    return np.column_stack(np.divmod(index, m)) + 1
+    rows, cols = pair_index(n, m)
+    return np.column_stack((rows[index], cols[index])) + 1
 
 
 def to_json(spec: OrderSpec) -> str:
@@ -257,24 +276,7 @@ def from_json_dict(data: dict) -> OrderSpec:
         if "m" not in data:
             raise SpecError("bipartite spec needs m")
         m = _int(data["m"], "m")
-    if not isinstance(raw, (list, tuple)):
-        raise SpecError(f"classes must be a list, got {raw!r}")
-    # bulk checks at C speed; only when one fails is the offender located,
-    # the first that a class-by-class, pair-by-pair scan meets
-    lists = list(map(isinstance, raw, repeat((list, tuple))))
-    upto = lists.index(False) if False in lists else len(raw)
-    pairs = list(chain.from_iterable(raw[:upto]))
-    shaped = (all(map(isinstance, pairs, repeat((list, tuple))))
-              and set(map(len, pairs)) <= {2})
-    flat = list(chain.from_iterable(pairs)) if shaped else []
-    if not (shaped and set(map(type, flat)) <= {int}):
-        bad = next(p for p in pairs if not (
-            isinstance(p, (list, tuple)) and len(p) == 2
-            and type(p[0]) is int and type(p[1]) is int))
-        raise SpecError(f"malformed pair {bad!r}")
-    if upto < len(raw):
-        raise SpecError(f"a class must be a list, got {raw[upto]!r}")
-    spec = _new(kind, n, m, flat, list(map(len, raw)))
+    spec = OrderSpec(kind, n, raw, m)
     spec.ranks  # validates, and caches the ranks for every later reader
     return spec
 

@@ -54,9 +54,16 @@ class PointConfig:
     P: np.ndarray
     Q: np.ndarray | None = None
 
-    @property
-    def kind(self) -> str:
-        return "complete" if self.Q is None else "bipartite"
+    def rows(self) -> np.ndarray:
+        """The points as one float array: P, or P stacked over Q."""
+        return np.asarray(self.P if self.Q is None
+                          else np.vstack([self.P, self.Q]), dtype=float)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, n: int, kind: str) -> PointConfig:
+        """Inverse of rows(): P is rows[:n], Q is rows[n:] if bipartite."""
+        Q = rows[n:] if kind == "bipartite" else None
+        return cls(dim=rows.shape[1], P=rows[:n], Q=Q)
 
 
 def gram_from_distances(D: np.ndarray, base: int) -> GramMatrix:
@@ -113,16 +120,6 @@ def factor_points(G: GramMatrix, dim: int) -> PointConfig:
     return PointConfig(dim=dim, P=P)
 
 
-@lru_cache(maxsize=64)
-def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (rows, cols) of the pairs i < j of n points, in lexicographic
-    order. Cached because np.triu_indices costs more than the small
-    realizations that ask for it; the arrays are read-only."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 # element count of the largest temporary pair_distances allocates
 CHUNK = 1 << 16
 # most pairs a configuration or a realized spec may have: at n = 1500
@@ -138,6 +135,20 @@ def check_pair_count(count: int) -> None:
         raise BadSize(f"{count} pairs exceed the cap of {MAX_PAIRS}")
 
 
+@lru_cache(maxsize=64)
+def pair_index(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, j) of every pair of D_n (m None) or B_{n,m}, in the
+    lexicographic order of OrderSpec.pair_set() and every per-pair vector.
+    The pair count is checked before anything is allocated. Cached, because
+    np.triu_indices costs more than the small realizations that ask for
+    it; the arrays are read-only."""
+    check_pair_count(n * (n - 1) // 2 if m is None else n * m)
+    i, j = np.triu_indices(n, 1) if m is None else np.divmod(
+        np.arange(n * m), m)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pair_distances(config: PointConfig) -> np.ndarray:
     """Distance of every pair, in the lexicographic pair order of
     OrderSpec.pair_set(): the upper triangle of a complete config row by
@@ -145,25 +156,20 @@ def pair_distances(config: PointConfig) -> np.ndarray:
 
     The program's only distance kernel. Each unordered pair is computed
     once, in chunks of pairs whose temporaries hold at most CHUNK elements
-    (one pair's coordinates when dim exceeds CHUNK): apart from the result,
-    memory does not grow with n or dim. Per pair the float operations and
-    their order are those of the n x n x dim broadcast, so the result is
-    bit for bit the same. More than MAX_PAIRS pairs raise BadSize."""
+    (one pair's coordinates when dim exceeds CHUNK). The result and the
+    cached pair_index (16 bytes per pair) grow with the pair count; the
+    chunking bounds only the temporaries, which do not grow with n or
+    dim. Per pair the float operations and their order are those of the
+    n x n x dim broadcast, so the result is bit for bit the same. More
+    than MAX_PAIRS pairs raise BadSize."""
     P = np.asarray(config.P, dtype=float)
     Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
-    count = (len(P) * (len(P) - 1) // 2 if config.Q is None
-             else len(P) * len(Q))
-    check_pair_count(count)
-    if config.Q is None:
-        rows, cols = upper_pairs(len(P))
-    vals = np.empty(count)
+    rows, cols = pair_index(len(P), None if config.Q is None else len(Q))
+    vals = np.empty(len(rows))
     step = max(1, CHUNK // max(1, P.shape[1]))
-    for a in range(0, count, step):
-        if config.Q is None:
-            i, j = rows[a:a + step], cols[a:a + step]
-        else:
-            i, j = np.divmod(np.arange(a, min(a + step, count)), len(Q))
-        diff = P.take(i, axis=0) - Q.take(j, axis=0)
+    for a in range(0, len(rows), step):
+        diff = (P.take(rows[a:a + step], axis=0)
+                - Q.take(cols[a:a + step], axis=0))
         np.sqrt(np.add.reduce(diff * diff, axis=1), out=vals[a:a + step])
     return vals
 
@@ -177,7 +183,7 @@ def distances_of(config: PointConfig) -> np.ndarray:
         return vals.reshape(len(config.P), len(config.Q))
     n = len(config.P)
     D = np.zeros((n, n))
-    D[upper_pairs(n)] = vals
+    D[pair_index(n, None)] = vals
     return D + D.T
 
 

@@ -126,7 +126,7 @@ def _first_disagreement(spec: OrderSpec, induced: InducedOrder
     a = int(marked.argmax())
     differ = (np.sign(want[a + 1:] - want[a])
               != np.sign(got[a + 1:] - got[a]))
-    pairs = _pairs_at(spec.n, spec.m if spec.kind == "bipartite" else None,
+    pairs = _pairs_at(spec.n, spec.m,
                       np.array([a, a + 1 + int(differ.argmax())]))
     return tuple(map(tuple, pairs.tolist()))
 

@@ -142,6 +142,7 @@ def first_verified_restart(spec, cfg):
     configuration of the first whose descent ends below FEASIBLE_LOSS and
     verifies, or (None, None)."""
     from ordembed import counterexamples, verifier
+    from ordembed.schoenberg import PointConfig
 
     terms = counterexamples._StressTerms(spec, cfg.dim, cfg.margin, cfg.floor)
     tol = counterexamples.VERIFY_TOL
@@ -149,7 +150,7 @@ def first_verified_restart(spec, cfg):
         X0 = np.random.default_rng([cfg.seed, r]).standard_normal(
             (terms.n_points, cfg.dim))
         f, X, _ = counterexamples._descend(terms, X0, cfg.iters)
-        config = counterexamples._split_config(spec, X, cfg.dim)
+        config = PointConfig.from_rows(X, spec.n, spec.kind)
         if (f < counterexamples.FEASIBLE_LOSS
                 and verifier.verify(config, spec, tol_abs=tol,
                                     tol_rel=tol).matched):

@@ -406,8 +406,9 @@ def test_align_shared_points_of_linear_construction():
     OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1)),), m=2),
     OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),)),
     OrderSpec("ring", 3, (((1, 2), (1, 3), (2, 3)),)),
+    OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)),), m=7),
 ], ids=["missing", "duplicate", "empty-class", "out-of-range", "n-one",
-        "bip-missing", "bip-no-m", "unknown-kind"])
+        "bip-missing", "bip-no-m", "unknown-kind", "complete-with-m"])
 def test_realize_rejects_what_validate_rejects(spec):
     with pytest.raises(SpecError) as want:
         orders.validate(spec)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import (fd_gradient, first_verified_restart,
                       random_bipartite_preorder, random_linear_order,
                       random_preorder, rank, reflected_simplex_gap)
-from ordembed import cli, counterexamples, orders, verifier
+from ordembed import cli, counterexamples, orders, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
                                       infeasible_dimension,
@@ -126,6 +127,19 @@ def test_bip_affine_audit():
             assert min(lo) < min(hi)
         for j in range(1, n):
             assert rank(spec, (n, j)) < rank(spec, (n, j + 1))
+
+
+def test_infeasible_dimension_builds_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built the family at n = {n}")
+    _, sizes, dim = counterexamples.FAMILIES["block_linear"]
+    monkeypatch.setitem(counterexamples.FAMILIES, "block_linear",
+                        (refuse, sizes, dim))
+    assert infeasible_dimension("block_linear", 800) == 797
+    with pytest.raises(BadSize):
+        infeasible_dimension("block_linear", 3)
+    with pytest.raises(UnknownName):
+        infeasible_dimension("nope", 4)
 
 
 def test_infeasible_dimension_table():
@@ -392,3 +406,45 @@ def test_falsify_recall_at_realized_dimension(kind, make, n):
         report = falsify(spec, FalsifierConfig(dim=dim, restarts=2,
                                                iters=3000))
         assert report.verdict == "feasible", f"{kind} n={n} at d={dim}"
+
+
+def _differing_rows_broadcast(R):
+    return np.nonzero(np.triu((R[:, None, :] != R[None, :, :]).any(axis=2),
+                              1))
+
+
+def test_differing_rows_matches_broadcast_in_bounded_memory():
+    rng = np.random.default_rng(13)
+    # few distinct rows, each repeated, and repeated columns
+    patterns = rng.integers(1, 4, size=(5, 7))
+    R = patterns[rng.integers(0, 5, size=40)][:, rng.integers(0, 7, size=30)]
+    for M in (R, R.T, R[:1], np.ones((6, 3), dtype=np.int64)):
+        got = counterexamples._differing_rows(M)
+        want = _differing_rows_broadcast(M)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the n x n x m broadcast peaks at 64 MB here
+    big = rng.integers(1, 3, size=(400, 400))
+    tracemalloc.start()
+    try:
+        counterexamples._differing_rows(big)
+        counterexamples._differing_rows(big.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", [
+    OrderSpec("complete", 4, (tuple(complete_pairs(4)),)),
+    OrderSpec("bipartite", 2, (tuple(orders.bipartite_pairs(2, 3)),), m=3)],
+    ids=["complete", "bipartite"])
+def test_stress_terms_refuse_a_spec_over_the_pair_cap(monkeypatch, spec):
+    monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
+    # an index cached under the real cap would skip the check
+    schoenberg.pair_index.cache_clear()
+    config = PointConfig(dim=2, P=np.zeros((spec.n, 2)),
+                         Q=None if spec.m is None else np.zeros((spec.m, 2)))
+    with pytest.raises(BadSize, match="^6 pairs exceed the cap of 5$"):
+        falsify(spec, FalsifierConfig(dim=2, restarts=1, iters=1))
+    with pytest.raises(BadSize, match="^6 pairs exceed the cap of 5$"):
+        stress_loss(spec, config)

@@ -335,6 +335,26 @@ def test_from_json_names_the_first_offence(text, error, message):
     assert str(err.value) == message
 
 
+# (classes, message): what the constructor refuses, named as given; the
+# checks are those of from_json
+_CONSTRUCTOR_ERRORS = [
+    ([[(1, 2.7)], [(1, 3)], [(2, 3)]], "malformed pair (1, 2.7)"),
+    ([[(True, 2)], [(1, 3)], [(2, 3)]], "malformed pair (True, 2)"),
+    ([[(1, "2")], [(1, 3)], [(2, 3)]], "malformed pair (1, '2')"),
+    ([[[1, 2]], [[1, 3, 2]], [[2, 3]]], "malformed pair [1, 3, 2]"),
+    ([[(1, 2)], 5, [(1, 3), (2, 3)]], "a class must be a list, got 5"),
+]
+
+
+@pytest.mark.parametrize("classes, message", _CONSTRUCTOR_ERRORS,
+                         ids=["float", "bool", "str", "three", "class"])
+def test_constructor_names_the_first_offence(classes, message):
+    with pytest.raises(SpecError) as err:
+        OrderSpec("complete", 3, classes)
+    assert type(err.value) is SpecError
+    assert str(err.value) == message
+
+
 def test_from_json_dict_takes_tuple_pairs():
     spec = orders.from_json_dict(
         {"kind": "complete", "n": 3, "classes": ([(1, 2), (1, 3)], ((3, 2),))})

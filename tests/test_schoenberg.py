@@ -1,14 +1,17 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordembed import schoenberg
-from ordembed.errors import (BadIndex, DimTooSmall, NonFiniteEntry, NotPSD,
-                             ShapeMismatch)
+from ordembed.errors import (BadIndex, BadSize, DimTooSmall, NonFiniteEntry,
+                             NotPSD, ShapeMismatch)
+from ordembed.orders import bipartite_pairs, complete_pairs
 from ordembed.schoenberg import (GramMatrix, PointConfig, config_from_json,
                                  config_to_json, distances_of, factor_points,
-                                 gram_from_distances, min_eigenvalue)
+                                 gram_from_distances, min_eigenvalue,
+                                 pair_index)
 
 
 def _gram(M, base=None):
@@ -330,3 +333,34 @@ def test_format_rows_bytes_match_per_value_format():
     assert np.array_equal(back.P, A[:2]) and np.array_equal(back.Q, A[2:])
     # -0.0 is written "-0" and read back with its sign
     assert np.array_equal(np.signbit(back.P), np.signbit(A[:2]))
+
+
+def test_pair_index_matches_the_reference_pair_lists():
+    def one_based(ij):
+        return list(zip((ij[0] + 1).tolist(), (ij[1] + 1).tolist()))
+
+    for n in range(1, 7):
+        assert one_based(pair_index(n)) == complete_pairs(n)
+        for m in range(1, 6):
+            assert one_based(pair_index(n, m)) == bipartite_pairs(n, m)
+    for ij in (pair_index(5), pair_index(4, 3)):
+        for a in ij:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
+def test_pair_index_refuses_past_the_cap_before_allocating():
+    cap = schoenberg.MAX_PAIRS
+    # the fewest points whose pairs exceed the cap
+    n = (1 + math.isqrt(1 + 8 * cap)) // 2 + 1
+    assert (n - 1) * (n - 2) // 2 <= cap < n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        for args in ((n,), (1, cap + 1), (cap + 1, 1)):
+            with pytest.raises(BadSize, match="exceed the cap"):
+                pair_index(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
