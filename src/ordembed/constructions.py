@@ -15,6 +15,7 @@ _realize_apexes, which builds them with one primitive, place_apexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,10 +49,19 @@ class EpsilonSearch:
 
 @dataclass(frozen=True)
 class RealizationReport:
+    """The configuration realizing spec, the accepted eps and the least
+    eigenvalue of each apex Gram there. margin, the least gap between
+    consecutive classes' distances, is computed on first read; a verify
+    report that matches holds the same figure."""
+
     config: PointConfig
     epsilon: float
-    margin: float
+    spec: OrderSpec = field(repr=False, compare=False)
     min_eigenvalues: tuple[float, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def margin(self) -> float:
+        return _realized_margin(self.spec, self.config)
 
 
 def choose_epsilon(search: EpsilonSearch, test: Callable[[float], bool]) -> float:
@@ -86,7 +96,7 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
 
 
 def _apex_grams(base: np.ndarray, apexes: np.ndarray,
-                screen: tuple[int, float] | None = None
+                shift: float | None = None
                 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gram of the base relative to its last point, and the least
     eigenvalue of each apex's Gram: that corner bordered by the apex.
@@ -98,10 +108,14 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray,
     only in their last row and column, so they are written as a stack and
     eigen-solved in batches of at most CHUNK entries.
 
-    screen, if given, is (apex, shift): that apex's Gram is first
-    Cholesky-factored with shift off its diagonal. If it does not factor,
-    it has an eigenvalue at or below shift, and None comes back in place
-    of the eigenvalues, with nothing eigen-solved."""
+    shift, if given, first screens all apexes at once, with one Cholesky
+    factor L of the corner they share and one solve: an apex Gram G
+    clears shift iff corner - shift*I factors and the apex's Schur
+    complement tip - shift - |L^-1 edge|^2 is positive. If the corner does
+    not factor, every apex Gram has an eigenvalue at or below shift
+    (interlacing); if a complement is not positive, that apex's Gram has
+    one. Either way None comes back in place of the eigenvalues, with
+    nothing eigen-solved."""
     if not (np.isfinite(base).all() and np.isfinite(apexes).all()):
         raise NonFiniteEntry("distance matrix has non-finite entries")
     m, k = apexes.shape
@@ -110,12 +124,19 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray,
     corner = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
     edge = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
     tip = 0.5 * (a2[:, -1] + a2[:, -1])
-    if screen is not None:
-        a, shift = screen
-        G = np.block([[corner, edge[a, :, None]], [edge[a], tip[a]]])
+    if shift is not None:
+        C = corner.copy()
+        C.ravel()[::k] -= shift  # the diagonal of the (k-1) x (k-1) corner
         try:
-            np.linalg.cholesky(G - shift * np.eye(k))
+            Y = np.linalg.solve(np.linalg.cholesky(C), edge.T)
+            cleared = (tip - shift - (Y * Y).sum(axis=0) > 0).all()
         except np.linalg.LinAlgError:
+            cleared = False
+        if not cleared:
+            # a non-finite entry fails the screen too: an error, not a
+            # rejected step
+            if not all(np.isfinite(x).all() for x in (corner, edge, tip)):
+                raise NonFiniteEntry("matrix has non-finite entries")
             return corner, None
     step = max(1, CHUNK // (k * k))
     lam = np.empty(m)
@@ -173,9 +194,9 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     of the configuration, P or P stacked over Q. A spec of more than
     MAX_PAIRS pairs raises BadSize first.
 
-    After a step rejected by its eigenvalues, the next step first screens
-    the Gram that had the least: if it does not Cholesky-factor with eta
-    off its diagonal, the step is rejected without an eigen-solve."""
+    Every step is first screened against eta (see _apex_grams); only a
+    step that passes is eigen-solved and decided by its eigenvalues, so a
+    search eigen-solves once, at the step it accepts."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
@@ -183,11 +204,8 @@ def _realize_apexes(spec: OrderSpec, eta: float,
 
     def step(eps: float) -> bool:
         base, apexes = target(eps)
-        corner, lam = _apex_grams(base, apexes, state.get("screen"))
-        if lam is None:
-            return False
-        if not (lam > eta).all():
-            state["screen"] = (int(lam.argmin()), eta)
+        corner, lam = _apex_grams(base, apexes, eta)
+        if lam is None or not (lam > eta).all():
             return False
         try:
             X = place_apexes(corner, apexes)
@@ -202,8 +220,7 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     rows = np.empty_like(state["X"])
     rows[order] = state["X"]
     config = PointConfig.from_rows(rows, spec.n, spec.kind)
-    return RealizationReport(config=config, epsilon=eps,
-                             margin=_realized_margin(spec, config),
+    return RealizationReport(config=config, epsilon=eps, spec=spec,
                              min_eigenvalues=tuple(state["eigs"].tolist()))
 
 

@@ -271,11 +271,12 @@ def from_json_dict(data: dict) -> OrderSpec:
         raw = data["classes"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
-    m = None
+    # a complete spec's m goes through as given, for validate to refuse
+    m = data.get("m")
     if kind == "bipartite":
         if "m" not in data:
             raise SpecError("bipartite spec needs m")
-        m = _int(data["m"], "m")
+        m = _int(m, "m")
     spec = OrderSpec(kind, n, raw, m)
     spec.ranks  # validates, and caches the ranks for every later reader
     return spec

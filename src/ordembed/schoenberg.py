@@ -135,14 +135,21 @@ def check_pair_count(count: int) -> None:
         raise BadSize(f"{count} pairs exceed the cap of {MAX_PAIRS}")
 
 
-@lru_cache(maxsize=64)
 def pair_index(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """0-based (i, j) of every pair of D_n (m None) or B_{n,m}, in the
     lexicographic order of OrderSpec.pair_set() and every per-pair vector.
-    The pair count is checked before anything is allocated. Cached, because
-    np.triu_indices costs more than the small realizations that ask for
-    it; the arrays are read-only."""
-    check_pair_count(n * (n - 1) // 2 if m is None else n * m)
+    The pair count is checked before anything is allocated. Shapes of at
+    most CHUNK pairs are cached, because np.triu_indices costs more than
+    the small realizations that ask for it; larger ones are built on each
+    call, so the cache holds at most 64 x CHUNK pairs (64 MB). The arrays
+    are read-only."""
+    count = n * (n - 1) // 2 if m is None else n * m
+    check_pair_count(count)
+    return (_pair_index if count <= CHUNK else _pair_index.__wrapped__)(n, m)
+
+
+@lru_cache(maxsize=64)
+def _pair_index(n: int, m: int | None) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, 1) if m is None else np.divmod(
         np.arange(n * m), m)
     i.flags.writeable = j.flags.writeable = False
@@ -155,23 +162,45 @@ def pair_distances(config: PointConfig) -> np.ndarray:
     row, or the P-to-Q rectangle of a bipartite one.
 
     The program's only distance kernel. Each unordered pair is computed
-    once, in chunks of pairs whose temporaries hold at most CHUNK elements
-    (one pair's coordinates when dim exceeds CHUNK). The result and the
-    cached pair_index (16 bytes per pair) grow with the pair count; the
-    chunking bounds only the temporaries, which do not grow with n or
-    dim. Per pair the float operations and their order are those of the
+    once, in pieces whose one temporary holds at most CHUNK elements (one
+    pair's coordinates when dim exceeds CHUNK), squared in place and
+    summed into the result, which takes one sqrt at the end. A complete
+    point whose run of later points holds more than CHUNK/2 elements is
+    broadcast against them, bipartite points as blocks of rows against Q;
+    the short rows left of a complete config gather both ends of each
+    pair. Only the result and the pair_index arrays grow with the pair
+    count. Per pair the float operations and their order are those of the
     n x n x dim broadcast, so the result is bit for bit the same. More
     than MAX_PAIRS pairs raise BadSize."""
     P = np.asarray(config.P, dtype=float)
     Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
-    rows, cols = pair_index(len(P), None if config.Q is None else len(Q))
+    n, d = P.shape
+    rows, cols = pair_index(n, None if config.Q is None else len(Q))
     vals = np.empty(len(rows))
-    step = max(1, CHUNK // max(1, P.shape[1]))
-    for a in range(0, len(rows), step):
-        diff = (P.take(rows[a:a + step], axis=0)
-                - Q.take(cols[a:a + step], axis=0))
-        np.sqrt(np.add.reduce(diff * diff, axis=1), out=vals[a:a + step])
-    return vals
+    step = max(1, CHUNK // max(1, d))
+
+    def add(diff: np.ndarray, at: int) -> int:
+        diff *= diff
+        np.add.reduce(diff, axis=1, out=vals[at:at + len(diff)])
+        return at + len(diff)
+
+    at = 0
+    if config.Q is None:
+        for i in range(n):
+            if (n - 1 - i) * d <= CHUNK // 2:
+                break
+            for j in range(i + 1, n, step):
+                at = add(P[i] - P[j:j + step], at)
+    else:
+        block = max(1, step // max(1, len(Q)))
+        for i in range(0, n, block):
+            for j in range(0, len(Q), step):
+                diff = P[i:i + block, None] - Q[j:j + step]
+                at = add(diff.reshape(diff.shape[0] * diff.shape[1], d), at)
+    for a in range(at, len(rows), step):
+        add(P.take(rows[a:a + step], axis=0)
+            - Q.take(cols[a:a + step], axis=0), a)
+    return np.sqrt(vals, out=vals)
 
 
 def distances_of(config: PointConfig) -> np.ndarray:

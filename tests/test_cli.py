@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (first_verified_restart, one_spec_per_realizer,
+from conftest import (count_calls, first_verified_restart,
+                      one_spec_per_realizer,
                       random_bipartite_preorder, random_linear_order,
                       random_preorder)
 from ordembed import (cli, constructions, counterexamples, orders, schoenberg,
@@ -144,9 +145,31 @@ def test_realize_self_verification_gate(preorder4_spec, tmp_path, capsys):
     rc = cli.main(["realize", spec_path, str(out), "--tol-abs", "10"])
     assert rc == 4
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["dim"] == 3
+    report = json.loads(captured.out)
+    assert report["dim"] == 3
+    # the self-check merged every class; the margin is the realized one
+    assert report["margin"] == constructions.realize(preorder4_spec).margin
     assert "self-verification failed" in json.loads(captured.err)["message"]
     assert out.exists()
+
+
+def test_realize_reads_distances_once(monkeypatch, preorder4_spec,
+                                     bip32_spec, tmp_path, capsys):
+    # on a match the self-check's class gaps are the report's margin, so
+    # the command computes the distances once
+    calls = count_calls(monkeypatch, schoenberg.pair_distances)
+    single = OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)),))
+    rng = np.random.default_rng(44)
+    specs = (preorder4_spec, single, bip32_spec, random_linear_order(rng, 7),
+             random_bipartite_preorder(rng, 4, 3))
+    for k, spec in enumerate(specs):
+        path = _spec_file(spec, tmp_path, f"spec{k}.json")
+        del calls[:]
+        assert cli.main(["realize", path, str(tmp_path / "o.json")]) == 0
+        assert len(calls) == 1
+        margin = json.loads(capsys.readouterr().out)["margin"]
+        assert margin == schoenberg.json_float(
+            constructions.realize(spec).margin)
 
 
 def test_verify_match_exits_zero(preorder4_spec, tmp_path, capsys):
@@ -372,8 +395,11 @@ def test_undecodable_or_deep_file_exits_two(content, command, role, tmp_path,
     '{"kind": "complete", "n": 2, "classes": [[[true, 2]]]}',
     '{"kind": "bipartite", "n": 1, "m": 1.5, "classes": [[[1, 1]]]}',
     '{"kind": "bipartite", "n": 1, "m": false, "classes": [[[1, 1]]]}',
+    '{"kind": "complete", "n": 3, "m": 7,'
+    ' "classes": [[[1, 2], [1, 3], [2, 3]]]}',
 ], ids=["classes-int", "class-int", "classes-null", "n-float", "n-string",
-        "n-bool", "index-float", "index-bool", "m-float", "m-bool"])
+        "n-bool", "index-float", "index-bool", "m-float", "m-bool",
+        "complete-m"])
 def test_realize_rejects_hostile_spec(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(text)

@@ -655,19 +655,79 @@ def test_screened_search_matches_eigvalsh_reference():
 
 
 def test_screen_rejects_only_what_the_eigenvalues_reject():
-    # screened on an apex, _apex_grams returns exactly the unscreened
-    # result when that apex's least eigenvalue clears the shift, and None
-    # when it does not
+    # screened with a shift, _apex_grams returns exactly the unscreened
+    # eigenvalues when every apex's least eigenvalue clears the shift, and
+    # None when the worst apex's does not; k = 1 has an empty corner. A
+    # shift past the corner's least eigenvalue fails at the corner's
+    # factor, and (interlacing) some apex's eigenvalue is below it too
     rng = np.random.default_rng(40)
-    for k, m in ((2, 1), (4, 3), (7, 12), (30, 5)):
-        X = rng.standard_normal((k + m, k))
-        D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-        base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
-        base = np.triu(base, 1) + np.triu(base, 1).T
-        apexes = D[k:, :k]
-        corner, lam = _apex_grams(base, apexes)
-        for a in range(m):
-            got_corner, got = _apex_grams(base, apexes, (a, lam[a] - 1e-3))
+    for k, m in ((1, 1), (1, 4), (2, 1), (4, 3), (7, 12), (30, 5)):
+        for _ in range(4):
+            X = rng.standard_normal((k + m, k))
+            D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+            base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
+            base = np.triu(base, 1) + np.triu(base, 1).T
+            apexes = D[k:, :k] * (1.0 + 0.2 * rng.random((m, k)))
+            corner, lam = _apex_grams(base, apexes)
+            worst = lam.min()
+            got_corner, got = _apex_grams(base, apexes, worst - 1e-3)
             assert np.array_equal(got_corner, corner)
             assert np.array_equal(got, lam)
-            assert _apex_grams(base, apexes, (a, lam[a] + 1e-3))[1] is None
+            assert _apex_grams(base, apexes, worst + 1e-3)[1] is None
+            if k > 1:
+                shift = np.linalg.eigvalsh(corner)[0] + 1e-3
+                assert _apex_grams(base, apexes, shift)[1] is None
+
+
+def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
+    # every step is screened first, the first one included, so a search
+    # that rejects steps eigen-solves once: at the step it accepts, in one
+    # batch for Grams this small
+    eigen, steps = [], []
+    monkeypatch.setattr(constructions.np.linalg, "eigvalsh", _counted(
+        eigen, np.linalg.eigvalsh))
+    choose = constructions.choose_epsilon
+
+    def probing(search, test):
+        return choose(search, _counted(steps, test))
+
+    monkeypatch.setattr(constructions, "choose_epsilon", probing)
+    rng = np.random.default_rng(41)
+    for spec in (random_preorder(rng, 12), random_linear_order(rng, 12),
+                 random_bipartite_preorder(rng, 12, 9),
+                 random_bipartite_preorder(rng, 5, 7)):
+        del eigen[:], steps[:]
+        realize(spec, search=EpsilonSearch(initial=0.45))
+        assert len(steps) >= 3
+        assert len(eigen) == 1
+
+
+def _counted(record: list, fn):
+    def counted(*args):
+        record.append(args)
+        return fn(*args)
+    return counted
+
+
+def test_realize_reads_its_margin_only_when_asked(monkeypatch):
+    # realize computes no distances; margin is computed once, on first
+    # read, and equals bit for bit the least class gap verify reports on
+    # the match
+    calls = count_calls(monkeypatch, constructions._realized_margin)
+    rng = np.random.default_rng(42)
+    specs = [random_preorder(rng, n) for n in (2, 5, 9)]
+    specs += [random_linear_order(rng, n) for n in (3, 6, 10)]
+    specs += [random_bipartite_preorder(rng, n, m)
+              for n, m in ((1, 1), (3, 5), (6, 2))]
+    specs += [OrderSpec("complete", 4, (tuple(complete_pairs(4)),)),
+              OrderSpec("bipartite", 2, ((tuple(
+                  orders.bipartite_pairs(2, 3))),), m=3)]
+    for spec in specs:
+        del calls[:]
+        report = realize(spec)
+        assert not calls
+        check = verifier.verify(report.config, spec)
+        assert check.matched
+        for _ in range(2):
+            assert report.margin.hex() == check.margin.hex()
+        assert len(calls) == 1

@@ -439,9 +439,10 @@ def test_differing_rows_matches_broadcast_in_bounded_memory():
     OrderSpec("bipartite", 2, (tuple(orders.bipartite_pairs(2, 3)),), m=3)],
     ids=["complete", "bipartite"])
 def test_stress_terms_refuse_a_spec_over_the_pair_cap(monkeypatch, spec):
+    # the cap is checked before the cache is read, so a shape cached
+    # under the real cap is refused too
+    schoenberg.pair_index(spec.n, spec.m)
     monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
-    # an index cached under the real cap would skip the check
-    schoenberg.pair_index.cache_clear()
     config = PointConfig(dim=2, P=np.zeros((spec.n, 2)),
                          Q=None if spec.m is None else np.zeros((spec.m, 2)))
     with pytest.raises(BadSize, match="^6 pairs exceed the cap of 5$"):

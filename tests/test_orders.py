@@ -324,6 +324,8 @@ _FROM_JSON_ERRORS = [
      MissingPair, "pair (2, 1) not covered"),
     ('{"kind":"complete","n":3,"classes":[]}',
      MissingPair, "pair (1, 2) not covered"),
+    ('{"kind":"complete","n":3,"m":7,"classes":[[[1,2],[1,3],[2,3]]]}',
+     SpecError, "complete spec takes no m, got 7"),
 ]
 
 

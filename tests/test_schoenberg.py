@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -291,14 +293,16 @@ def test_distances_of_close_points():
 
 def test_distances_of_across_chunk_boundaries():
     # at this dim a chunk holds 64 pairs; the pair counts below end just
-    # before, on and after chunk boundaries
+    # before, on and after chunk boundaries. Rows of more than 32 later
+    # points are broadcast, in two pieces past 64 (n = 70), and so are
+    # blocks of bipartite rows and a Q of 130 points, in three pieces
     d = schoenberg.CHUNK // 64
     rng = np.random.default_rng(42)
-    for n in (11, 12, 17):
+    for n in (11, 12, 17, 40, 70):
         P = rng.standard_normal((n, d))
         assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
                               _naive_distances(P))
-    for n, m in ((7, 9), (8, 8), (13, 5), (3, 43)):
+    for n, m in ((7, 9), (8, 8), (13, 5), (3, 43), (5, 64), (2, 130)):
         P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
         assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
                               _naive_distances(P, Q))
@@ -364,3 +368,21 @@ def test_pair_index_refuses_past_the_cap_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_pair_index_caches_only_shapes_of_at_most_chunk_pairs():
+    # above CHUNK pairs each call builds its own arrays and none is kept,
+    # which bounds the cache at 64 shapes of CHUNK pairs
+    chunk = schoenberg.CHUNK
+    n = (1 + math.isqrt(1 + 8 * chunk)) // 2
+    assert n * (n - 1) // 2 <= chunk < (n + 1) * n // 2
+    for small, large in (((n,), (n + 1,)), ((1, chunk), (1, chunk + 1)),
+                         ((chunk, 1), (chunk + 1, 1))):
+        kept = weakref.ref(pair_index(*small)[0])
+        gone = weakref.ref(pair_index(*large)[0])
+        gc.collect()
+        assert kept() is pair_index(*small)[0]
+        assert gone() is None
+        again = pair_index(*large)
+        assert not again[0].flags.writeable
+        assert again[0].size == again[1].size > chunk
