@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (CHUNK, GramMatrix, PointConfig, check_pair_count,
-                         factor_points, pair_distances, pair_index)
+from .schoenberg import (CHUNK, PointConfig, check_pair_count,
+                         pair_distances, pair_index)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -95,49 +95,50 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     return float(gaps.min()) if gaps.size else float("inf")
 
 
-def _apex_grams(base: np.ndarray, apexes: np.ndarray,
-                shift: float | None = None
-                ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gram of the base relative to its last point, and the least
-    eigenvalue of each apex's Gram: that corner bordered by the apex.
+def _apex_grams(base: np.ndarray, apexes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The apex Grams in pieces: corner, the Gram of the base relative to
+    its last point, bordered for apex j by edge[j] and tip[j].
 
     base holds the k x k target distances among the base points, apexes
     the m x k target distances of each apex to them. The float operations
-    are those of gram_from_distances on each apex's (k+1)-point distance
-    matrix with the last base point as base; the bordered Grams differ
-    only in their last row and column, so they are written as a stack and
-    eigen-solved in batches of at most CHUNK entries.
-
-    shift, if given, first screens all apexes at once, with one Cholesky
-    factor L of the corner they share and one solve: an apex Gram G
-    clears shift iff corner - shift*I factors and the apex's Schur
-    complement tip - shift - |L^-1 edge|^2 is positive. If the corner does
-    not factor, every apex Gram has an eigenvalue at or below shift
-    (interlacing); if a complement is not positive, that apex's Gram has
-    one. Either way None comes back in place of the eigenvalues, with
-    nothing eigen-solved."""
-    if not (np.isfinite(base).all() and np.isfinite(apexes).all()):
-        raise NonFiniteEntry("distance matrix has non-finite entries")
-    m, k = apexes.shape
+    are gram_from_distances' on each apex's (k+1)-point distance matrix
+    with the last base point as base. Non-finite pieces raise
+    NonFiniteEntry."""
     b2, a2 = base * base, apexes * apexes
     db2 = b2[-1, :-1]
     corner = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
     edge = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
     tip = 0.5 * (a2[:, -1] + a2[:, -1])
-    if shift is not None:
-        C = corner.copy()
-        C.ravel()[::k] -= shift  # the diagonal of the (k-1) x (k-1) corner
-        try:
-            Y = np.linalg.solve(np.linalg.cholesky(C), edge.T)
-            cleared = (tip - shift - (Y * Y).sum(axis=0) > 0).all()
-        except np.linalg.LinAlgError:
-            cleared = False
-        if not cleared:
-            # a non-finite entry fails the screen too: an error, not a
-            # rejected step
-            if not all(np.isfinite(x).all() for x in (corner, edge, tip)):
-                raise NonFiniteEntry("matrix has non-finite entries")
-            return corner, None
+    if not all(np.isfinite(x).all() for x in (corner, edge, tip)):
+        raise NonFiniteEntry("matrix has non-finite entries")
+    return corner, edge, tip
+
+
+def _bordered_cholesky(corner: np.ndarray, edge: np.ndarray,
+                       tip: np.ndarray, shift: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L = cholesky(corner - shift*I), Y = L^-1 edge^T and the Schur
+    complements s_j = tip_j - shift - |Y_j|^2 (Y_j is column j of Y).
+
+    Apex j's Gram minus shift*I is positive definite iff L exists and
+    s_j > 0. If L does not exist, every apex Gram has an eigenvalue at or
+    below shift (interlacing), and NotPSD is raised."""
+    C = corner.copy()
+    C.flat[::len(C) + 1] -= shift
+    try:
+        L = np.linalg.cholesky(C)
+        Y = np.linalg.solve(L, edge.T)
+    except np.linalg.LinAlgError:
+        raise NotPSD("base Gram is not positive definite") from None
+    return L, Y, tip - shift - (Y * Y).sum(axis=0)
+
+
+def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
+                       tip: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each apex Gram, the Grams written as a stack
+    and eigen-solved in batches of at most CHUNK entries."""
+    m, k = len(tip), len(corner) + 1
     step = max(1, CHUNK // (k * k))
     lam = np.empty(m)
     for a in range(0, m, step):
@@ -145,38 +146,31 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray,
         G[:, :-1, :-1] = corner
         G[:, :-1, -1] = G[:, -1, :-1] = edge[a:a + step]
         G[:, -1, -1] = tip[a:a + step]
-        if not np.isfinite(G).all():
-            raise NonFiniteEntry("matrix has non-finite entries")
         lam[a:a + step] = np.linalg.eigvalsh(G)[:, 0]
-    return corner, lam
+    return lam
 
 
-def place_apexes(corner: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+def place_apexes(corner: np.ndarray, edge: np.ndarray,
+                 tip: np.ndarray) -> np.ndarray:
     """k base points and m apexes in R^k, each apex at its target
     distances from the base and all of them on one side of its hyperplane.
 
-    The paper's one construction. corner, the Gram of the k base points
-    relative to the last (from _apex_grams), is factored once: the base
-    lands with its last point at the origin and every last coordinate
-    zero. Apex j's first k-1 coordinates q solve b_i . q = (|b_i|^2 +
-    a_jk^2 - a_ji^2) / 2 over the other base points b_i (one solve for all
-    apexes), and its last is the nonnegative height sqrt(a_jk^2 - |q|^2):
-    the same-side choice. Returns the base rows, then the apex rows.
-    A singular base or a negative squared height (an apex Gram that is
-    not positive semidefinite, which the eta check rules out unless the
-    distances are huge) raises NotPSD."""
+    The paper's one construction: the Cholesky factor of the apex Grams
+    (from _apex_grams) is the configuration. The base rows are L with a
+    zero last column, then the origin, so base point i is nonzero only in
+    its first i coordinates; apex j is (Y_j, sqrt(s_j)), its nonnegative
+    height the same-side choice (see _bordered_cholesky at shift 0).
+    Returns the base rows, then the apex rows. A corner that does not
+    factor or a negative complement raises NotPSD."""
+    L, Y, s = _bordered_cholesky(corner, edge, tip, 0.0)
+    if (s < 0).any():
+        raise NotPSD(f"apex height squared {s.min():.3e} below zero")
     k = len(corner) + 1
-    B = factor_points(GramMatrix(corner, base=k, n=k), k).P
-    a2 = apexes * apexes
-    rhs = 0.5 * (np.diag(corner)[:, None] + a2[:, -1] - a2[:, :-1].T)
-    try:
-        q = np.linalg.solve(B[:-1, :-1], rhs).T
-    except np.linalg.LinAlgError:
-        raise NotPSD("base Gram is singular") from None
-    h2 = a2[:, -1] - (q * q).sum(axis=1)
-    if (h2 < 0).any():
-        raise NotPSD(f"apex height squared {h2.min():.3e} below zero")
-    return np.vstack([B, np.column_stack([q, np.sqrt(h2)])])
+    X = np.zeros((k + len(tip), k))
+    X[:k - 1, :k - 1] = L
+    X[k:, :-1] = Y.T
+    X[k:, -1] = np.sqrt(s)
+    return X
 
 
 def _realize_apexes(spec: OrderSpec, eta: float,
@@ -192,27 +186,32 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     place_apexes places the apexes and accept, if given, passes the
     placed rows; any other step is rejected. Placed row k is row order[k]
     of the configuration, P or P stacked over Q. A spec of more than
-    MAX_PAIRS pairs raises BadSize first.
+    MAX_PAIRS pairs raises BadSize first; a step whose Grams overflow
+    raises NonFiniteEntry.
 
-    Every step is first screened against eta (see _apex_grams); only a
-    step that passes is eigen-solved and decided by its eigenvalues, so a
-    search eigen-solves once, at the step it accepts."""
+    Every step is first screened by _bordered_cholesky at eta; only a
+    step whose complements are all positive is eigen-solved and decided
+    by its eigenvalues, so a search eigen-solves once, at the step it
+    accepts."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
     state: dict = {}
 
     def step(eps: float) -> bool:
-        base, apexes = target(eps)
-        corner, lam = _apex_grams(base, apexes, eta)
-        if lam is None or not (lam > eta).all():
-            return False
-        try:
-            X = place_apexes(corner, apexes)
-        except NotPSD:
-            return False
-        if accept is not None and not accept(X):
-            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = _apex_grams(*target(eps))
+            try:
+                if not (_bordered_cholesky(*grams, eta)[2] > 0).all():
+                    return False
+                lam = _least_eigenvalues(*grams)
+                if not (lam > eta).all():
+                    return False
+                X = place_apexes(*grams)
+            except NotPSD:
+                return False
+            if accept is not None and not accept(X):
+                return False
         state.update(X=X, eigs=lam)
         return True
 

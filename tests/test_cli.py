@@ -3,6 +3,7 @@ import builtins
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_realize_epsilon_exhaustion_exits_three(preorder4_spec, tmp_path,
     assert rc == 3
     assert _diag(capsys)["error"] == "EpsilonExhausted"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e200", "1e308", "inf"])
+def test_realize_overflowing_epsilon_exits_two(epsilon, preorder4_spec,
+                                               bip32_spec, tmp_path, capsys):
+    # squared target distances overflow: one NonFiniteEntry line on stderr
+    # and no numpy warning before it
+    out = tmp_path / "o.json"
+    for spec in (preorder4_spec, bip32_spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["realize", _spec_file(spec, tmp_path), str(out),
+                           "--epsilon", epsilon])
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert _diag(capsys)["error"] == "NonFiniteEntry"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("eta", ["0", "-1", "nan"])

@@ -11,6 +11,7 @@ from conftest import (count_calls, one_spec_per_realizer,
 from ordembed import (constructions, counterexamples, orders, schoenberg,
                       verifier)
 from ordembed.constructions import (EpsilonSearch, _apex_grams,
+                                    _bordered_cholesky, _least_eigenvalues,
                                     align_isometry, choose_epsilon,
                                     default_search, perturbed_distances,
                                     place_apexes, realize,
@@ -49,11 +50,11 @@ def test_unplaceable_step_is_rejected(monkeypatch):
         plain = realize(spec)
         refused = []
 
-        def refuse_first(corner, apexes):
+        def refuse_first(*grams):
             if not refused:
                 refused.append(True)
                 raise NotPSD("refused")
-            return place_apexes(corner, apexes)
+            return place_apexes(*grams)
 
         with monkeypatch.context() as m:
             m.setattr(constructions, "place_apexes", refuse_first)
@@ -478,10 +479,12 @@ def test_bipartite_tall_spec_is_its_transpose_swapped():
 
 
 def test_bipartite_realizer_builds_no_per_apex_gram(monkeypatch):
-    # no realizer re-checks a Gram it built itself or aligns two
-    # factorizations: _apex_grams and place_apexes do all of it
+    # no realizer re-checks a Gram it built itself, eigen-factors a Gram
+    # into points or aligns two factorizations: _apex_grams forms the
+    # Grams and one Cholesky factor of them is the configuration
     grams = count_calls(monkeypatch, schoenberg.gram_from_distances)
     eigens = count_calls(monkeypatch, schoenberg.min_eigenvalue)
+    factors = count_calls(monkeypatch, schoenberg.factor_points)
     aligns = count_calls(monkeypatch, align_isometry)
     rng = np.random.default_rng(33)
     for n, m in ((3, 3), (2, 5), (5, 2), (1, 4), (4, 1)):
@@ -493,7 +496,7 @@ def test_bipartite_realizer_builds_no_per_apex_gram(monkeypatch):
     for n in (3, 4, 7):
         report = realize_linear_complete(random_linear_order(rng, n))
         assert len(report.min_eigenvalues) == 2
-    assert not grams and not eigens and not aligns
+    assert not grams and not eigens and not factors and not aligns
 
 
 def test_validate_runs_once_per_spec_object(monkeypatch):
@@ -511,7 +514,9 @@ def test_validate_runs_once_per_spec_object(monkeypatch):
 
 def test_bipartite_grams_match_per_apex_reference():
     # reference: each apex's distance matrix through gram_from_distances,
-    # as the realizer did one apex at a time; results must agree bit for bit
+    # as the realizer did one apex at a time; results must agree bit for
+    # bit, and the base rows are the simplex Gram's Cholesky factor with a
+    # zero last column, then the origin
     rng = np.random.default_rng(35)
     for n, m in ((1, 3), (3, 1), (2, 5), (4, 4), (6, 3), (9, 12)):
         spec = random_bipartite_preorder(rng, n, m)
@@ -529,28 +534,36 @@ def test_bipartite_grams_match_per_apex_reference():
             eigs.append(min_eigenvalue(gram_from_distances(D, k)))
         assert report.min_eigenvalues == tuple(eigs)
         P = report.config.P if m >= n else report.config.Q
-        assert np.array_equal(P, factor_points(simplex, k).P)
+        want = np.zeros((k, k))
+        want[:k - 1, :k - 1] = np.linalg.cholesky(simplex.matrix)
+        assert np.array_equal(P, want)
 
 
 def test_place_apexes_meets_every_target_on_one_side():
     # random points in R^k: the first k are the base, the rest apexes; the
-    # placement must reproduce every prescribed distance, keep the base's
-    # last coordinates zero and put each apex at a nonnegative height
+    # placement must reproduce every prescribed distance, lay the base out
+    # lower triangular (its last coordinates and last point zero) and put
+    # each apex at a nonnegative height
     rng = np.random.default_rng(36)
     for k in (1, 2, 3, 6, 10):
         for m in (1, 4):
             X = rng.standard_normal((k + m, k)) * 3.0
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            corner, lam = _apex_grams(D[:k, :k], D[k:, :k])
-            assert (lam > 0).all()
-            Y = place_apexes(corner, D[k:, :k])
+            grams = _apex_grams(D[:k, :k], D[k:, :k])
+            assert (_least_eigenvalues(*grams) > 0).all()
+            Y = place_apexes(*grams)
             assert Y.shape == (k + m, k)
             assert not Y[:k, -1].any() and not Y[k - 1].any()
+            assert not np.triu(Y[:k], 1).any()
             assert (Y[k:, -1] >= 0).all()
             got = distances_of(schoenberg.PointConfig(dim=k, P=Y))
             scale = float(D.max())
             assert np.abs(got[:k] - D[:k]).max() <= 1e-12 * scale
             assert np.abs(got[k:, :k] - D[k:, :k]).max() <= 1e-12 * scale
+    # a corner that is positive semidefinite but singular does not factor
+    with pytest.raises(NotPSD):
+        place_apexes(np.array([[4.0, 2.0], [2.0, 1.0]]), np.ones((1, 2)),
+                     np.full(1, 9.0))
 
 
 def test_preorder_grams_match_whole_matrix_reference():
@@ -607,14 +620,14 @@ def _eigvalsh_search(spec, search, eta=constructions.ETA):
             i1, j1 = spec.classes[0][0]
             others = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
             M = perturbed_distances(spec, eps)
-            eigs = [min_eigenvalue(gram_from_distances(
-                M[np.ix_(others + [a], others + [a])], n - 2))
-                for a in (i1 - 1, j1 - 1)]
+            G = [gram_from_distances(M[np.ix_(others + [a], others + [a])],
+                                     n - 2).matrix for a in (i1 - 1, j1 - 1)]
+            eigs = [min_eigenvalue(g) for g in G]
             ok = min(eigs) > eta
             if ok:
-                corner = gram_from_distances(M[np.ix_(others, others)], n - 2)
-                X = place_apexes(corner.matrix,
-                                 M[np.ix_([i1 - 1, j1 - 1], others)])
+                X = place_apexes(G[0][:-1, :-1],
+                                 np.array([g[-1, :-1] for g in G]),
+                                 np.array([g[-1, -1] for g in G]))
                 ok = 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0
         else:
             M = perturbed_distances(spec, eps)
@@ -655,11 +668,12 @@ def test_screened_search_matches_eigvalsh_reference():
 
 
 def test_screen_rejects_only_what_the_eigenvalues_reject():
-    # screened with a shift, _apex_grams returns exactly the unscreened
-    # eigenvalues when every apex's least eigenvalue clears the shift, and
-    # None when the worst apex's does not; k = 1 has an empty corner. A
-    # shift past the corner's least eigenvalue fails at the corner's
-    # factor, and (interlacing) some apex's eigenvalue is below it too
+    # where the corner factors at a shift, apex j's Schur complement is
+    # positive exactly when its least eigenvalue clears the shift, so the
+    # screen passes when the worst apex's does and fails when it does not;
+    # k = 1 has an empty corner. A shift past the corner's least
+    # eigenvalue fails at the corner's factor (and, by interlacing, some
+    # apex's eigenvalue is below it too)
     rng = np.random.default_rng(40)
     for k, m in ((1, 1), (1, 4), (2, 1), (4, 3), (7, 12), (30, 5)):
         for _ in range(4):
@@ -668,15 +682,18 @@ def test_screen_rejects_only_what_the_eigenvalues_reject():
             base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
             base = np.triu(base, 1) + np.triu(base, 1).T
             apexes = D[k:, :k] * (1.0 + 0.2 * rng.random((m, k)))
-            corner, lam = _apex_grams(base, apexes)
-            worst = lam.min()
-            got_corner, got = _apex_grams(base, apexes, worst - 1e-3)
-            assert np.array_equal(got_corner, corner)
-            assert np.array_equal(got, lam)
-            assert _apex_grams(base, apexes, worst + 1e-3)[1] is None
+            grams = _apex_grams(base, apexes)
+            lam = _least_eigenvalues(*grams)
+            corner_least = np.linalg.eigvalsh(grams[0])[0] if k > 1 else 1.0
+            for shift in (lam.min() - 1e-3, lam.min() + 1e-3):
+                if shift >= corner_least:
+                    continue
+                s = _bordered_cholesky(*grams, shift)[2]
+                assert np.array_equal(s > 0, lam > shift)
+            assert (_bordered_cholesky(*grams, lam.min() - 1e-3)[2] > 0).all()
             if k > 1:
-                shift = np.linalg.eigvalsh(corner)[0] + 1e-3
-                assert _apex_grams(base, apexes, shift)[1] is None
+                with pytest.raises(NotPSD):
+                    _bordered_cholesky(*grams, corner_least + 1e-3)
 
 
 def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
