@@ -668,12 +668,14 @@ def test_screened_search_matches_eigvalsh_reference():
 
 
 def test_screen_rejects_only_what_the_eigenvalues_reject():
-    # where the corner factors at a shift, apex j's Schur complement is
-    # positive exactly when its least eigenvalue clears the shift, so the
-    # screen passes when the worst apex's does and fails when it does not;
-    # k = 1 has an empty corner. A shift past the corner's least
-    # eigenvalue fails at the corner's factor (and, by interlacing, some
-    # apex's eigenvalue is below it too)
+    # on every draw the screen passes a shift 1e-3 below the worst apex's
+    # least eigenvalue and rejects one 1e-3 above it. Where the corner
+    # factors at the shift, apex j's Schur complement is positive exactly
+    # when its least eigenvalue clears the shift; a shift at or past the
+    # corner's least eigenvalue fails at the corner's factor, which the
+    # step takes as a rejection (by interlacing, some apex's eigenvalue is
+    # at or below the shift too). k = 1 has an empty corner, which always
+    # factors
     rng = np.random.default_rng(40)
     for k, m in ((1, 1), (1, 4), (2, 1), (4, 3), (7, 12), (30, 5)):
         for _ in range(4):
@@ -684,12 +686,15 @@ def test_screen_rejects_only_what_the_eigenvalues_reject():
             apexes = D[k:, :k] * (1.0 + 0.2 * rng.random((m, k)))
             grams = _apex_grams(base, apexes)
             lam = _least_eigenvalues(*grams)
-            corner_least = np.linalg.eigvalsh(grams[0])[0] if k > 1 else 1.0
+            corner_least = (np.linalg.eigvalsh(grams[0])[0] if k > 1
+                            else np.inf)
             for shift in (lam.min() - 1e-3, lam.min() + 1e-3):
                 if shift >= corner_least:
-                    continue
-                s = _bordered_cholesky(*grams, shift)[2]
-                assert np.array_equal(s > 0, lam > shift)
+                    with pytest.raises(NotPSD):
+                        _bordered_cholesky(*grams, shift)
+                else:
+                    s = _bordered_cholesky(*grams, shift)[2]
+                    assert np.array_equal(s > 0, lam > shift)
             assert (_bordered_cholesky(*grams, lam.min() - 1e-3)[2] > 0).all()
             if k > 1:
                 with pytest.raises(NotPSD):
