@@ -116,22 +116,20 @@ def _apex_grams(base: np.ndarray, apexes: np.ndarray
 
 
 def _bordered_cholesky(corner: np.ndarray, edge: np.ndarray,
-                       tip: np.ndarray, shift: float
+                       tip: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L = cholesky(corner - shift*I), Y = L^-1 edge^T and the Schur
-    complements s_j = tip_j - shift - |Y_j|^2 (Y_j is column j of Y).
+    """L = cholesky(corner), Y = L^-1 edge^T and the Schur complements
+    s_j = tip_j - |Y_j|^2 (Y_j is column j of Y).
 
-    Apex j's Gram minus shift*I is positive definite iff L exists and
-    s_j > 0. If L does not exist, every apex Gram has an eigenvalue at or
-    below shift (interlacing), and NotPSD is raised."""
-    C = corner.copy()
-    C.flat[::len(C) + 1] -= shift
+    Apex j's Gram is positive definite iff L exists and s_j > 0. If L
+    does not exist, every apex Gram has an eigenvalue at or below zero
+    (interlacing), and NotPSD is raised."""
     try:
-        L = np.linalg.cholesky(C)
+        L = np.linalg.cholesky(corner)
         Y = np.linalg.solve(L, edge.T)
     except np.linalg.LinAlgError:
         raise NotPSD("base Gram is not positive definite") from None
-    return L, Y, tip - shift - (Y * Y).sum(axis=0)
+    return L, Y, tip - (Y * Y).sum(axis=0)
 
 
 def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
@@ -150,23 +148,21 @@ def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
     return lam
 
 
-def place_apexes(corner: np.ndarray, edge: np.ndarray,
-                 tip: np.ndarray) -> np.ndarray:
+def place_apexes(L: np.ndarray, Y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """k base points and m apexes in R^k, each apex at its target
     distances from the base and all of them on one side of its hyperplane.
 
-    The paper's one construction: the Cholesky factor of the apex Grams
-    (from _apex_grams) is the configuration. The base rows are L with a
-    zero last column, then the origin, so base point i is nonzero only in
-    its first i coordinates; apex j is (Y_j, sqrt(s_j)), its nonnegative
-    height the same-side choice (see _bordered_cholesky at shift 0).
-    Returns the base rows, then the apex rows. A corner that does not
-    factor or a negative complement raises NotPSD."""
-    L, Y, s = _bordered_cholesky(corner, edge, tip, 0.0)
-    if (s < 0).any():
-        raise NotPSD(f"apex height squared {s.min():.3e} below zero")
-    k = len(corner) + 1
-    X = np.zeros((k + len(tip), k))
+    The paper's one construction: the Cholesky factor (L, Y, s) of the
+    apex Grams, from _bordered_cholesky, is the configuration. The base
+    rows are L with a zero last column, then the origin, so base point i
+    is nonzero only in its first i coordinates; apex j is (Y_j, sqrt(s_j)),
+    its positive height the same-side choice. Returns the base rows, then
+    the apex rows. A complement s_j <= 0 (apex Gram j not positive
+    definite) raises NotPSD."""
+    if not (s > 0).all():
+        raise NotPSD(f"apex height squared {s.min():.3e} not positive")
+    k = len(L) + 1
+    X = np.zeros((k + len(s), k))
     X[:k - 1, :k - 1] = L
     X[k:, :-1] = Y.T
     X[k:, -1] = np.sqrt(s)
@@ -189,33 +185,32 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     MAX_PAIRS pairs raises BadSize first; a step whose Grams overflow
     raises NonFiniteEntry.
 
-    Every step is first screened by _bordered_cholesky at eta; only a
-    step whose complements are all positive is eigen-solved and decided
-    by its eigenvalues, so a search eigen-solves once, at the step it
-    accepts."""
+    Each step is factored once, by _bordered_cholesky, and placed from
+    that factor. A corner that does not factor or a complement at or below
+    zero rejects the step: some apex Gram is then not positive definite,
+    so its least eigenvalue is at or below zero, hence below eta. Only a
+    placed step is eigen-solved, and it is decided by its eigenvalues, so
+    a search eigen-solves only steps whose apex Grams are positive
+    definite."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
     state: dict = {}
 
     def step(eps: float) -> bool:
-        with np.errstate(over="ignore", invalid="ignore"):
-            grams = _apex_grams(*target(eps))
-            try:
-                if not (_bordered_cholesky(*grams, eta)[2] > 0).all():
-                    return False
-                lam = _least_eigenvalues(*grams)
-                if not (lam > eta).all():
-                    return False
-                X = place_apexes(*grams)
-            except NotPSD:
-                return False
-            if accept is not None and not accept(X):
-                return False
+        grams = _apex_grams(*target(eps))
+        try:
+            X = place_apexes(*_bordered_cholesky(*grams))
+        except NotPSD:
+            return False
+        lam = _least_eigenvalues(*grams)
+        if not (lam > eta).all() or (accept is not None and not accept(X)):
+            return False
         state.update(X=X, eigs=lam)
         return True
 
-    eps = choose_epsilon(search or default_search(spec), step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = choose_epsilon(search or default_search(spec), step)
     rows = np.empty_like(state["X"])
     rows[order] = state["X"]
     config = PointConfig.from_rows(rows, spec.n, spec.kind)

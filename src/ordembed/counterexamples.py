@@ -22,7 +22,7 @@ import numpy as np
 from . import orders, verifier
 from .errors import BadSize, UnknownName
 from .orders import OrderSpec
-from .schoenberg import MAX_PAIRS, PointConfig, pair_index
+from .schoenberg import MAX_PAIRS, PointConfig, check_pair_count, pair_index
 
 MARGIN = 5e-2
 FLOOR = 5e-2
@@ -202,6 +202,8 @@ class _StressTerms:
             xj = np.concatenate([pb, n + qb])
         k = ranks.size
         diffs = k + xi.size
+        # the coordinate scatter below holds 2 * diffs * dim entries
+        check_pair_count(diffs * dim)
         # both ends of every difference: pairs, distinctness terms, then
         # point 0 to itself, whose squared distance is the exact zero that
         # the low terms take as their first operand
@@ -354,10 +356,10 @@ class FalsifierConfig:
             raise BadSize("dim must be >= 1")
         if self.restarts < 1 or self.iters < 1:
             raise BadSize("restarts and iters must be >= 1")
-        if self.margin <= 0:
-            raise BadSize("margin must be positive")
-        if self.floor < 0:
-            raise BadSize("floor must be nonnegative")
+        if not 0 < self.margin < math.inf:
+            raise BadSize("margin must be positive and finite")
+        if not 0 <= self.floor < math.inf:
+            raise BadSize("floor must be nonnegative and finite")
 
 
 class RestartStop(NamedTuple):

@@ -4,15 +4,18 @@ Every test records its verdict through conftest.record_criterion before
 asserting, so the terminal summary always lists all nine lines even when
 one of them fails.
 """
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from conftest import (fd_gradient, random_bipartite_preorder,
                       random_linear_order, random_preorder, record_criterion,
                       reflected_simplex_gap)
+import ordembed
 from ordembed import (constructions, counterexamples, orders, schoenberg,
                       verifier)
 from ordembed.counterexamples import FalsifierConfig
@@ -236,6 +239,10 @@ def test_criterion_9_determinism(preorder4_spec, tmp_path):
     orders.save(preorder4_spec, str(spec_a))
     spec_b = tmp_path / "diameter4.json"
     orders.save(counterexamples.gallery("diameter_preorder", 4), str(spec_b))
+    # the fresh interpreters import the package these tests imported
+    src = str(Path(ordembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
     def run_once(tag: str) -> bytes:
         d = tmp_path / tag
@@ -253,7 +260,7 @@ def test_criterion_9_determinism(preorder4_spec, tmp_path):
         )
         for argv, want_rc in jobs:
             proc = subprocess.run([sys.executable, "-m", "ordembed.cli"]
-                                  + argv, capture_output=True)
+                                  + argv, capture_output=True, env=env)
             if proc.returncode != want_rc:
                 fails.append(f"{argv[0]} exited {proc.returncode}, "
                              f"wanted {want_rc}")

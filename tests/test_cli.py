@@ -322,6 +322,29 @@ def test_falsify_bad_dim_exits_two(preorder4_spec, tmp_path, capsys):
     assert _diag(capsys)["error"] == "BadSize"
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--margin", "nan"), ("--margin", "inf"), ("--floor", "nan"),
+    ("--floor", "inf")])
+def test_falsify_non_finite_margin_or_floor_exits_two(
+        option, value, preorder4_spec, tmp_path, capsys):
+    rc = cli.main(["falsify", _spec_file(preorder4_spec, tmp_path),
+                   str(tmp_path / "o.json"), "--dim", "2", option, value])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "BadSize"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_falsify_huge_dim_is_refused_before_allocating(preorder4_spec,
+                                                       tmp_path, capsys):
+    # the stress arrays grow with pairs times dim; a dim that no memory
+    # holds is refused by the pair cap, before anything is allocated
+    rc = cli.main(["falsify", _spec_file(preorder4_spec, tmp_path),
+                   str(tmp_path / "o.json"), "--dim", "10000000000000"])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "BadSize"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_falsify_requires_dim(preorder4_spec, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["falsify", _spec_file(preorder4_spec, tmp_path),

@@ -50,11 +50,11 @@ def test_unplaceable_step_is_rejected(monkeypatch):
         plain = realize(spec)
         refused = []
 
-        def refuse_first(*grams):
+        def refuse_first(*factor):
             if not refused:
                 refused.append(True)
                 raise NotPSD("refused")
-            return place_apexes(*grams)
+            return place_apexes(*factor)
 
         with monkeypatch.context() as m:
             m.setattr(constructions, "place_apexes", refuse_first)
@@ -551,7 +551,7 @@ def test_place_apexes_meets_every_target_on_one_side():
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
             grams = _apex_grams(D[:k, :k], D[k:, :k])
             assert (_least_eigenvalues(*grams) > 0).all()
-            Y = place_apexes(*grams)
+            Y = place_apexes(*_bordered_cholesky(*grams))
             assert Y.shape == (k + m, k)
             assert not Y[:k, -1].any() and not Y[k - 1].any()
             assert not np.triu(Y[:k], 1).any()
@@ -560,10 +560,16 @@ def test_place_apexes_meets_every_target_on_one_side():
             scale = float(D.max())
             assert np.abs(got[:k] - D[:k]).max() <= 1e-12 * scale
             assert np.abs(got[k:, :k] - D[k:, :k]).max() <= 1e-12 * scale
-    # a corner that is positive semidefinite but singular does not factor
+    # a corner that is positive semidefinite but singular does not factor,
+    # and an apex with a zero complement has no positive height
     with pytest.raises(NotPSD):
-        place_apexes(np.array([[4.0, 2.0], [2.0, 1.0]]), np.ones((1, 2)),
-                     np.full(1, 9.0))
+        _bordered_cholesky(np.array([[4.0, 2.0], [2.0, 1.0]]),
+                           np.ones((1, 2)), np.full(1, 9.0))
+    factor = _bordered_cholesky(np.eye(2), np.ones((2, 2)),
+                                np.array([3.0, 2.0]))
+    assert np.array_equal(factor[2], [1.0, 0.0])
+    with pytest.raises(NotPSD):
+        place_apexes(*factor)
 
 
 def test_preorder_grams_match_whole_matrix_reference():
@@ -598,51 +604,60 @@ def test_linear_grams_match_per_apex_reference():
             assert report.min_eigenvalues == want
 
 
+def _whole_grams(spec, eps):
+    """The apex Grams at eps of the realizer that realize picks for spec,
+    each built whole with gram_from_distances, the apex last."""
+    if spec.kind == "bipartite":
+        R = spec.ranks.reshape(spec.n, spec.m)
+        R = R.T if spec.m < spec.n else R
+        k = len(R)
+        D = np.full((k + 1, k + 1), 1.0 + eps)
+        np.fill_diagonal(D, 0.0)
+        grams = []
+        for col in R.T:
+            D[k, :k] = D[:k, k] = 1.0 + col * eps
+            grams.append(gram_from_distances(D, k))
+        return grams
+    M = perturbed_distances(spec, eps)
+    if spec.is_linear() and spec.n >= 3:
+        n = spec.n
+        i1, j1 = spec.classes[0][0]
+        others = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
+        return [gram_from_distances(M[np.ix_(others + [a], others + [a])],
+                                    n - 2) for a in (i1 - 1, j1 - 1)]
+    return [gram_from_distances(M, spec.n)]
+
+
 def _eigvalsh_search(spec, search, eta=constructions.ETA):
-    """Reference epsilon search: every step's apex Grams built whole with
-    gram_from_distances and eigen-solved, nothing screened. Returns the
+    """Reference epsilon search with nothing screened: every step's apex
+    Grams are eigen-solved, and the first step whose least eigenvalues all
+    clear eta, whose Grams place and, for a linear order, whose placed
+    minimal pair lies at a distance in (0, 1) is accepted. Returns the
     accepted eps, the least eigenvalues there and the steps rejected."""
+    linear = spec.kind == "complete" and spec.is_linear() and spec.n >= 3
     eps = search.initial
     for rejected in range(search.max_steps):
-        if spec.kind == "bipartite":
-            R = spec.ranks.reshape(spec.n, spec.m)
-            R = R.T if spec.m < spec.n else R
-            k = len(R)
-            D = np.full((k + 1, k + 1), 1.0 + eps)
-            np.fill_diagonal(D, 0.0)
-            eigs = []
-            for col in R.T:
-                D[k, :k] = D[:k, k] = 1.0 + col * eps
-                eigs.append(min_eigenvalue(gram_from_distances(D, k)))
-            ok = min(eigs) > eta
-        elif spec.is_linear() and spec.n >= 3:
-            n = spec.n
-            i1, j1 = spec.classes[0][0]
-            others = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
-            M = perturbed_distances(spec, eps)
-            G = [gram_from_distances(M[np.ix_(others + [a], others + [a])],
-                                     n - 2).matrix for a in (i1 - 1, j1 - 1)]
-            eigs = [min_eigenvalue(g) for g in G]
-            ok = min(eigs) > eta
-            if ok:
-                X = place_apexes(G[0][:-1, :-1],
-                                 np.array([g[-1, :-1] for g in G]),
-                                 np.array([g[-1, -1] for g in G]))
-                ok = 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0
-        else:
-            M = perturbed_distances(spec, eps)
-            eigs = [min_eigenvalue(gram_from_distances(M, spec.n))]
-            ok = eigs[0] > eta
-        if ok:
-            return eps, tuple(eigs), rejected
+        grams = _whole_grams(spec, eps)
+        eigs = tuple(min_eigenvalue(g) for g in grams)
+        if min(eigs) > eta:
+            G = np.array([g.matrix for g in grams])
+            try:
+                X = place_apexes(*_bordered_cholesky(
+                    G[0, :-1, :-1], G[:, -1, :-1], G[:, -1, -1]))
+            except NotPSD:
+                X = None
+            if X is not None and (not linear or 0.0 < float(
+                    np.linalg.norm(X[-2] - X[-1])) < 1.0):
+                return eps, eigs, rejected
         eps *= search.shrink_factor
     raise EpsilonExhausted("reference search exhausted")
 
 
 def test_screened_search_matches_eigvalsh_reference():
-    # the realizers Cholesky-screen every step after a rejected one; the
-    # accepted eps and its least eigenvalues must be those of a search
-    # that eigen-solves every step, also where several steps are rejected
+    # the realizers reject a step whose Cholesky factor fails before
+    # eigen-solving it; the accepted eps and its least eigenvalues must be
+    # those of a search that eigen-solves every step, also where several
+    # steps are rejected
     rng = np.random.default_rng(39)
     specs = [random_preorder(rng, n) for n in (3, 5, 8, 20, 60)]
     specs += [random_linear_order(rng, n) for n in (3, 5, 8, 20, 60)]
@@ -668,14 +683,20 @@ def test_screened_search_matches_eigvalsh_reference():
 
 
 def test_screen_rejects_only_what_the_eigenvalues_reject():
-    # on every draw the screen passes a shift 1e-3 below the worst apex's
-    # least eigenvalue and rejects one 1e-3 above it. Where the corner
-    # factors at the shift, apex j's Schur complement is positive exactly
-    # when its least eigenvalue clears the shift; a shift at or past the
-    # corner's least eigenvalue fails at the corner's factor, which the
-    # step takes as a rejection (by interlacing, some apex's eigenvalue is
-    # at or below the shift too). k = 1 has an empty corner, which always
-    # factors
+    # the bordered Cholesky of the pieces shifted by s (corner - s*I, edge,
+    # tip - s) is the factor of the apex Grams minus s*I. On every draw it
+    # passes a shift 1e-3 below the worst apex's least eigenvalue and
+    # rejects one 1e-3 above it. Where the corner factors at the shift,
+    # apex j's Schur complement is positive exactly when its least
+    # eigenvalue clears the shift; a shift at or past the corner's least
+    # eigenvalue fails at the corner's factor, which the step takes as a
+    # rejection (by interlacing, some apex's eigenvalue is at or below the
+    # shift too). k = 1 has an empty corner, which always factors
+    def shifted(grams, shift):
+        corner, edge, tip = grams
+        return _bordered_cholesky(corner - shift * np.eye(len(corner)),
+                                  edge, tip - shift)
+
     rng = np.random.default_rng(40)
     for k, m in ((1, 1), (1, 4), (2, 1), (4, 3), (7, 12), (30, 5)):
         for _ in range(4):
@@ -691,37 +712,82 @@ def test_screen_rejects_only_what_the_eigenvalues_reject():
             for shift in (lam.min() - 1e-3, lam.min() + 1e-3):
                 if shift >= corner_least:
                     with pytest.raises(NotPSD):
-                        _bordered_cholesky(*grams, shift)
+                        shifted(grams, shift)
                 else:
-                    s = _bordered_cholesky(*grams, shift)[2]
+                    s = shifted(grams, shift)[2]
                     assert np.array_equal(s > 0, lam > shift)
-            assert (_bordered_cholesky(*grams, lam.min() - 1e-3)[2] > 0).all()
+            assert (shifted(grams, lam.min() - 1e-3)[2] > 0).all()
             if k > 1:
                 with pytest.raises(NotPSD):
-                    _bordered_cholesky(*grams, corner_least + 1e-3)
+                    shifted(grams, corner_least + 1e-3)
 
 
-def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
-    # every step is screened first, the first one included, so a search
-    # that rejects steps eigen-solves once: at the step it accepts, in one
-    # batch for Grams this small
-    eigen, steps = [], []
-    monkeypatch.setattr(constructions.np.linalg, "eigvalsh", _counted(
-        eigen, np.linalg.eigvalsh))
+def _probe_search(monkeypatch, name: str) -> tuple[list, list]:
+    """Record every call of np.linalg.<name> and every probed eps step."""
+    calls, steps = [], []
+    monkeypatch.setattr(constructions.np.linalg, name, _counted(
+        calls, getattr(np.linalg, name)))
     choose = constructions.choose_epsilon
 
     def probing(search, test):
         return choose(search, _counted(steps, test))
 
     monkeypatch.setattr(constructions, "choose_epsilon", probing)
-    rng = np.random.default_rng(41)
-    for spec in (random_preorder(rng, 12), random_linear_order(rng, 12),
-                 random_bipartite_preorder(rng, 12, 9),
-                 random_bipartite_preorder(rng, 5, 7)):
+    return calls, steps
+
+
+def _searches_that_reject(seed: int):
+    """A spec for each realizer; searched from eps = 0.45, each rejects
+    several steps."""
+    rng = np.random.default_rng(seed)
+    return (random_preorder(rng, 12), random_linear_order(rng, 12),
+            random_bipartite_preorder(rng, 12, 9),
+            random_bipartite_preorder(rng, 5, 7))
+
+
+def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
+    # a step whose apex Grams are not positive definite fails its Cholesky
+    # factor and is not eigen-solved, so a search whose rejected steps are
+    # all of that kind eigen-solves once: at the step it accepts, in one
+    # batch for Grams this small
+    eigen, steps = _probe_search(monkeypatch, "eigvalsh")
+    for spec in _searches_that_reject(41):
         del eigen[:], steps[:]
         realize(spec, search=EpsilonSearch(initial=0.45))
         assert len(steps) >= 3
         assert len(eigen) == 1
+
+
+def test_search_factors_each_step_once(monkeypatch):
+    # one Cholesky factor per probed step, accepted or not: the factor that
+    # decides whether the apex Grams are positive definite also places the
+    # points
+    factors, steps = _probe_search(monkeypatch, "cholesky")
+    for spec in _searches_that_reject(41):
+        del factors[:], steps[:]
+        realize(spec, search=EpsilonSearch(initial=0.45))
+        assert len(steps) >= 3
+        assert len(factors) == len(steps)
+
+
+def test_step_within_eta_of_singular_is_rejected(monkeypatch):
+    # at a step whose apex Grams are positive definite, a least eigenvalue
+    # in (0, eta] rejects the step, after the factor passed and the step
+    # was eigen-solved; just below it the same step is accepted
+    eigen, _ = _probe_search(monkeypatch, "eigvalsh")
+    for spec in one_spec_per_realizer(43):
+        report = realize(spec)
+        least = min(report.min_eigenvalues)
+        assert least > constructions.ETA
+        at = EpsilonSearch(initial=report.epsilon, max_steps=1)
+        for eta in (least, 1.5 * least):
+            del eigen[:]
+            with pytest.raises(EpsilonExhausted):
+                realize(spec, eta=eta, search=at)
+            assert len(eigen) == 1
+        again = realize(spec, eta=0.99 * least, search=at)
+        assert again.epsilon == report.epsilon
+        assert again.min_eigenvalues == report.min_eigenvalues
 
 
 def _counted(record: list, fn):
