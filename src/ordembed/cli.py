@@ -11,12 +11,14 @@ alone maps a raised error to its exit code. Exit codes per command:
   falsify  0 feasible, 1 refuted or undecided, 2 bad input or output
 
 Bad input is any other OrdembedError, BadSize for --eta, --epsilon,
---shrink and --max-steps included; bad output is an OSError on OUT or --csv.
+--shrink, --max-steps, a negative or non-finite --tol-abs or --tol-rel and
+a negative falsify --seed included; bad output is an OSError on OUT or --csv.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -56,6 +58,8 @@ def _search_from_flags(spec: OrderSpec, args) -> EpsilonSearch | None:
 
 def cmd_realize(args) -> int:
     spec = orders.load(args.spec)
+    # the self-check would refuse them only after OUT is written
+    verifier.check_tolerances(args.tol_abs, args.tol_rel)
     report = constructions.realize(spec, eta=args.eta,
                                    search=_search_from_flags(spec, args))
     schoenberg.save_config(report.config, args.out)
@@ -121,7 +125,10 @@ def _add_tolerances(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-rel", type=float, default=verifier.TOL_REL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: it
+    holds no per-call state, since each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ordembed",
         description="Realize, verify, and probe distance orders.")

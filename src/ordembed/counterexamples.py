@@ -360,6 +360,8 @@ class FalsifierConfig:
             raise BadSize("margin must be positive and finite")
         if not 0 <= self.floor < math.inf:
             raise BadSize("floor must be nonnegative and finite")
+        if self.seed < 0:
+            raise BadSize("seed must be >= 0")
 
 
 class RestartStop(NamedTuple):

@@ -66,4 +66,4 @@ class UnknownName(OrdembedError):
 
 
 class BadSize(OrdembedError):
-    """A size parameter lies outside a family's validity range."""
+    """A size or numeric setting lies outside its valid range."""

@@ -119,13 +119,14 @@ class OrderSpec:
 
     def extremes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest of values (one per pair, in pair_set() order)
-        within each class, as two float arrays indexed by rank - 1."""
-        at = self.ranks - 1
-        lo = np.full(self.num_classes, np.inf)
-        hi = np.full(self.num_classes, -np.inf)
-        np.minimum.at(lo, at, values)
-        np.maximum.at(hi, at, values)
-        return lo, hi
+        within each class, as two float arrays indexed by rank - 1: one
+        min and one max reduceat over the class runs of values gathered
+        into listed order, exact since min and max only pick elements."""
+        self.ranks  # validates: every class is a nonempty run
+        listed = values[self._lex]
+        starts = np.cumsum(self._sizes) - self._sizes
+        return (np.minimum.reduceat(listed, starts).astype(float, copy=False),
+                np.maximum.reduceat(listed, starts).astype(float, copy=False))
 
     def is_linear(self) -> bool:
         return bool((self._sizes == 1).all())

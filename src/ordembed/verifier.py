@@ -6,12 +6,13 @@ and exact whenever the realization's gaps dominate the tolerances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadSize, ShapeMismatch
 from .orders import OrderSpec, Pair, _pairs_at
 from .schoenberg import PointConfig, pair_distances
 
@@ -60,9 +61,18 @@ class VerifyReport:
         return self.verdict == "match"
 
 
+def check_tolerances(tol_abs: float, tol_rel: float) -> None:
+    """Raise BadSize unless both tolerances are nonnegative and finite: a
+    negative one splits ties, a NaN or infinite one merges every class."""
+    for name, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
+        if not 0 <= tol < math.inf:
+            raise BadSize(f"{name} must be nonnegative and finite, got {tol}")
+
+
 def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
                      tol_rel: float = TOL_REL) -> InducedOrder:
     """Classes of the induced order, ascending, with gap/spread diagnostics."""
+    check_tolerances(tol_abs, tol_rel)
     vals = pair_distances(config)
     if vals.size == 0:
         raise ShapeMismatch("a configuration of fewer than two points "

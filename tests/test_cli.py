@@ -1,4 +1,5 @@
 """End-to-end command-line tests, run in process through cli.main."""
+import argparse
 import builtins
 import json
 import math
@@ -242,6 +243,93 @@ def test_induce_tolerance_merges_classes(tmp_path, capsys):
     assert rc == 0
     got = json.loads(capsys.readouterr().out)
     assert got["classes"] == [[[1, 2], [1, 3], [2, 3]]]
+
+
+@pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_verify_and_induce_refuse_a_bad_tolerance(option, value,
+                                                 preorder4_spec, tmp_path,
+                                                 capsys):
+    # a negative tolerance splits every tie, a NaN or infinite one merges
+    # every class: both are refused, not turned into a wrong order
+    config = PointConfig(1, np.array([[0.0], [1.0], [2.0], [4.0]]))
+    pts = str(tmp_path / "pts.json")
+    schoenberg.save_config(config, pts)
+    spec_path = _spec_file(preorder4_spec, tmp_path)
+    for argv in (["induce", pts], ["verify", spec_path, pts]):
+        assert cli.main([*argv, option, value]) == 2
+        diag = _diag(capsys)
+        assert diag["error"] == "BadSize"
+        assert diag["message"].startswith(
+            f"{option[2:].replace('-', '_')} must be nonnegative and finite")
+
+
+@pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_realize_refuses_a_bad_tolerance_before_writing(option, value,
+                                                        preorder4_spec,
+                                                        tmp_path, capsys):
+    out, csv = tmp_path / "o.json", tmp_path / "o.csv"
+    rc = cli.main(["realize", _spec_file(preorder4_spec, tmp_path), str(out),
+                   "--csv", str(csv), option, value])
+    assert rc == 2
+    assert _diag(capsys)["error"] == "BadSize"
+    assert not out.exists() and not csv.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, preorder4_spec,
+                                                 tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    etas = []
+    realize = constructions.realize
+
+    def spy(spec, eta=constructions.ETA, search=None):
+        etas.append(eta)
+        return realize(spec, eta=eta, search=search)
+
+    monkeypatch.setattr(constructions, "realize", spy)
+    spec_path = _spec_file(preorder4_spec, tmp_path)
+    out = str(tmp_path / "o.json")
+    assert cli.main(["realize", spec_path, out, "--eta", "1e-3"]) == 0
+    after_first = len(built)
+    assert after_first > 0
+    assert cli.main(["realize", spec_path, out]) == 0
+    assert etas == [1e-3, constructions.ETA]
+
+    line = PointConfig(1, np.array([[0.0], [1.0], [3.0]]))
+    pts = str(tmp_path / "pts.json")
+    schoenberg.save_config(line, pts)
+    capsys.readouterr()
+    assert cli.main(["induce", pts, "--tol-abs", "10"]) == 0
+    merged = capsys.readouterr().out
+    assert cli.main(["induce", pts]) == 0
+    assert json.loads(merged)["classes"] == [[[1, 2], [1, 3], [2, 3]]]
+    assert json.loads(capsys.readouterr().out)["classes"] == [
+        [[1, 2]], [[2, 3]], [[1, 3]]]
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", spec_path])
+    assert excinfo.value.code == 2
+    assert cli.main(["verify", spec_path, out]) == 0
+    assert len(built) == after_first
+
+
+def test_falsify_negative_seed_exits_two(preorder4_spec, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    rc = cli.main(["falsify", _spec_file(preorder4_spec, tmp_path), str(out),
+                   "--dim", "2", "--seed", "-1"])
+    assert rc == 2
+    diag = _diag(capsys)
+    assert diag == {"error": "BadSize", "message": "seed must be >= 0"}
+    assert not out.exists()
 
 
 def test_induce_bipartite_round_trip(bip32_spec, tmp_path, capsys):

@@ -257,6 +257,8 @@ def test_falsifier_config_validation():
         FalsifierConfig(dim=1, iters=0)
     with pytest.raises(BadSize):
         FalsifierConfig(dim=1, margin=0.0)
+    with pytest.raises(BadSize, match="seed must be >= 0"):
+        FalsifierConfig(dim=1, seed=-1)
 
 
 def test_falsify_feasible_case_verifies():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (random_bipartite_preorder, random_linear_order,
                       random_preorder, rank)
-from ordembed import constructions, orders, verifier
+from ordembed import constructions, orders, schoenberg, verifier
 from ordembed.errors import (DuplicatePair, EmptyClass, IndexOutOfRange,
                              MissingPair, SpecError)
 from ordembed.orders import OrderSpec
@@ -249,6 +249,41 @@ def test_json_and_canonical_match_sorted_oracle(raw):
         assert canon.classes == tuple(map(tuple, ordered))
         assert (canon == spec) == (ordered == norm)
         assert orders.from_ranks(spec.ranks, n, m) == canon
+
+
+def _scatter_extremes(spec, values):
+    """The former OrderSpec.extremes, kept as its oracle: one unbuffered
+    minimum and maximum scatter per pair into its class."""
+    at = spec.ranks - 1
+    lo = np.full(spec.num_classes, np.inf)
+    hi = np.full(spec.num_classes, -np.inf)
+    np.minimum.at(lo, at, values)
+    np.maximum.at(hi, at, values)
+    return lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_raw_partitions(), st.sampled_from(["drawn", "one class", "linear"]),
+       st.sampled_from(["int ranks", "float distances"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_extremes_match_the_scatter_oracle(raw, shape, values, seed):
+    kind, n, m, classes = raw
+    pairs = [p for cls in classes for p in cls]
+    classes = {"drawn": classes, "one class": [pairs],
+               "linear": [[p] for p in pairs]}[shape]
+    spec = OrderSpec(kind, n, classes, m=m)
+    rng = np.random.default_rng(seed)
+    if values == "int ranks":
+        vals = rng.integers(1, len(pairs) + 1, len(pairs))
+    else:
+        # lattice points: repeated and tied distances, zeros included
+        P = rng.integers(-2, 3, (n, 2)).astype(float)
+        Q = None if m is None else rng.integers(-2, 3, (m, 2)).astype(float)
+        vals = schoenberg.pair_distances(schoenberg.PointConfig(2, P, Q))
+    got, want = spec.extremes(vals), _scatter_extremes(spec, vals)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w)
 
 
 # (kind, n, m, classes): shapes the partition strategy above never draws

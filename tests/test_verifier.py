@@ -10,7 +10,7 @@ from conftest import (count_calls, random_bipartite_preorder,
                       random_linear_order, random_preorder, rank)
 from ordembed import cli, orders, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
-from ordembed.errors import ShapeMismatch
+from ordembed.errors import BadSize, ShapeMismatch
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 from ordembed.schoenberg import PointConfig, pair_distances
 from ordembed.verifier import _first_disagreement, induced_preorder, verify
@@ -49,6 +49,15 @@ def test_induced_merges_within_tolerance():
     assert len(induced.classes) == 2
     assert induced.gaps == (pytest.approx(1.0),)
     assert induced.spread == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("tolerances", [
+    (-1e-12, 0.0), (0.0, -1e-12), (float("nan"), 0.0), (0.0, float("inf"))])
+def test_induced_refuses_negative_or_non_finite_tolerances(tolerances):
+    with pytest.raises(BadSize, match="must be nonnegative and finite"):
+        induced_preorder(_line(0, 1, 3), *tolerances)
+    assert induced_preorder(_line(0, 1, 3), 0.0, 0.0).classes == (
+        ((1, 2),), ((2, 3),), ((1, 3),))
 
 
 def test_verify_preorder4_match(preorder4_spec):
