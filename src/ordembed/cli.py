@@ -11,8 +11,9 @@ alone maps a raised error to its exit code. Exit codes per command:
   falsify  0 feasible, 1 refuted or undecided, 2 bad input or output
 
 Bad input is any other OrdembedError, BadSize for --eta, --epsilon,
---shrink, --max-steps, a negative or non-finite --tol-abs or --tol-rel and
-a negative falsify --seed included; bad output is an OSError on OUT or --csv.
+--shrink, --max-steps, a negative or non-finite --tol-abs or --tol-rel, a
+negative falsify --seed and a --margin or --floor past SHIFT_MAX (1.16e77)
+or not finite included; bad output is an OSError on OUT or --csv.
 """
 from __future__ import annotations
 
@@ -67,8 +68,7 @@ def cmd_realize(args) -> int:
         _write_csv(report.config, args.csv)
     check = verifier.verify(report.config, spec, tol_abs=args.tol_abs,
                             tol_rel=args.tol_rel)
-    # on a match the verifier's least class gap is the realized margin,
-    # the same subtractions, so the distances are computed once
+    # on a match both are OrderSpec.separation's gap; distances are read once
     margin = check.margin if check.matched else report.margin
     print(schoenberg.report_json({
         "dim": report.config.dim, "epsilon": report.epsilon,

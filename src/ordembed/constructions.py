@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (CHUNK, PointConfig, check_pair_count,
+from .schoenberg import (MAX_PAIRS, PointConfig, check_pair_count,
                          pair_distances, pair_index)
 
 ETA = 1e-6
@@ -88,11 +88,8 @@ def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
 
 
 def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
-    """Smallest gap between max distance of one class and min distance of
-    the next, over consecutive classes."""
-    lo, hi = spec.extremes(pair_distances(config))
-    gaps = lo[1:] - hi[:-1]
-    return float(gaps.min()) if gaps.size else float("inf")
+    """Least gap from one class's greatest distance to the next's least."""
+    return spec.separation(pair_distances(config))[0]
 
 
 def _apex_grams(base: np.ndarray, apexes: np.ndarray
@@ -134,10 +131,10 @@ def _bordered_cholesky(corner: np.ndarray, edge: np.ndarray,
 
 def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
                        tip: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of each apex Gram, the Grams written as a stack
-    and eigen-solved in batches of at most CHUNK entries."""
+    """Least eigenvalue of each apex Gram, the Grams written as a stack and
+    eigen-solved in batches of at most MAX_PAIRS entries, a per-pair vector."""
     m, k = len(tip), len(corner) + 1
-    step = max(1, CHUNK // (k * k))
+    step = max(1, MAX_PAIRS // (k * k))
     lam = np.empty(m)
     for a in range(0, m, step):
         G = np.empty((min(step, m - a), k, k))

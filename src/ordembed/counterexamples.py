@@ -34,6 +34,8 @@ ARMIJO_C = 1e-4
 MIN_STEP = 1e-18
 STALL_REL = 1e-8
 STALL_ITERS = 50
+# largest margin or floor: its squares in the loss leave 1e154 to overflow
+SHIFT_MAX = float(np.finfo(float).max) ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,8 @@ class FalsifierConfig:
             raise BadSize("margin must be positive and finite")
         if not 0 <= self.floor < math.inf:
             raise BadSize("floor must be nonnegative and finite")
+        if max(self.margin, self.floor) > SHIFT_MAX:
+            raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")
         if self.seed < 0:
             raise BadSize("seed must be >= 0")
 

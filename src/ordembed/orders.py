@@ -123,10 +123,15 @@ class OrderSpec:
         min and one max reduceat over the class runs of values gathered
         into listed order, exact since min and max only pick elements."""
         self.ranks  # validates: every class is a nonempty run
-        listed = values[self._lex]
-        starts = np.cumsum(self._sizes) - self._sizes
+        listed, starts = values[self._lex], self._starts
         return (np.minimum.reduceat(listed, starts).astype(float, copy=False),
                 np.maximum.reduceat(listed, starts).astype(float, copy=False))
+
+    def separation(self, values: np.ndarray) -> tuple[float, float]:
+        """Least gap lo[c+1] - hi[c] and greatest spread hi[c] - lo[c]."""
+        lo, hi = self.extremes(values)
+        return (float((lo[1:] - hi[:-1]).min(initial=np.inf)),
+                float((hi - lo).max()))
 
     def is_linear(self) -> bool:
         return bool((self._sizes == 1).all())
@@ -146,8 +151,9 @@ def _new(kind: str, n: int, m: int | None, flat, sizes) -> OrderSpec:
     swap = (ij[:, 0] > ij[:, 1]) & (kind == "complete")
     ij[swap] = ij[swap][:, ::-1]
     spec = OrderSpec.__new__(OrderSpec)
-    vars(spec).update(kind=kind, n=n, m=m, _ij=ij,
-                      _sizes=np.array(sizes, dtype=np.int64))
+    sizes = np.array(sizes, dtype=np.int64)
+    vars(spec).update(kind=kind, n=n, m=m, _ij=ij, _sizes=sizes,
+                      _starts=np.cumsum(sizes) - sizes)
     return spec
 
 
@@ -199,7 +205,7 @@ def validate(spec: OrderSpec) -> None:
     si, sj = i[order], j[order]
     again = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
     first = min(stop, int(order[1:][again].min()) if again.any() else stop)
-    empty = (np.cumsum(sizes) - sizes)[sizes == 0]
+    empty = spec._starts[sizes == 0]
     if empty.size and empty[0] <= first:
         raise EmptyClass("empty class in spec")
     if first < count:

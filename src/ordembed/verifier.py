@@ -70,10 +70,11 @@ def check_tolerances(tol_abs: float, tol_rel: float) -> None:
 
 
 def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
-                     tol_rel: float = TOL_REL) -> InducedOrder:
-    """Classes of the induced order, ascending, with gap/spread diagnostics."""
+                     tol_rel: float = TOL_REL, distances=None) -> InducedOrder:
+    """Classes of the induced order, ascending, with gap/spread diagnostics;
+    distances, if given, are config's pair distances."""
     check_tolerances(tol_abs, tol_rel)
-    vals = pair_distances(config)
+    vals = pair_distances(config) if distances is None else distances
     if vals.size == 0:
         raise ShapeMismatch("a configuration of fewer than two points "
                             "induces no order")
@@ -143,16 +144,23 @@ def _first_disagreement(spec: OrderSpec, induced: InducedOrder
 
 def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
            tol_rel: float = TOL_REL) -> VerifyReport:
-    """Match iff the induced classes equal the spec classes as set sequences."""
+    """Match iff the induced classes equal the spec classes as set sequences;
+    unsorted if each spec class spreads at most the threshold and ends more
+    than it below the next, since the sorted split then cuts there."""
     check_shape(config, spec)
-    induced = induced_preorder(config, tol_abs, tol_rel)
-    margin = min(induced.gaps) if induced.gaps else float("inf")
+    check_tolerances(tol_abs, tol_rel)
+    vals = pair_distances(config)
+    margin, spread = spec.separation(vals)
+    threshold = tol_abs + tol_rel * float(vals.max())
     # complete: the least distance over all pairs of P; bipartite: the
     # least P-to-Q distance (each collection may repeat points internally)
-    distinctness = float(induced.distances.min())
+    distinctness = float(vals.min())
     witness = None
-    if not np.array_equal(induced.ranks, spec.ranks):
-        witness = _first_disagreement(spec, induced)
+    if not (margin > threshold and spread <= threshold):
+        induced = induced_preorder(config, tol_abs, tol_rel, vals)
+        margin = min(induced.gaps) if induced.gaps else float("inf")
+        if not np.array_equal(induced.ranks, spec.ranks):
+            witness = _first_disagreement(spec, induced)
     return VerifyReport(verdict="match" if witness is None else "mismatch",
                         witness=witness, margin=margin,
                         distinctness=distinctness)

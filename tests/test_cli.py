@@ -422,6 +422,30 @@ def test_falsify_non_finite_margin_or_floor_exits_two(
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--margin", "--floor"])
+def test_falsify_margin_or_floor_past_shift_max_exits_two(option, tmp_path,
+                                                         capsys):
+    # past SHIFT_MAX the stress loss can overflow: at 1e154 it did, and
+    # with --floor falsify ended in a traceback; at the bound a run
+    # completes with no floating-point warning
+    spec = _spec_file(counterexamples.gallery("diameter_preorder", 3),
+                      tmp_path)
+    out = tmp_path / "o.json"
+    argv = ["falsify", spec, str(out), "--dim", "2", "--restarts", "1",
+            "--iters", "10", option]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + [repr(counterexamples.SHIFT_MAX)]) == 1
+    capsys.readouterr()
+    out.unlink()
+    for value in (np.nextafter(counterexamples.SHIFT_MAX, np.inf), 1e154):
+        assert cli.main(argv + [repr(float(value))]) == 2
+        assert _diag(capsys) == {
+            "error": "BadSize",
+            "message": "margin and floor must be at most 1.16e+77"}
+        assert not out.exists()
+
+
 def test_falsify_huge_dim_is_refused_before_allocating(preorder4_spec,
                                                        tmp_path, capsys):
     # the stress arrays grow with pairs times dim; a dim that no memory

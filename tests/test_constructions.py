@@ -758,6 +758,23 @@ def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
         assert len(eigen) == 1
 
 
+def test_least_eigenvalues_batch_up_to_max_pairs_entries(monkeypatch):
+    # a batch holds up to MAX_PAIRS entries, as many as a per-pair vector:
+    # the 100 apex Grams of 101 rows that a 100 x 100 bipartite step
+    # builds take one eigvalsh call, and each least eigenvalue is bitwise
+    # that of its Gram solved alone
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((201, 101))
+    D = distances_of(schoenberg.PointConfig(dim=101, P=X))
+    corner, edge, tip = _apex_grams(D[:101, :101], D[101:, :101])
+    alone = [np.linalg.eigvalsh(np.block([[corner, e[:, None]],
+                                          [e[None, :], t]]))[0]
+             for e, t in zip(edge, tip)]
+    eigen, _ = _probe_search(monkeypatch, "eigvalsh")
+    assert _least_eigenvalues(corner, edge, tip).tolist() == alone
+    assert len(eigen) == 1
+
+
 def test_search_factors_each_step_once(monkeypatch):
     # one Cholesky factor per probed step, accepted or not: the factor that
     # decides whether the apex Grams are positive definite also places the

@@ -366,3 +366,135 @@ def test_induced_order_equality_reads_classes():
     assert a == b
     assert a != induced_preorder(PointConfig(dim=3, P=P[::-1].copy()))
     assert a != a.classes
+
+
+def _verify_by_sort(config, spec, tol_abs=verifier.TOL_ABS,
+                    tol_rel=verifier.TOL_REL):
+    # reference: verify as a whole induced order compared rank by rank,
+    # with no certificate; verdict, witness, margin and distinctness as
+    # verify reports them
+    induced = induced_preorder(config, tol_abs, tol_rel)
+    margin = min(induced.gaps) if induced.gaps else float("inf")
+    witness = None
+    if not np.array_equal(induced.ranks, spec.ranks):
+        witness = _first_disagreement(spec, induced)
+    return ("match" if witness is None else "mismatch", witness,
+            repr(margin), repr(float(induced.distances.min())))
+
+
+def _reported(report):
+    return (report.verdict, report.witness, repr(report.margin),
+            repr(report.distinctness))
+
+
+@st.composite
+def _verify_cases(draw):
+    """A complete or bipartite spec of one class, a linear order or drawn
+    classes, a configuration realizing it, jittered, rounded so that
+    distances tie or (bipartite) with Q reversed, and one of three
+    tolerances; or random points, the spec they induce under a coarse
+    threshold that chains some classes wider than itself, and that
+    threshold."""
+    tolerances = draw(st.sampled_from([
+        (verifier.TOL_ABS, verifier.TOL_REL), (1e-6, 0.0), (0.0, 1e-3)]))
+    if draw(st.booleans()):
+        kind, n, m = "complete", draw(st.integers(2, 7)), None
+        pairs = complete_pairs(n)
+    else:
+        kind, n, m = "bipartite", draw(st.integers(1, 5)), draw(
+            st.integers(1, 5))
+        pairs = bipartite_pairs(n, m)
+    count = len(pairs)
+    spec = OrderSpec(kind, n, _partition(
+        pairs, draw(st.permutations(range(count))),
+        draw(st.sampled_from(["random", "one", "linear"])),
+        draw(st.lists(st.booleans(), min_size=count, max_size=count))), m=m)
+    how = draw(st.sampled_from(["realized", "jittered", "rounded",
+                                "reversed", "induced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if how == "induced":
+        n = draw(st.integers(4, 8))
+        m = None if m is None else draw(st.integers(2, 5))
+        d, tolerances = draw(st.integers(1, 3)), (0.0, 0.2)
+        config = PointConfig(dim=d, P=rng.standard_normal((n, d)),
+                             Q=None if m is None
+                             else rng.standard_normal((m, d)))
+        spec = orders.from_ranks(
+            induced_preorder(config, *tolerances).ranks, n, m)
+        return config, spec, tolerances
+    config = realize(spec).config
+    P, Q = config.P, config.Q
+    if how == "jittered":
+        scale = 10.0 ** -draw(st.integers(2, 12))
+        P = P + scale * rng.standard_normal(P.shape)
+        Q = None if Q is None else Q + scale * rng.standard_normal(Q.shape)
+    elif how == "rounded":
+        decimals = draw(st.integers(0, 6))
+        P, Q = P.round(decimals), None if Q is None else Q.round(decimals)
+    elif how == "reversed" and Q is not None:
+        Q = Q[::-1].copy()
+    return PointConfig(dim=config.dim, P=P, Q=Q), spec, tolerances
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_verify_cases())
+def test_verify_matches_sorting_reference(case):
+    config, spec, tolerances = case
+    assert _reported(verify(config, spec, *tolerances)) == _verify_by_sort(
+        config, spec, *tolerances)
+
+
+# points on a line, a spec and tolerances (tol_abs, tol_rel = 0) at the
+# certificate's edges
+_EDGES = {
+    # distances 1, 2, 3 with threshold 1: each gap equals the threshold,
+    # so the sort merges all three and the linear spec is not matched
+    "gap_at_threshold": ((0.0, 1.0, 3.0), ((((1, 2),), ((2, 3),),
+                                            ((1, 3),))), 1.0, "mismatch"),
+    # class {1, 1.5} spreads exactly the threshold 0.5 and ends 1.0 below
+    # distance 2.5: the certificate holds
+    "spread_at_threshold": ((0.0, 1.0, 2.5), (((1, 2), (2, 3)),
+                                              ((1, 3),)), 0.5, "match"),
+    # class {1, 1.4, 1.8} spreads 0.8 over the threshold 0.5, but its steps
+    # of 0.4 merge it in the sort: the certificate fails and the sort
+    # still matches
+    "chained_class": ((0.0, 1.0, 2.4, 4.2), (((1, 2), (2, 3), (3, 4)),
+                                             ((1, 3),), ((2, 4),),
+                                             ((1, 4),)), 0.5, "match"),
+}
+
+
+@pytest.mark.parametrize("edge", list(_EDGES))
+def test_verify_at_certificate_edges(edge):
+    xs, classes, tol, verdict = _EDGES[edge]
+    config = _line(*xs)
+    spec = OrderSpec("complete", len(xs), classes)
+    report = verify(config, spec, tol, 0.0)
+    assert report.verdict == verdict
+    assert _reported(report) == _verify_by_sort(config, spec, tol, 0.0)
+
+
+def test_matching_verify_does_not_sort(monkeypatch, preorder4_spec,
+                                       bip32_spec):
+    # a match certified by class extremes reads the distances once and
+    # never sorts them; a mismatch, or a match the certificate cannot
+    # show, sorts them once
+    distances = count_calls(monkeypatch, schoenberg.pair_distances)
+    sorts, real = [], np.argsort
+
+    def argsort(*args, **kwargs):
+        sorts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    single = OrderSpec("complete", 4, (tuple(complete_pairs(4)),))
+    xs, classes, tol, _ = _EDGES["chained_class"]
+    for spec, config, tolerances, want in (
+            (preorder4_spec, realize_preorder_complete(preorder4_spec).config,
+             (), 0),
+            (bip32_spec, realize(bip32_spec).config, (), 0),
+            (preorder4_spec, realize_preorder_complete(single).config, (), 1),
+            (OrderSpec("complete", 4, classes), _line(*xs), (tol, 0.0), 1)):
+        del distances[:], sorts[:]
+        verify(config, spec, *tolerances)
+        assert (len(distances), len(sorts)) == (1, want)
