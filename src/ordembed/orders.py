@@ -8,6 +8,7 @@ than pairs in a later class. All indices are 1-based.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -289,12 +290,57 @@ def from_json_dict(data: dict) -> OrderSpec:
     return spec
 
 
+# The canonical spec text: what to_json writes, and json.dumps of a spec
+# dict with kind, n, m (bipartite only) and classes in that order. Every
+# class is nonempty and every index is 0 or up to 18 digits without a
+# leading zero, so it fits an int64. Only ASCII matches. The pair repeat
+# is possessive: a plain one keeps a backtracking frame per pair, about
+# 300 bytes each, 350 MB at MAX_PAIRS.
+_INDEX = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL = re.compile(
+    rf'\{{"kind": "(?:complete", "n": ({_INDEX})|bipartite", "n": ({_INDEX}), '
+    rf'"m": ({_INDEX})), "classes": (\[\[\[{_INDEX}, {_INDEX}'
+    rf'(?:(?:\], \[|\]\], \[\[){_INDEX}, {_INDEX})*+\]\]\])\}}[ \t\n\r]*')
+_NOT_BRACKET = bytes(range(256)).translate(None, b"[]")
+
+
+def _scan_canonical(text: str) -> OrderSpec | None:
+    """The unvalidated spec of a canonical text, else None. The indices
+    are one np.fromstring over the classes without their brackets. With
+    only the brackets left, each class is "[" + "[]" * size + "]", so
+    inside the outer "[[[" and "]]]" the classes are runs "][" * (size - 1)
+    joined by "]][[". json.loads and from_json_dict would build the same
+    spec from the same text."""
+    hit = _CANONICAL.fullmatch(text)
+    if hit is None:
+        return None
+    n_complete, n_bipartite, m, classes = hit.groups()
+    classes = classes.encode()
+    flat = np.fromstring(classes.translate(None, b"[]"), dtype=np.int64,
+                         sep=",")
+    runs = classes.translate(None, _NOT_BRACKET)[3:-3].split(b"]][[")
+    sizes = np.fromiter(map(len, runs), np.int64, len(runs)) // 2 + 1
+    if m is None:
+        return _new("complete", int(n_complete), None, flat, sizes)
+    return _new("bipartite", int(n_bipartite), int(m), flat, sizes)
+
+
 def from_json(text: str) -> OrderSpec:
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SpecError(f"invalid JSON: {exc}") from exc
-    return from_json_dict(data)
+    """The validated spec of a JSON spec text. Canonical text (see
+    _CANONICAL) is read without building Python lists; any other text
+    goes through json.loads and from_json_dict, which raise every error,
+    so both read the same spec and refuse with the same message."""
+    spec = _scan_canonical(text)
+    if spec is None:
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, or an integer literal beyond
+            # Python's digit limit
+            raise SpecError(f"invalid JSON: {exc}") from exc
+        return from_json_dict(data)
+    spec.ranks  # validates, and caches the ranks for every later reader
+    return spec
 
 
 def load(path: str) -> OrderSpec:

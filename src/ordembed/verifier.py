@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadSize, ShapeMismatch
+from .errors import BadSize, NonFiniteEntry, ShapeMismatch
 from .orders import OrderSpec, Pair, _pairs_at
 from .schoenberg import PointConfig, pair_distances
 
@@ -69,16 +69,26 @@ def check_tolerances(tol_abs: float, tol_rel: float) -> None:
             raise BadSize(f"{name} must be nonnegative and finite, got {tol}")
 
 
+def _largest(vals: np.ndarray) -> float:
+    """The largest of the pair distances vals; NonFiniteEntry if one is
+    not finite (finite coordinates far apart overflow in the squares)."""
+    top = float(vals.max())
+    if not math.isfinite(top):
+        raise NonFiniteEntry("pair distances are not finite")
+    return top
+
+
 def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
                      tol_rel: float = TOL_REL, distances=None) -> InducedOrder:
     """Classes of the induced order, ascending, with gap/spread diagnostics;
-    distances, if given, are config's pair distances."""
+    distances, if given, are config's pair distances. A distance that is
+    not finite raises NonFiniteEntry."""
     check_tolerances(tol_abs, tol_rel)
     vals = pair_distances(config) if distances is None else distances
     if vals.size == 0:
         raise ShapeMismatch("a configuration of fewer than two points "
                             "induces no order")
-    threshold = tol_abs + tol_rel * float(vals.max())
+    threshold = tol_abs + tol_rel * _largest(vals)
     # a stable sort breaks distance ties by lexicographic pair order
     order = np.argsort(vals, kind="stable")
     ascending = vals[order]
@@ -146,12 +156,13 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
            tol_rel: float = TOL_REL) -> VerifyReport:
     """Match iff the induced classes equal the spec classes as set sequences;
     unsorted if each spec class spreads at most the threshold and ends more
-    than it below the next, since the sorted split then cuts there."""
+    than it below the next, since the sorted split then cuts there. A
+    distance that is not finite raises NonFiniteEntry."""
     check_shape(config, spec)
     check_tolerances(tol_abs, tol_rel)
     vals = pair_distances(config)
+    threshold = tol_abs + tol_rel * _largest(vals)
     margin, spread = spec.separation(vals)
-    threshold = tol_abs + tol_rel * float(vals.max())
     # complete: the least distance over all pairs of P; bipartite: the
     # least P-to-Q distance (each collection may repeat points internally)
     distinctness = float(vals.min())

@@ -575,16 +575,39 @@ def test_induce_one_point_exits_two(tmp_path, capsys):
     ('{"dim": 2.7, "P": [[0, 0], [1, 1]]}', "ShapeMismatch"),
     ('{"dim": true, "P": [[0], [1]]}', "ShapeMismatch"),
     ('{"dim": "2", "P": [[0, 0], [1, 1]]}', "ShapeMismatch"),
+    ('{"dim": 1, "P": [[1e308], [-1e308]]}', "NonFiniteEntry"),
+    ('{"dim": 2, "P": [[1e200, 1e200], [3, 4]]}', "NonFiniteEntry"),
 ], ids=["dim-overflow", "coordinate-overflow", "dim-fraction", "dim-bool",
-        "dim-string"])
+        "dim-string", "distance-overflow", "square-overflow"])
 def test_verify_and_induce_reject_overflowing_points(text, error, tmp_path,
                                                      capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(text)
     spec = _spec_file(OrderSpec("complete", 2, (((1, 2),),)), tmp_path)
     for argv in (["verify", spec, str(pts)], ["induce", str(pts)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == error
+
+
+def test_spec_index_past_the_int_digit_limit_exits_two(tmp_path, capsys):
+    # int() refuses more than 4300 digits with a plain ValueError
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "complete", "n": 3, "classes": [[[1, 2'
+                    + "0" * 4999 + ']]]}')
+    pts = tmp_path / "pts.json"
+    pts.write_text('{"dim": 1, "P": [[0], [1], [3]]}')
+    out = str(tmp_path / "out.json")
+    for argv in (["realize", str(spec), out], ["verify", str(spec), str(pts)],
+                 ["falsify", str(spec), out, "--dim", "1"]):
         assert cli.main(argv) == 2
-        assert _diag(capsys)["error"] == error
+        diag = _diag(capsys)
+        assert diag["error"] == "SpecError"
+        assert diag["message"].startswith("invalid JSON: Exceeds the limit")
 
 
 def test_quadratic_inputs_are_refused_before_allocating(tmp_path, capsys):

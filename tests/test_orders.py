@@ -1,13 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_bipartite_preorder, random_linear_order,
-                      random_preorder, rank)
-from ordembed import constructions, orders, schoenberg, verifier
+from conftest import (random_bipartite_linear, random_bipartite_preorder,
+                      random_linear_order, random_preorder, rank)
+from ordembed import cli, constructions, orders, schoenberg, verifier
 from ordembed.errors import (DuplicatePair, EmptyClass, IndexOutOfRange,
                              MissingPair, SpecError)
 from ordembed.orders import OrderSpec
@@ -372,6 +373,16 @@ def test_from_json_names_the_first_offence(text, error, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, error, message", _FROM_JSON_ERRORS)
+def test_from_json_names_the_first_offence_in_canonical_spacing(
+        text, error, message):
+    # json.dumps spacing: the canonical scan reads the all-integer texts
+    with pytest.raises(SpecError) as err:
+        orders.from_json(json.dumps(json.loads(text)))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 # (classes, message): what the constructor refuses, named as given; the
 # checks are those of from_json
 _CONSTRUCTOR_ERRORS = [
@@ -407,3 +418,121 @@ def test_spec_indices_become_python_ints():
     assert spec.classes == (((1, 2),), ((1, 3), (2, 3)))
     assert all(type(v) is int for cls in spec.classes for p in cls for v in p)
     assert spec.ranks.tolist() == [1, 2, 2]
+
+
+def _general(text: str) -> OrderSpec:
+    """from_json with the canonical scan off: json.loads, then
+    from_json_dict."""
+    with mock.patch.object(orders, "_scan_canonical", lambda text: None):
+        return orders.from_json(text)
+
+
+def _spec_dict(spec: OrderSpec, flip: bool) -> dict:
+    """spec as a JSON-ready dict; flip writes every other complete pair
+    of a class as (j, i)."""
+    flip = flip and spec.kind == "complete"
+    classes = [[list(p[::-1] if flip and k % 2 else p)
+                for k, p in enumerate(cls)] for cls in spec.classes]
+    return {"kind": spec.kind, "n": spec.n,
+            **({} if spec.m is None else {"m": spec.m}), "classes": classes}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from([
+    lambda rng, n, m: random_preorder(rng, n),
+    lambda rng, n, m: random_linear_order(rng, n),
+    lambda rng, n, m: random_bipartite_preorder(rng, n - 1, m),
+    lambda rng, n, m: random_bipartite_linear(rng, n - 1, m)]),
+    st.integers(2, 14), st.integers(1, 14), st.integers(0, 2 ** 32 - 1),
+    st.booleans())
+def test_canonical_scan_reads_what_the_general_path_reads(make, n, m, seed,
+                                                          flip):
+    spec = make(np.random.default_rng(seed), n, m)
+    data = _spec_dict(spec, flip)
+    texts = {"to_json": orders.to_json(spec),
+             "json.dumps": json.dumps(data) + "\n",
+             "compact": json.dumps(data, separators=(",", ":")) + "\n"}
+    for form, text in texts.items():
+        assert (orders._scan_canonical(text) is None) == (form == "compact")
+        got, want = orders.from_json(text), _general(text)
+        assert got == want == spec
+        for a, b in ((got._ij, want._ij), (got._sizes, want._sizes)):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
+_BASE = '{"kind": "complete", "n": 3, "classes": [[[1, 2]], [[1, 3], [2, 3]]]}'
+# (id, text): the canonical text of a 3-point preorder, changed
+_MUTATED = [
+    ("reversed", _BASE.replace("[1, 3], [2, 3]", "[3, 1], [3, 2]")),
+    ("out-of-range", _BASE.replace("[2, 3]", "[2, 4]")),
+    ("zero", _BASE.replace("[1, 2]", "[0, 2]")),
+    ("duplicate", _BASE.replace("[2, 3]", "[1, 2]")),
+    ("missing", _BASE.replace(", [2, 3]", "")),
+    ("empty-class", _BASE.replace("]], [[", "]], [], [[")),
+    ("no-classes", _BASE.replace("[[[1, 2]], [[1, 3], [2, 3]]]", "[]")),
+    ("leading-zero", _BASE.replace("[1, 2]", "[01, 2]")),
+    ("leading-zero-n", _BASE.replace('"n": 3', '"n": 03')),
+    ("negative", _BASE.replace("[1, 2]", "[-1, 2]")),
+    ("negative-n", _BASE.replace('"n": 3', '"n": -3')),
+    ("18-digits", _BASE.replace("[2, 3]", "[2, 999999999999999999]")),
+    ("19-digits", _BASE.replace("[2, 3]", "[2, 1000000000000000000]")),
+    ("huge-n", _BASE.replace('"n": 3', '"n": 999999999999999999')),
+    ("complete-m", _BASE.replace('"n": 3', '"n": 3, "m": 3')),
+    ("bipartite-no-m", _BASE.replace("complete", "bipartite")),
+    ("bipartite", _BASE.replace('complete", "n": 3',
+                                'bipartite", "n": 2, "m": 3')),
+    ("duplicate-key", _BASE.replace('"n": 3', '"n": 2, "n": 3')),
+    ("key-order", '{"n": 3, "kind": "complete", "classes": '
+                  '[[[1, 2]], [[1, 3], [2, 3]]]}'),
+    ("unicode-digit", _BASE.replace("[2, 3]", "[2, \u0663]")),
+    ("unicode-space", _BASE.replace("[2, 3]", "[2,\u00a03]")),
+    ("unicode-trailing-space", _BASE + "\u2028"),
+    ("form-feed", _BASE + "\f"),
+    ("trailing-space", _BASE + " \t\r\n\n"),
+    ("leading-space", " " + _BASE),
+    ("trailing-data", _BASE + "{}"),
+    ("unclosed", _BASE[:-2]),
+    ("three-indices", _BASE.replace("[1, 2]", "[1, 2, 3]")),
+    ("float", _BASE.replace("[1, 2]", "[1.0, 2]")),
+    ("escaped-key", _BASE.replace('"kind"', '"\\u006bind"')),
+    ("huge-literal", _BASE.replace("[2, 3]", "[2, 3" + "0" * 5000 + "]")),
+]
+
+
+@pytest.mark.parametrize("text", [t for _, t in _MUTATED],
+                         ids=[name for name, _ in _MUTATED])
+def test_changed_texts_read_or_fail_alike_on_both_paths(text):
+    def outcome(read):
+        try:
+            spec = read(text)
+        except SpecError as exc:
+            return type(exc), str(exc)
+        return spec, spec._ij.dtype
+
+    assert outcome(orders.from_json) == outcome(_general)
+
+
+def test_written_spec_files_load_without_json_loads(tmp_path, capsys,
+                                                    monkeypatch):
+    spec = random_bipartite_preorder(np.random.default_rng(5), 3, 4)
+    saved, gallery = str(tmp_path / "saved.json"), str(tmp_path / "g.json")
+    points, induced = tmp_path / "points.json", tmp_path / "induced.json"
+    compact = tmp_path / "compact.json"
+    orders.save(spec, saved)
+    assert cli.main(["gallery", "diameter_preorder", "5", gallery]) == 0
+    assert cli.main(["realize", saved, str(points)]) == 0
+    capsys.readouterr()
+    assert cli.main(["induce", str(points)]) == 0
+    induced.write_text(capsys.readouterr().out)
+    compact.write_text(json.dumps(json.loads(orders.to_json(spec)),
+                                  separators=(",", ":")))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(orders.json, "loads",
+                        lambda *a, **k: calls.append(a) or loads(*a, **k))
+    for path in (saved, gallery, str(induced)):
+        orders.load(path)
+    assert calls == []
+    assert orders.load(str(compact)) == spec
+    assert len(calls) == 1
