@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ordembed import schoenberg
+from ordembed import schoenberg, verifier
 from ordembed.errors import (BadIndex, BadSize, DimTooSmall, NonFiniteEntry,
                              NotPSD, ShapeMismatch)
 from ordembed.orders import bipartite_pairs, complete_pairs
@@ -254,22 +254,154 @@ def test_save_load_config(tmp_path):
 
 
 def _naive_distances(P, Q=None):
-    # the n x n x d broadcast that distances_of must reproduce bit for bit
+    # the n x n x d broadcast: the direct difference of every pair
     Q = P if Q is None else Q
     diff = P[:, None, :] - Q[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def test_distances_of_matches_broadcast_on_random_configs():
+def _gram_form(n, m, d):
+    pairs = n * (n - 1) // 2 if m is None else n * m
+    return pairs * d > schoenberg.GRAM_MIN
+
+
+def _assert_within_delta(P, Q=None):
+    # distances_of and the broadcast, after checking the relative bound
+    got = distances_of(PointConfig(dim=P.shape[1], P=P, Q=Q))
+    want = _naive_distances(P, Q)
+    assert np.all(np.abs(got - want) <= schoenberg.DELTA * want)
+    return got, want
+
+
+def test_distances_of_matches_broadcast_below_gram_min():
     rng = np.random.default_rng(40)
-    for _ in range(60):
+    tried = 0
+    while tried < 60:
         n, m = (int(k) for k in rng.integers(1, 40, size=2))
         d = int(rng.integers(1, 70))
         P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-        assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
-                              _naive_distances(P))
-        assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
-                              _naive_distances(P, Q))
+        if not _gram_form(n, None, d):
+            assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
+                                  _naive_distances(P))
+            tried += 1
+        if not _gram_form(n, m, d):
+            assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
+                                  _naive_distances(P, Q))
+    # on the crossover: 1 pair of dim 4096 and 8 x 8 pairs of dim 64
+    P = rng.standard_normal((2, schoenberg.GRAM_MIN))
+    assert np.array_equal(distances_of(PointConfig(P.shape[1], P)),
+                          _naive_distances(P))
+    P, Q = rng.standard_normal((8, 64)), rng.standard_normal((8, 64))
+    assert np.array_equal(distances_of(PointConfig(64, P, Q)),
+                          _naive_distances(P, Q))
+
+
+def test_distances_of_gram_form_within_delta():
+    # DELTA leaves the verifier's relative tolerance a factor 100
+    assert schoenberg.DELTA <= verifier.TOL_REL / 100
+    rng = np.random.default_rng(44)
+    tried = 0
+    while tried < 60:
+        n, m = (int(k) for k in rng.integers(2, 60, size=2))
+        d = int(rng.integers(1, 120))
+        shift = rng.choice([0.0, 1e6])
+        P = rng.standard_normal((n, d)) + shift
+        Q = rng.standard_normal((m, d)) + shift
+        if _gram_form(n, None, d):
+            _assert_within_delta(P)
+            tried += 1
+        if _gram_form(n, m, d):
+            _assert_within_delta(P, Q)
+    # just past the crossover, and pair counts that end just before, on
+    # and after the direct difference's chunk boundaries (64 pairs here)
+    _assert_within_delta(rng.standard_normal((2, schoenberg.GRAM_MIN + 1)))
+    _assert_within_delta(*rng.standard_normal((2, 8, 65)))
+    d = schoenberg.CHUNK // 64
+    for n in (11, 12, 17, 40, 70):
+        _assert_within_delta(rng.standard_normal((n, d)) + 1e6)
+    for n, m in ((7, 9), (8, 8), (13, 5), (3, 43), (5, 64), (2, 130)):
+        _assert_within_delta(rng.standard_normal((n, d)),
+                             rng.standard_normal((m, d)))
+
+
+def test_distances_of_fallback_is_the_direct_difference():
+    # all but the first point sit in a cluster of spread 1 at 1e6 from it:
+    # only the pairs with the first point keep their Gram-form value, and
+    # the others, whose Gram form cancels, come from the direct difference
+    # in pieces of 64 pairs; (n - 1) * m pairs end before, on and after
+    # those pieces' boundaries
+    d = schoenberg.CHUNK // 64
+    rng = np.random.default_rng(45)
+    far = np.zeros(d)
+    far[0] = 1e6
+    for n, m in ((2, 63), (2, 64), (2, 65), (3, 64), (5, 40)):
+        P = rng.standard_normal((n, d)) + far
+        P[0] = 0.0
+        got, want = _assert_within_delta(P, rng.standard_normal((m, d)) + far)
+        assert np.array_equal(got[1:], want[1:])
+    for n in (12, 13, 17, 18, 40):
+        P = rng.standard_normal((n, d)) + far
+        P[0] = 0.0
+        got, want = _assert_within_delta(P)
+        assert np.array_equal(got[1:, 1:], want[1:, 1:])
+
+
+def _two_far_clusters(rng):
+    # 300 points of dim 298: the first at the origin, the others in two
+    # clusters of spread 1 at 1e6 from it and from each other, so that the
+    # pairs within a cluster, about half of all, cancel in the Gram form
+    P = rng.standard_normal((300, 298))
+    P[0] = 0.0
+    P[1:150, 0] += 1e6
+    P[150:, 1] += 1e6
+    return P
+
+
+def test_distances_of_half_fallback_is_exact_in_bounded_memory():
+    P = _two_far_clusters(np.random.default_rng(46))
+    config = PointConfig(dim=298, P=P)
+    tracemalloc.start()
+    try:
+        D = distances_of(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    want = _naive_distances(P)
+    assert np.array_equal(D[1:150, 1:150], want[1:150, 1:150])
+    assert np.array_equal(D[150:, 150:], want[150:, 150:])
+    assert np.all(np.abs(D - want) <= schoenberg.DELTA * want)
+
+
+def _overflow_cases(rng):
+    # configs on both sides of the crossover at coordinates 1e150 to 1e155,
+    # whose squared distances overflow at some scales and not at others;
+    # some points close to each other but far from the first, whose
+    # squared norms overflow while their distances do not; and coordinates
+    # near 1e308, whose differences from the first point overflow
+    for n, d in ((4, 3), (12, 8), (40, 30), (90, 5)):
+        for scale in (1e150, 1e152, 1e153, 1e154, 1e155):
+            yield rng.standard_normal((n, d)) * scale
+        P = rng.standard_normal((n, d))
+        P[1:, 0] += 1e155
+        yield P
+        P = rng.standard_normal((n, d))
+        P[1:] *= 1e-3
+        P[1:, 0] += 1e308
+        P[0, 0] = -1e308
+        yield P
+
+
+def test_distances_of_is_finite_where_the_direct_difference_is():
+    rng = np.random.default_rng(47)
+    with np.errstate(over="ignore"):
+        for P in _overflow_cases(rng):
+            for Q in (None, P[::-1] * 0.75):
+                got = distances_of(PointConfig(dim=P.shape[1], P=P, Q=Q))
+                want = _naive_distances(P, Q)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                got, want = got[np.isfinite(want)], want[np.isfinite(want)]
+                assert np.all(np.abs(got - want) <= schoenberg.DELTA * want)
 
 
 def test_distances_of_tiny_shapes():
@@ -289,23 +421,12 @@ def test_distances_of_close_points():
     D = distances_of(PointConfig(dim=3, P=P))
     assert np.array_equal(D, _naive_distances(P))
     assert D[0, 1] == D[1, 0] == pytest.approx(1e-12, rel=1e-3)
-
-
-def test_distances_of_across_chunk_boundaries():
-    # at this dim a chunk holds 64 pairs; the pair counts below end just
-    # before, on and after chunk boundaries. Rows of more than 32 later
-    # points are broadcast, in two pieces past 64 (n = 70), and so are
-    # blocks of bipartite rows and a Q of 130 points, in three pieces
-    d = schoenberg.CHUNK // 64
-    rng = np.random.default_rng(42)
-    for n in (11, 12, 17, 40, 70):
-        P = rng.standard_normal((n, d))
-        assert np.array_equal(distances_of(PointConfig(dim=d, P=P)),
-                              _naive_distances(P))
-    for n, m in ((7, 9), (8, 8), (13, 5), (3, 43), (5, 64), (2, 130)):
-        P, Q = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-        assert np.array_equal(distances_of(PointConfig(dim=d, P=P, Q=Q)),
-                              _naive_distances(P, Q))
+    # among 60 points the pair cancels in the Gram form and falls back
+    assert _gram_form(60, None, 3)
+    Z = np.random.default_rng(49).standard_normal((60, 3))
+    Z[[5, 6]] = P
+    D, want = _assert_within_delta(Z)
+    assert D[5, 6] == want[5, 6] == _naive_distances(P)[0, 1]
 
 
 def test_distances_of_memory_is_bounded():

@@ -10,7 +10,7 @@ from conftest import (count_calls, random_bipartite_preorder,
                       random_linear_order, random_preorder, rank)
 from ordembed import cli, orders, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
-from ordembed.errors import BadSize, ShapeMismatch
+from ordembed.errors import BadSize, NonFiniteEntry, ShapeMismatch
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 from ordembed.schoenberg import PointConfig, pair_distances
 from ordembed.verifier import _first_disagreement, induced_preorder, verify
@@ -92,6 +92,25 @@ def test_verify_shape_mismatches(preorder4_spec, bip32_spec):
     wrong_m = PointConfig(dim=2, P=np.zeros((3, 2)), Q=np.ones((3, 2)))
     with pytest.raises(ShapeMismatch):
         verify(wrong_m, bip32_spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_overflowing_large_config_raises_without_warning():
+    # past schoenberg.GRAM_MIN the distance kernel runs under errstate, so
+    # distances that overflow raise NonFiniteEntry and warn nothing; a few
+    # points close together keep finite distances among themselves
+    rng = np.random.default_rng(50)
+    spec = random_preorder(rng, 40)
+    P = rng.standard_normal((40, 39)) * 1e160
+    P[1:4] = P[5] + np.eye(3, 39)
+    config = PointConfig(dim=39, P=P)
+    assert 780 * 39 > schoenberg.GRAM_MIN
+    with pytest.raises(NonFiniteEntry):
+        verify(config, spec)
+    with pytest.raises(NonFiniteEntry):
+        induced_preorder(config)
+    vals = pair_distances(config)
+    assert np.isfinite(vals).any() and not np.isfinite(vals).all()
 
 
 def test_distinctness_bipartite_ignores_internal_repeats():
