@@ -14,6 +14,7 @@ _realize_apexes, which builds them with one primitive, place_apexes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (MAX_PAIRS, PointConfig, check_pair_count,
-                         pair_distances, pair_index)
+from .schoenberg import (PointConfig, check_pair_count, pair_distances,
+                         pair_index)
 
 ETA = 1e-6
 TOL_ALIGN = 1e-8
@@ -131,18 +132,33 @@ def _bordered_cholesky(corner: np.ndarray, edge: np.ndarray,
 
 def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
                        tip: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of each apex Gram, the Grams written as a stack and
-    eigen-solved in batches of at most MAX_PAIRS entries, a per-pair vector."""
+    """Least eigenvalue of each apex Gram, the Grams written as one stack
+    and eigen-solved together, a per-apex vector."""
+    G = np.empty((len(tip),) + (len(corner) + 1,) * 2)
+    G[:, :-1, :-1] = corner
+    G[:, :-1, -1] = G[:, -1, :-1] = edge
+    G[:, -1, -1] = tip
+    return np.linalg.eigvalsh(G)[:, 0]
+
+
+def _simplex_least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
+                               tip: np.ndarray) -> np.ndarray:
+    """_least_eigenvalues over a regular simplex, from one 3 x 3 matrix per
+    apex (realize_preorder_bipartite), scaled by a power of two that puts c
+    in [0.5, 1): |w_j|^2 and ck/2 stay finite wherever the Gram's are."""
     m, k = len(tip), len(corner) + 1
-    step = max(1, MAX_PAIRS // (k * k))
-    lam = np.empty(m)
-    for a in range(0, m, step):
-        G = np.empty((min(step, m - a), k, k))
-        G[:, :-1, :-1] = corner
-        G[:, :-1, -1] = G[:, -1, :-1] = edge[a:a + step]
-        G[:, -1, -1] = tip[a:a + step]
-        lam[a:a + step] = np.linalg.eigvalsh(G)[:, 0]
-    return lam
+    c = max(corner.diagonal().tolist(), default=0.0)  # no corner at k = 1
+    f = math.ldexp(1.0, -math.frexp(c)[1])
+    e = edge * f
+    mean = np.add.reduce(e, axis=1) / max(k - 1, 1)
+    w = e - mean[:, None]  # not |e|^2 - alpha^2: edge entries nearly agree
+    G = np.zeros((m, 3, 3))  # eigvalsh reads the lower triangle by default
+    G[:, 0, 0], G[:, 1, 1] = 0.5 * c * f, 0.5 * c * f * k
+    G[:, 2, 0] = np.sqrt(np.add.reduce(w * w, axis=1))
+    G[:, 2, 1] = mean * math.sqrt(k - 1)
+    G[:, 2, 2] = tip * f
+    s = max(0, 3 - k)
+    return np.linalg.eigvalsh(G[:, s:, s:])[:, 0] / f
 
 
 def place_apexes(L: np.ndarray, Y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -170,25 +186,23 @@ def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
                     target: Callable[[float], tuple[np.ndarray, np.ndarray]],
                     order: list[int],
-                    accept: Callable[[np.ndarray], bool] | None = None
+                    accept: Callable[[np.ndarray], bool] | None = None,
+                    least: Callable[..., np.ndarray] = _least_eigenvalues
                     ) -> RealizationReport:
     """The realizers' one epsilon search.
 
     target(eps) gives the base and apex target distances (the arguments
-    of _apex_grams). A step is accepted once every apex Gram clears eta,
-    place_apexes places the apexes and accept, if given, passes the
-    placed rows; any other step is rejected. Placed row k is row order[k]
-    of the configuration, P or P stacked over Q. A spec of more than
-    MAX_PAIRS pairs raises BadSize first; a step whose Grams overflow
-    raises NonFiniteEntry.
+    of _apex_grams). A step is accepted once every apex Gram's least
+    eigenvalue, least(corner, edge, tip), clears eta, place_apexes places
+    the apexes and accept, if given, passes the placed rows; any other
+    step is rejected. Placed row k is row order[k] of the configuration,
+    P or P stacked over Q. A spec of more than MAX_PAIRS pairs raises
+    BadSize first; a step whose Grams overflow raises NonFiniteEntry.
 
     Each step is factored once, by _bordered_cholesky, and placed from
-    that factor. A corner that does not factor or a complement at or below
-    zero rejects the step: some apex Gram is then not positive definite,
-    so its least eigenvalue is at or below zero, hence below eta. Only a
-    placed step is eigen-solved, and it is decided by its eigenvalues, so
-    a search eigen-solves only steps whose apex Grams are positive
-    definite."""
+    that factor. A step that does not place has an apex Gram that is not
+    positive definite, whose least eigenvalue is at or below 0 < eta, so
+    it is rejected without calling least."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
@@ -200,7 +214,7 @@ def _realize_apexes(spec: OrderSpec, eta: float,
             X = place_apexes(*_bordered_cholesky(*grams))
         except NotPSD:
             return False
-        lam = _least_eigenvalues(*grams)
+        lam = least(*grams)
         if not (lam > eta).all() or (accept is not None and not accept(X)):
             return False
         state.update(X=X, eigs=lam)
@@ -305,7 +319,13 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     (Q when m < n, with the rank matrix transposed); each point of the
     other collection is an apex at distances 1 + r*eps. One shared eps
     must make all apex Grams positive definite with margin eta; the
-    accepted step's least eigenvalues are the report's.
+    accepted step's least eigenvalues are the report's. Every apex Gram
+    has the corner (c/2)(I + J), c = (1 + eps)^2. Split apex j's edge into
+    alpha_j along the unit all-ones vector and w_j orthogonal to it; the
+    corner's eigenvectors orthogonal to both keep eigenvalue c/2, so by
+    interlacing the least eigenvalue is that of [[c/2, 0, |w_j|], [0, ck/2,
+    alpha_j], [|w_j|, alpha_j, tip_j]], O(k) work instead of O(k^3). At
+    k = 2 the trailing 2 x 2 block is the Gram; at k = 1 the tip is.
     """
     spec.ranks  # validates
     if spec.kind != "bipartite":
@@ -323,7 +343,8 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
         # row j holds apex j's target distances to the simplex
         return base, 1.0 + R.T * eps
 
-    return _realize_apexes(spec, eta, search, target, order)
+    return _realize_apexes(spec, eta, search, target, order,
+                           least=_simplex_least_eigenvalues)
 
 
 def realize(spec: OrderSpec, eta: float = ETA,

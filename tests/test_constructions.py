@@ -12,6 +12,7 @@ from ordembed import (constructions, counterexamples, orders, schoenberg,
                       verifier)
 from ordembed.constructions import (EpsilonSearch, _apex_grams,
                                     _bordered_cholesky, _least_eigenvalues,
+                                    _simplex_least_eigenvalues,
                                     align_isometry, choose_epsilon,
                                     default_search, perturbed_distances,
                                     place_apexes, realize,
@@ -512,11 +513,27 @@ def test_validate_runs_once_per_spec_object(monkeypatch):
         assert len(calls) == 1
 
 
+def _eigen_bound(gram: np.ndarray) -> float:
+    """4*k*u*|G|, of the order of a dense eigen-solve's own error on a
+    least eigenvalue of the k x k Gram G (u the unit roundoff, |G| the
+    largest absolute row sum); the simplex reduction and the dense solve
+    agree within it."""
+    u = np.finfo(float).eps / 2
+    return 4 * len(gram) * u * np.abs(gram).sum(axis=1).max()
+
+
+def _apex_gram(corner, edge, tip, j: int) -> np.ndarray:
+    """Apex j's whole Gram from the pieces _apex_grams returns."""
+    return np.block([[corner, edge[j][:, None]], [edge[j][None, :], tip[j]]])
+
+
 def test_bipartite_grams_match_per_apex_reference():
     # reference: each apex's distance matrix through gram_from_distances,
-    # as the realizer did one apex at a time; results must agree bit for
-    # bit, and the base rows are the simplex Gram's Cholesky factor with a
-    # zero last column, then the origin
+    # as the realizer did one apex at a time; the least eigenvalues agree
+    # within the order of an eigen-solve's error (the realizer takes them
+    # from a 3 x 3 reduction), and the base rows are bit for bit the
+    # simplex Gram's Cholesky factor with a zero last column, then the
+    # origin
     rng = np.random.default_rng(35)
     for n, m in ((1, 3), (3, 1), (2, 5), (4, 4), (6, 3), (9, 12)):
         spec = random_bipartite_preorder(rng, n, m)
@@ -528,11 +545,11 @@ def test_bipartite_grams_match_per_apex_reference():
         D = np.full((k + 1, k + 1), 1.0 + eps)
         np.fill_diagonal(D, 0.0)
         simplex = gram_from_distances(D[:k, :k], k)
-        eigs = []
-        for col in R.T:
+        for col, got in zip(R.T, report.min_eigenvalues, strict=True):
             D[k, :k] = D[:k, k] = 1.0 + col * eps
-            eigs.append(min_eigenvalue(gram_from_distances(D, k)))
-        assert report.min_eigenvalues == tuple(eigs)
+            gram = gram_from_distances(D, k)
+            want = min_eigenvalue(gram)
+            assert abs(got - want) <= _eigen_bound(gram.matrix)
         P = report.config.P if m >= n else report.config.Q
         want = np.zeros((k, k))
         want[:k - 1, :k - 1] = np.linalg.cholesky(simplex.matrix)
@@ -672,7 +689,15 @@ def test_screened_search_matches_eigvalsh_reference():
                 report = realize(spec, eta=eta, search=search)
                 eps, eigs, rejected = _eigvalsh_search(spec, search, eta)
                 assert report.epsilon == eps
-                assert report.min_eigenvalues == eigs
+                if spec.kind == "bipartite":
+                    # the realizer's 3 x 3 reduction: within the order of
+                    # the dense solve's own error, not bit for bit
+                    bounds = [_eigen_bound(g.matrix)
+                              for g in _whole_grams(spec, eps)]
+                    assert all(abs(a - b) <= t for a, b, t in zip(
+                        report.min_eigenvalues, eigs, bounds, strict=True))
+                else:
+                    assert report.min_eigenvalues == eigs
                 # again with the accepted step's least eigenvalue just
                 # above eta, where a screen stricter than eta would show
                 eta = 0.9 * min(eigs)
@@ -758,21 +783,103 @@ def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
         assert len(eigen) == 1
 
 
-def test_least_eigenvalues_batch_up_to_max_pairs_entries(monkeypatch):
-    # a batch holds up to MAX_PAIRS entries, as many as a per-pair vector:
-    # the 100 apex Grams of 101 rows that a 100 x 100 bipartite step
-    # builds take one eigvalsh call, and each least eigenvalue is bitwise
-    # that of its Gram solved alone
+def test_least_eigenvalues_of_complete_apexes_match_each_solved_alone(
+        monkeypatch):
+    # the complete realizers have one or two apexes, whose Grams take one
+    # eigvalsh call as one stack; each least eigenvalue is bitwise that of
+    # its Gram solved alone
     rng = np.random.default_rng(44)
-    X = rng.standard_normal((201, 101))
-    D = distances_of(schoenberg.PointConfig(dim=101, P=X))
-    corner, edge, tip = _apex_grams(D[:101, :101], D[101:, :101])
-    alone = [np.linalg.eigvalsh(np.block([[corner, e[:, None]],
-                                          [e[None, :], t]]))[0]
-             for e, t in zip(edge, tip)]
     eigen, _ = _probe_search(monkeypatch, "eigvalsh")
-    assert _least_eigenvalues(corner, edge, tip).tolist() == alone
-    assert len(eigen) == 1
+    for k in (1, 2, 5, 40, 101):
+        for m in (1, 2):
+            X = rng.standard_normal((k + m, k))
+            D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+            corner, edge, tip = _apex_grams(D[:k, :k], D[k:, :k])
+            alone = [np.linalg.eigvalsh(_apex_gram(corner, edge, tip, j))[0]
+                     for j in range(m)]
+            del eigen[:]
+            assert _least_eigenvalues(corner, edge, tip).tolist() == alone
+            assert len(eigen) == 1
+
+
+def _simplex_grams(R: np.ndarray, eps: float):
+    """The bipartite realizer's apex Gram pieces at eps for the k x m rank
+    matrix R (a regular simplex of side 1 + eps under m apexes)."""
+    base = np.full((len(R),) * 2, 1.0 + eps)
+    np.fill_diagonal(base, 0.0)
+    return _apex_grams(base, 1.0 + R.T * eps)
+
+
+def test_simplex_reduction_matches_the_dense_solve():
+    # every bipartite shape up to 8 x 8, wide and tall, at several eps:
+    # the 3 x 3 reduction (2 x 2 over a two-point base, the tip over one)
+    # matches the dense eigen-solve of each apex Gram within the order of
+    # its error, and decides lam > eta as it does, at the realizer's eta
+    # and at each eta halfway between two apexes' least eigenvalues; the
+    # default search then accepts the reference search's eps
+    rng = np.random.default_rng(45)
+    for n, m in itertools.product(range(1, 9), repeat=2):
+        spec = random_bipartite_preorder(rng, n, m)
+        R = spec.ranks.reshape(n, m)
+        R = R.T if m < n else R
+        for eps in (0.1, 0.01, 1e-4, default_search(spec).initial):
+            grams = _simplex_grams(R, eps)
+            got, want = (_simplex_least_eigenvalues(*grams),
+                         _least_eigenvalues(*grams))
+            for j in range(len(got)):
+                bound = _eigen_bound(_apex_gram(*grams, j))
+                assert abs(got[j] - want[j]) <= bound
+            levels = np.unique(want)
+            gaps = np.diff(levels) > 1e-12
+            halfway = (levels[:-1][gaps] + levels[1:][gaps]) / 2
+            for eta in (constructions.ETA, *halfway):
+                assert np.array_equal(got > eta, want > eta)
+        report = realize(spec)
+        assert report.epsilon == _eigvalsh_search(spec, default_search(
+            spec))[0]
+
+
+def test_simplex_reduction_does_not_overflow_where_the_gram_does_not():
+    # a simplex of side 1e150 with apex edges that differ by about 1e298:
+    # |w|^2 would overflow unscaled, the Gram's entries do not, and the
+    # reduction still matches the dense solve in relative terms. A one-
+    # class spec is a regular simplex, positive definite at any eps; at
+    # eps = 9e153 its Gram entries are finite but c*k/2 is not for k >= 5,
+    # and it still realizes, with least eigenvalue c/2
+    rng = np.random.default_rng(46)
+    for k in (1, 2, 3, 7):
+        X = rng.standard_normal((k + 4, k)) * 1e150
+        D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+        base = np.full((k, k), 1e150)
+        np.fill_diagonal(base, 0.0)
+        grams = _apex_grams(base, D[k:, :k])
+        assert np.isfinite(grams[1]).all() and np.isfinite(grams[2]).all()
+        got, want = (_simplex_least_eigenvalues(*grams),
+                     _least_eigenvalues(*grams))
+        for j in range(len(got)):
+            bound = _eigen_bound(_apex_gram(*grams, j))
+            assert abs(got[j] - want[j]) <= bound
+    for n, m in ((5, 6), (7, 4), (9, 9)):
+        spec = OrderSpec("bipartite", n, (tuple(orders.bipartite_pairs(
+            n, m)),), m=m)
+        report = realize(spec, search=EpsilonSearch(initial=9e153,
+                                                    max_steps=1))
+        half = (1.0 + 9e153) ** 2 / 2
+        assert np.allclose(report.min_eigenvalues, half, rtol=1e-14)
+
+
+def test_bipartite_realize_eigen_solves_no_matrix_past_3x3(monkeypatch):
+    # the O(k) reduction: whatever the base's size, a bipartite realize
+    # eigen-solves only 3 x 3 (or, over a base of at most two points,
+    # smaller) matrices, once per search
+    eigen, _ = _probe_search(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(47)
+    for n, m in ((1, 4), (2, 6), (5, 7), (12, 9), (30, 25), (3, 40)):
+        del eigen[:]
+        realize(random_bipartite_preorder(rng, n, m),
+                search=EpsilonSearch(initial=0.45))
+        assert len(eigen) == 1
+        assert eigen[0][0].shape == (max(n, m),) + (min(3, n, m),) * 2
 
 
 def test_search_factors_each_step_once(monkeypatch):
