@@ -28,6 +28,7 @@ from .schoenberg import (PointConfig, check_pair_count, pair_distances,
                          pair_index)
 
 ETA = 1e-6
+UNIT_ROUNDOFF = 2.0 ** -53
 TOL_ALIGN = 1e-8
 
 
@@ -193,11 +194,16 @@ def _realize_apexes(spec: OrderSpec, eta: float,
 
     target(eps) gives the base and apex target distances (the arguments
     of _apex_grams). A step is accepted once every apex Gram's least
-    eigenvalue, least(corner, edge, tip), clears eta, place_apexes places
-    the apexes and accept, if given, passes the placed rows; any other
-    step is rejected. Placed row k is row order[k] of the configuration,
-    P or P stacked over Q. A spec of more than MAX_PAIRS pairs raises
-    BadSize first; a step whose Grams overflow raises NonFiniteEntry.
+    eigenvalue, least(corner, edge, tip), clears max(eta, (k + 1) u s),
+    place_apexes places the apexes and accept, if given, passes the placed
+    rows; any other step is rejected. The second bound is the rounding
+    residue of a least eigenvalue of a k x k Gram whose diagonal is at most
+    s = (1 + K eps)^2 (K classes, u the unit roundoff): a least eigenvalue
+    below it may be residue alone, as it is for any spec of more than one
+    class at eps beyond about 1e73. It passes eta only once K eps passes
+    about 5e4. Placed row i is row order[i] of the configuration, P or P
+    stacked over Q. A spec of more than MAX_PAIRS pairs raises BadSize
+    first; a step whose Grams overflow raises NonFiniteEntry.
 
     Each step is factored once, by _bordered_cholesky, and placed from
     that factor. A step that does not place has an apex Gram that is not
@@ -215,7 +221,9 @@ def _realize_apexes(spec: OrderSpec, eta: float,
         except NotPSD:
             return False
         lam = least(*grams)
-        if not (lam > eta).all() or (accept is not None and not accept(X)):
+        k, top = len(grams[0]) + 1, 1.0 + spec.num_classes * eps
+        bound = max(eta, (k + 1) * UNIT_ROUNDOFF * top * top)
+        if not (lam > bound).all() or (accept is not None and not accept(X)):
             return False
         state.update(X=X, eigs=lam)
         return True

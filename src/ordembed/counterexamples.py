@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -435,6 +438,29 @@ def _descend(terms: _StressTerms, X: np.ndarray,
     return f, X, RestartStop("converged" if f < STOP_LOSS else "cap", iters)
 
 
+def _fork(descend, restarts: range):
+    """Fork a child that pickles descend(r) for each r in restarts, in
+    order, to a pipe and exits; return its pid and the pipe's read end,
+    or None if the fork fails."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        try:
+            with os.fdopen(wfd, "wb") as out:
+                for r in restarts:
+                    pickle.dump(descend(r), out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb")
+
+
 def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     """Search for a realization of spec in R^dim by restarted descent.
 
@@ -444,32 +470,71 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     just-accepted loss permits). The search stops at the first witness,
     since no later restart can change that verdict. Deterministic for a
     fixed seed: restart r draws its start from default_rng([seed, r]).
+
+    The restarts run on W workers, one per CPU this process may use (so
+    taskset limits them) and at most one per restart: worker w runs the
+    restarts r = w mod W, worker 0 here and each other one in a forked
+    child that only descends and pickles (f, X, stop) to its pipe. Results
+    are taken and verified here in restart order, so the report is the
+    serial search's bit for bit for any W. This process runs the restarts
+    of a worker that failed to fork or died before reporting, and kills
+    and reaps every child before it returns or raises.
     """
     # reads spec.ranks, which validates
     terms = _StressTerms(spec, cfg.dim, cfg.margin, cfg.floor)
+
+    def descend(r: int) -> tuple[float, np.ndarray, RestartStop]:
+        rng = np.random.default_rng([cfg.seed, r])
+        X0 = rng.standard_normal((terms.n_points, cfg.dim))
+        return _descend(terms, X0, cfg.iters)
+
+    # every platform with sched_getaffinity has fork
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cpus, cfg.restarts)
+    pids = []
+    pipes = {}
     losses = []
     stops = []
     best_loss = float("inf")
     best_X = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        X0 = rng.standard_normal((terms.n_points, cfg.dim))
-        f, X, stop = _descend(terms, X0, cfg.iters)
-        losses.append(f)
-        stops.append(stop)
-        if f < best_loss:
-            best_loss = f
-            best_X = X
-        if f < FEASIBLE_LOSS and verifier.verify(
-                PointConfig.from_rows(X, spec.n, spec.kind), spec,
-                tol_abs=VERIFY_TOL, tol_rel=VERIFY_TOL).matched:
-            verdict, final_X = "feasible", X
-            break
-    else:
-        undecided = any(s.reason == "cap" or f < FEASIBLE_LOSS
-                        for f, s in zip(losses, stops))
-        verdict = "undecided" if undecided else "refuted"
-        final_X = best_X
+    try:
+        for w in range(1, workers):
+            child = _fork(descend, range(w, cfg.restarts, workers))
+            if child is None:
+                break
+            pids.append(child[0])
+            pipes[w] = child[1]
+        for r in range(cfg.restarts):
+            result = None
+            if r % workers in pipes:
+                try:
+                    result = pickle.load(pipes[r % workers])
+                except (EOFError, pickle.UnpicklingError):
+                    # the worker died: its restarts from r on run here
+                    pipes.pop(r % workers).close()
+            f, X, stop = result or descend(r)
+            losses.append(f)
+            stops.append(stop)
+            if f < best_loss:
+                best_loss = f
+                best_X = X
+            if f < FEASIBLE_LOSS and verifier.verify(
+                    PointConfig.from_rows(X, spec.n, spec.kind), spec,
+                    tol_abs=VERIFY_TOL, tol_rel=VERIFY_TOL).matched:
+                verdict, final_X = "feasible", X
+                break
+        else:
+            undecided = any(s.reason == "cap" or f < FEASIBLE_LOSS
+                            for f, s in zip(losses, stops))
+            verdict = "undecided" if undecided else "refuted"
+            final_X = best_X
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            pipe.close()
     best_config = PointConfig.from_rows(final_X, spec.n, spec.kind)
     return FalsifierReport(verdict=verdict, best_loss=best_loss,
                            best_config=best_config,

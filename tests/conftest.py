@@ -7,6 +7,21 @@ import pytest
 
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 
+# criterion 7's gallery legs: (family, n, largest refuted dimension)
+FALSIFIER_LEGS = (
+    ("d4_linear", 4, 1),
+    ("diameter_preorder", 3, 1),
+    ("diameter_preorder", 4, 2),
+    ("diameter_preorder", 5, 3),
+    ("block_linear", 4, 1),
+    ("block_linear", 5, 2),
+    ("bip_cyclic_linear", 3, 1),
+    ("bip_cyclic_linear", 4, 2),
+    ("bip_affine_preorder", 3, 2),
+    ("bip_affine_preorder", 4, 3),
+)
+
+
 # Generator contract: uniform random permutation of the pair set, then a
 # fair coin decides each potential class boundary (linear orders keep all
 # boundaries). Covers single-class and all-singleton shapes.

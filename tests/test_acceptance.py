@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import (fd_gradient, random_bipartite_preorder,
+from conftest import (FALSIFIER_LEGS, fd_gradient, random_bipartite_preorder,
                       random_linear_order, random_preorder, record_criterion,
                       reflected_simplex_gap)
 import ordembed
@@ -160,20 +160,6 @@ def test_criterion_6_closed_form_bound():
             fails.append(f"coordinate oracle disagrees by {err:.2e} at n={n}")
     _finish(6, fails, f"bound(3)=2, bound(4)=sqrt(3); reflected-simplex "
                       f"oracle agrees within {worst:.1e} for n=3..8")
-
-
-FALSIFIER_LEGS = (
-    ("d4_linear", 4, 1),
-    ("diameter_preorder", 3, 1),
-    ("diameter_preorder", 4, 2),
-    ("diameter_preorder", 5, 3),
-    ("block_linear", 4, 1),
-    ("block_linear", 5, 2),
-    ("bip_cyclic_linear", 3, 1),
-    ("bip_cyclic_linear", 4, 2),
-    ("bip_affine_preorder", 3, 2),
-    ("bip_affine_preorder", 4, 3),
-)
 
 
 def test_criterion_7_falsifier_legs():

@@ -868,6 +868,29 @@ def test_simplex_reduction_does_not_overflow_where_the_gram_does_not():
         assert np.allclose(report.min_eigenvalues, half, rtol=1e-14)
 
 
+def test_a_least_eigenvalue_at_rounding_residue_is_rejected():
+    # On B_{2,2} with ranks [[1, 2], [1, 3]], apex Q2 and the base P1, P2
+    # tend to a degenerate triangle of sides eps, 2 eps and 3 eps, so at
+    # eps = 1e130 its Gram is singular to rounding: its least eigenvalue,
+    # about 1.5e-17 s, is residue, which eta alone let through
+    search = EpsilonSearch(initial=1e130, max_steps=1)
+    residue = OrderSpec("bipartite", 2, (((1, 1), (2, 1)), ((1, 2),),
+                                         ((2, 2),)), m=2)
+    with pytest.raises(EpsilonExhausted):
+        realize(residue, search=search)
+    # one class, and two classes whose apexes are each equidistant from
+    # the base: the Grams stay well conditioned at any eps, and realize
+    one = OrderSpec("bipartite", 2, (tuple(orders.bipartite_pairs(2, 3)),),
+                    m=3)
+    equal_rows = OrderSpec("bipartite", 2, (((1, 1), (2, 1)),
+                                            ((1, 2), (2, 2))), m=2)
+    for spec in (one, equal_rows):
+        report = realize(spec, search=search)
+        s = (1.0 + spec.num_classes * 1e130) ** 2
+        assert min(report.min_eigenvalues) > 0.1 * s
+        assert verifier.verify(report.config, spec).matched
+
+
 def test_bipartite_realize_eigen_solves_no_matrix_past_3x3(monkeypatch):
     # the O(k) reduction: whatever the base's size, a bipartite realize
     # eigen-solves only 3 x 3 (or, over a base of at most two points,

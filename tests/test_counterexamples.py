@@ -1,10 +1,12 @@
+import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import (fd_gradient, first_verified_restart,
+from conftest import (FALSIFIER_LEGS, fd_gradient, first_verified_restart,
                       random_bipartite_preorder, random_linear_order,
                       random_preorder, rank, reflected_simplex_gap)
 from ordembed import cli, counterexamples, orders, schoenberg, verifier
@@ -338,6 +340,166 @@ def test_falsify_trajectories_are_bit_identical(name, n, dim, hexes):
                      FalsifierConfig(dim=dim, restarts=3, iters=500))
     assert not report.feasible
     assert tuple(float.hex(f) for f in report.per_restart_losses) == hexes
+
+
+def _fingerprint(report) -> bytes:
+    """A falsify report's verdict, restart losses (as float.hex), stops
+    and best configuration (as raw bytes)."""
+    losses = [f.hex() for f in report.per_restart_losses]
+    stops = [tuple(s) for s in report.per_restart_stops]
+    return (repr((report.verdict, losses, stops)).encode()
+            + report.best_config.rows().tobytes())
+
+
+# SHA-256 over the _fingerprint of all 20 criterion-7 legs (lo, then lo + 1)
+# at the benchmark's falsify settings, 2 restarts x 5000 iterations with
+# seed 0, as the serial restart loop computed them
+LEGS_DIGEST = ("ba98db9cd68842bd9ccee877b3a2a1b7"
+               "93ce085646be9378f2c2e6108d9ee7dd")
+
+
+def test_falsify_legs_digest_is_pinned():
+    digest = hashlib.sha256()
+    for name, n, lo in FALSIFIER_LEGS:
+        spec = gallery(name, n)
+        for dim in (lo, lo + 1):
+            digest.update(_fingerprint(falsify(
+                spec, FalsifierConfig(dim=dim, restarts=2, iters=5000))))
+    assert digest.hexdigest() == LEGS_DIGEST
+
+
+forks = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                           reason="falsify forks only where it reads the "
+                                  "CPU affinity")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs falsify sees, which sets its worker count."""
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(k)))
+    return set_cpus
+
+
+@forks
+def test_falsify_report_does_not_depend_on_worker_count(cpus):
+    # a refuted, an undecided (cap) and a feasible search
+    verdicts = set()
+    for name, n, dim, restarts, iters in (
+            ("diameter_preorder", 4, 2, 5, 2000),
+            ("bip_cyclic_linear", 3, 1, 4, 300),
+            ("bip_affine_preorder", 3, 3, 7, 3000)):
+        spec = gallery(name, n)
+        cfg = FalsifierConfig(dim=dim, restarts=restarts, iters=iters)
+        prints = set()
+        for workers in (1, 2, 3):
+            cpus(workers)
+            report = falsify(spec, cfg)
+            prints.add(_fingerprint(report))
+        assert len(prints) == 1, f"{name}({n}) at d={dim}"
+        verdicts.add(report.verdict)
+    assert verdicts == {"refuted", "undecided", "feasible"}
+
+
+@forks
+def test_forked_falsify_is_the_first_verified_restart(cpus):
+    cpus(3)
+    rng = np.random.default_rng([7, 1])
+    cfg = FalsifierConfig(dim=2, restarts=5, iters=2000)
+    firsts = []
+    for _ in range(8):
+        spec = random_bipartite_preorder(rng, 3, 3)
+        first, witness = first_verified_restart(spec, cfg)
+        report = falsify(spec, cfg)
+        if first is None:
+            assert not report.feasible and report.restarts == cfg.restarts
+        else:
+            assert report.feasible and report.restarts == first + 1
+            assert np.array_equal(report.best_config.P, witness.P)
+            assert np.array_equal(report.best_config.Q, witness.Q)
+        firsts.append(first)
+    # witnesses from each of the three workers, and searches that run
+    # every restart
+    assert None in firsts
+    assert {r % 3 for r in firsts if r is not None} == {0, 1, 2}
+
+
+@forks
+@pytest.mark.parametrize("reports", [0, 1])
+def test_falsify_runs_a_dead_workers_restarts_itself(cpus, monkeypatch,
+                                                     reports):
+    spec = gallery("diameter_preorder", 4)
+    cfg = FalsifierConfig(dim=2, restarts=7, iters=500)
+    cpus(1)
+    serial = _fingerprint(falsify(spec, cfg))
+    descend = counterexamples._descend
+    parent = os.getpid()
+    done = []
+
+    def dying(*args):
+        # a child reports `reports` restarts, then dies
+        if os.getpid() != parent:
+            if len(done) == reports:
+                os._exit(1)
+            done.append(None)
+        return descend(*args)
+
+    monkeypatch.setattr(counterexamples, "_descend", dying)
+    cpus(3)
+    assert _fingerprint(falsify(spec, cfg)) == serial
+
+
+@forks
+def test_falsify_runs_the_restarts_itself_when_fork_fails(cpus,
+                                                          monkeypatch):
+    spec = gallery("diameter_preorder", 4)
+    cfg = FalsifierConfig(dim=2, restarts=5, iters=500)
+    cpus(1)
+    serial = _fingerprint(falsify(spec, cfg))
+    fds = sorted(os.listdir("/proc/self/fd"))
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(3)
+    assert _fingerprint(falsify(spec, cfg)) == serial
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+class _VerifyFailed(Exception):
+    pass
+
+
+def _raise(*args, **kwargs):
+    raise _VerifyFailed
+
+
+@forks
+@pytest.mark.parametrize("path", ["refuted", "early_stop", "raises"])
+def test_falsify_leaves_no_process_or_descriptor(cpus, monkeypatch, path):
+    cpus(3)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    if path == "refuted":
+        report = falsify(gallery("diameter_preorder", 4),
+                         FalsifierConfig(dim=2, restarts=6, iters=2000))
+        assert report.verdict == "refuted"
+    else:
+        cfg = FalsifierConfig(dim=2, restarts=6, iters=2000)
+        spec = gallery("diameter_preorder", 3)
+        if path == "early_stop":
+            report = falsify(spec, cfg)
+            assert report.feasible and report.restarts < cfg.restarts
+        else:
+            monkeypatch.setattr(counterexamples.verifier, "verify", _raise)
+            # raised's traceback keeps falsify's frame, and so its pipes,
+            # alive through the checks below: only a close frees them
+            with pytest.raises(_VerifyFailed) as raised:  # noqa: F841
+                falsify(spec, cfg)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_falsify_witness_is_first_verified_restart():
