@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import orders, verifier
-from .errors import BadSize, UnknownName
+from .errors import BadSize, NonFiniteEntry, UnknownName
 from .orders import OrderSpec
 from .schoenberg import MAX_PAIRS, PointConfig, check_pair_count, pair_index
 
@@ -336,12 +336,21 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     probe to configurations whose constrained distances stay comparable
     to the mean.
     The gradient is analytic, including the normalization coupling, and is
-    laid out like P (complete) or P stacked over Q (bipartite).
+    laid out like P (complete) or P stacked over Q (bipartite). Non-finite
+    coordinates, and a loss or gradient that is not finite (coincident
+    points, squares that overflow), raise NonFiniteEntry.
     """
     spec.ranks  # validates
     verifier.check_shape(config, spec)
     X = config.rows()
-    return _loss_grad(_StressTerms(spec, X.shape[1], margin, floor), X)
+    if not np.isfinite(X).all():
+        raise NonFiniteEntry("point config has non-finite coordinates")
+    terms = _StressTerms(spec, X.shape[1], margin, floor)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss, grad = _loss_grad(terms, X)
+    if not (math.isfinite(loss) and np.isfinite(grad).all()):
+        raise NonFiniteEntry("stress loss or gradient is not finite")
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

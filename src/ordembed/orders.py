@@ -210,7 +210,7 @@ def validate(spec: OrderSpec) -> None:
     if empty.size and empty[0] <= first:
         raise EmptyClass("empty class in spec")
     if first < count:
-        p = next(islice(chain.from_iterable(spec.classes), first, None))
+        p = tuple(spec._ij[first].tolist())
         if first == stop:
             raise IndexOutOfRange(f"pair {p} out of range")
         raise DuplicatePair(f"pair {p} occurs twice")

@@ -67,15 +67,18 @@ class PointConfig:
 
 
 def gram_from_distances(D: np.ndarray, base: int) -> GramMatrix:
-    """g_ij = (m_bi^2 + m_bj^2 - m_ij^2) / 2 over indices != base (1-based)."""
+    """g_ij = (m_bi^2 + m_bj^2 - m_ij^2) / 2 over indices != base (1-based);
+    NonFiniteEntry if the squares overflow."""
     D = check_distance_matrix(D)
     n = D.shape[0]
     if not 1 <= base <= n:
         raise BadIndex(f"base {base} outside [1..{n}]")
     others = [i for i in range(n) if i != base - 1]
-    db2 = D[base - 1, others] ** 2
-    G = 0.5 * (db2[:, None] + db2[None, :] - D[np.ix_(others, others)] ** 2)
-    return GramMatrix(matrix=G, base=base, n=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        db2 = D[base - 1, others] ** 2
+        G = 0.5 * (db2[:, None] + db2[None, :]
+                   - D[np.ix_(others, others)] ** 2)
+    return GramMatrix(matrix=_as_matrix(G), base=base, n=n)
 
 
 def _as_matrix(G) -> np.ndarray:
@@ -180,18 +183,19 @@ def pair_distances(config: PointConfig) -> np.ndarray:
     row, or the P-to-Q rectangle of a bipartite one; BadSize past MAX_PAIRS.
 
     Up to GRAM_MIN pair coordinates, the direct difference: bit for bit the
-    broadcast. Beyond, in an errstate, the Gram form d^2_ij = s_i + s_j -
-    2<p_i, p_j> of points centred at P[0], s_i = |p_i|^2, from one matrix
-    product, whose error is about 2(dim + 1)u(s_i + s_j), u the unit
-    roundoff. A value finite and at least kappa = 2(dim + 2)u / DELTA times
-    s_i + s_j is kept, within relative DELTA of the direct difference, which
-    recomputes the rest; so a distance is finite iff the direct one is."""
+    broadcast. Beyond, the Gram form d^2_ij = s_i + s_j - 2<p_i, p_j> of
+    points centred at P[0], s_i = |p_i|^2, from one matrix product, whose
+    error is about 2(dim + 1)u(s_i + s_j), u the unit roundoff. A value
+    finite and at least kappa = 2(dim + 2)u / DELTA times s_i + s_j is kept,
+    within relative DELTA of the direct difference, which recomputes the
+    rest; so a distance is finite iff the direct one is. Both branches run
+    in one errstate: a distance that overflows is inf, without a warning."""
     P = np.asarray(config.P, dtype=float)
     Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
     rows, cols = pair_index(len(P), None if config.Q is None else len(Q))
-    if len(rows) * P.shape[1] <= GRAM_MIN:
-        return np.sqrt(_direct_squares(P, Q, rows, cols))
     with np.errstate(over="ignore", invalid="ignore"):
+        if len(rows) * P.shape[1] <= GRAM_MIN:
+            return np.sqrt(_direct_squares(P, Q, rows, cols))
         Pc = P - P[0]
         Qc = Pc if config.Q is None else Q - P[0]
         s, t = (np.einsum("ij,ij->i", A, A) for A in (Pc, Qc))

@@ -14,7 +14,8 @@ from ordembed.constructions import realize, realize_preorder_complete
 from ordembed.counterexamples import (FalsifierConfig, falsify, gallery,
                                       infeasible_dimension,
                                       simplex_diameter_bound, stress_loss)
-from ordembed.errors import BadSize, ShapeMismatch, UnknownName
+from ordembed.errors import (BadSize, NonFiniteEntry, ShapeMismatch,
+                             UnknownName)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import MAX_PAIRS, PointConfig
 
@@ -228,6 +229,17 @@ def test_stress_loss_shape_mismatch(bip32_spec):
     config = PointConfig(dim=2, P=np.zeros((3, 2)))
     with pytest.raises(ShapeMismatch):
         stress_loss(bip32_spec, config)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stress_loss_not_finite_raises_without_warning():
+    spec = OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)),))
+    # a NaN coordinate; coincident points, whose mean squared distance is
+    # 0; squares that overflow
+    for P in ([[np.nan], [0.0], [1.0]], [[2.0], [2.0], [2.0]],
+              [[1e200], [-1e200], [0.0]]):
+        with pytest.raises(NonFiniteEntry):
+            stress_loss(spec, PointConfig(dim=1, P=np.array(P)))
 
 
 def test_stress_gradient_vs_finite_differences_sample():

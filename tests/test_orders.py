@@ -42,6 +42,7 @@ def test_validate_duplicate_pair():
     with pytest.raises(DuplicatePair) as err:
         orders.validate(spec)
     assert "(1, 2)" in str(err.value)
+    assert "classes" not in vars(spec)
 
 
 def test_validate_empty_class():
@@ -52,8 +53,10 @@ def test_validate_empty_class():
 
 def test_validate_index_out_of_range():
     spec = OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange) as err:
         orders.validate(spec)
+    assert str(err.value) == "pair (2, 4) out of range"
+    assert "classes" not in vars(spec)
 
 
 def test_validate_bipartite_indices():

@@ -66,6 +66,17 @@ def test_gram_bad_base():
         gram_from_distances(D, base=4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_whose_squares_overflow_raises_without_warning():
+    D = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with pytest.raises(NonFiniteEntry):
+        gram_from_distances(D, base=1)
+    # and squares that overflow on both sides of a difference: inf - inf
+    D = np.array([[0.0, 1e200, 1.0], [1e200, 0.0, 1e200], [1.0, 1e200, 0.0]])
+    with pytest.raises(NonFiniteEntry):
+        gram_from_distances(D, base=1)
+
+
 def test_distance_matrix_validation():
     with pytest.raises(ShapeMismatch):
         schoenberg.check_distance_matrix(np.zeros((2, 3)))
@@ -392,16 +403,18 @@ def _overflow_cases(rng):
         yield P
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_distances_of_is_finite_where_the_direct_difference_is():
+    # only the oracle may warn: distances_of overflows quietly
     rng = np.random.default_rng(47)
-    with np.errstate(over="ignore"):
-        for P in _overflow_cases(rng):
-            for Q in (None, P[::-1] * 0.75):
-                got = distances_of(PointConfig(dim=P.shape[1], P=P, Q=Q))
+    for P in _overflow_cases(rng):
+        for Q in (None, P[::-1] * 0.75):
+            got = distances_of(PointConfig(dim=P.shape[1], P=P, Q=Q))
+            with np.errstate(over="ignore"):
                 want = _naive_distances(P, Q)
-                assert np.array_equal(np.isfinite(got), np.isfinite(want))
-                got, want = got[np.isfinite(want)], want[np.isfinite(want)]
-                assert np.all(np.abs(got - want) <= schoenberg.DELTA * want)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            got, want = got[np.isfinite(want)], want[np.isfinite(want)]
+            assert np.all(np.abs(got - want) <= schoenberg.DELTA * want)
 
 
 def test_distances_of_tiny_shapes():

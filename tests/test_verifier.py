@@ -96,9 +96,10 @@ def test_verify_shape_mismatches(preorder4_spec, bip32_spec):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_overflowing_large_config_raises_without_warning():
-    # past schoenberg.GRAM_MIN the distance kernel runs under errstate, so
-    # distances that overflow raise NonFiniteEntry and warn nothing; a few
-    # points close together keep finite distances among themselves
+    # both branches of the distance kernel, the direct difference up to
+    # schoenberg.GRAM_MIN and the Gram form past it, run under errstate,
+    # so distances that overflow raise NonFiniteEntry and warn nothing; a
+    # few points close together keep finite distances among themselves
     rng = np.random.default_rng(50)
     spec = random_preorder(rng, 40)
     P = rng.standard_normal((40, 39)) * 1e160
@@ -111,6 +112,16 @@ def test_verify_overflowing_large_config_raises_without_warning():
         induced_preorder(config)
     vals = pair_distances(config)
     assert np.isfinite(vals).any() and not np.isfinite(vals).all()
+    # small shapes take the direct difference: inf where its square is
+    for x in ([1e308, -1e308], [1e200, -1e200, 0.0]):
+        config = PointConfig(dim=1, P=np.array(x)[:, None])
+        with pytest.raises(NonFiniteEntry):
+            verify(config, random_preorder(rng, len(x)))
+        with pytest.raises(NonFiniteEntry):
+            induced_preorder(config)
+        with np.errstate(over="ignore"):
+            want = np.sqrt(np.subtract.outer(x, x) ** 2)
+        assert np.array_equal(schoenberg.distances_of(config), want)
 
 
 def test_distinctness_bipartite_ignores_internal_repeats():
