@@ -23,7 +23,7 @@ from .errors import (BadIndex, BadSize, DimTooSmall, DistanceMismatch,
 from .orders import OrderSpec, bipartite_pairs, complete_pairs, validate
 from .schoenberg import (GramMatrix, PointConfig, distances_of, factor_points,
                          gram_from_distances, min_eigenvalue)
-from .verifier import InducedOrder, VerifyReport, induced_preorder, verify
+from .verifier import VerifyReport, induced_preorder, verify
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "BadIndex", "BadSize", "DimTooSmall", "DistanceMismatch",
     "DuplicatePair", "EmptyClass", "EpsilonExhausted", "EpsilonSearch",
     "FalsifierConfig", "FalsifierReport", "GramMatrix",
-    "IndexOutOfRange", "InducedOrder", "MissingPair", "NonFiniteEntry",
+    "IndexOutOfRange", "MissingPair", "NonFiniteEntry",
     "NotLinear", "NotPSD", "OrderSpec", "OrdembedError", "PointConfig",
     "RealizationReport", "ShapeMismatch", "SpecError", "UnknownName",
     "VerifyReport", "bipartite_pairs", "choose_epsilon", "complete_pairs",

@@ -91,10 +91,8 @@ def cmd_verify(args) -> int:
 
 def cmd_induce(args) -> int:
     config = schoenberg.load_config(args.points)
-    induced = verifier.induced_preorder(config, tol_abs=args.tol_abs,
-                                        tol_rel=args.tol_rel)
-    print(orders.to_json(orders.from_ranks(induced.ranks, induced.n,
-                                           induced.m)))
+    print(orders.to_json(verifier.induced_preorder(
+        config, tol_abs=args.tol_abs, tol_rel=args.tol_rel)))
     return 0
 
 

@@ -228,9 +228,7 @@ def validate(spec: OrderSpec) -> None:
 
 def canonical(spec: OrderSpec) -> OrderSpec:
     """Same preorder with the pairs inside each class sorted lexicographically."""
-    at = np.repeat(np.arange(spec.num_classes), spec._sizes)
-    order = np.lexsort((spec._ij[:, 1], spec._ij[:, 0], at))
-    return _new(spec.kind, spec.n, spec.m, spec._ij[order], spec._sizes)
+    return from_ranks(spec.ranks, spec.n, spec.m)
 
 
 def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:

@@ -2,51 +2,23 @@
 
 Distances are sorted and split into classes wherever an adjacent gap
 exceeds tol_abs + tol_rel * (max distance); single-linkage, deterministic,
-and exact whenever the realization's gaps dominate the tolerances.
+and exact whenever the realization's gaps dominate the tolerances. The
+induced order is an OrderSpec in canonical form, built from its rank
+vector by orders.from_ranks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSize, NonFiniteEntry, ShapeMismatch
-from .orders import OrderSpec, Pair, _pairs_at
+from .orders import OrderSpec, Pair, _pairs_at, from_ranks
 from .schoenberg import PointConfig, pair_distances
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class InducedOrder:
-    """The preorder a configuration's pair distances induce. classes is
-    built on first read (verify does not read it); == compares classes,
-    gaps and spread."""
-
-    gaps: tuple[float, ...]
-    spread: float
-    # class rank and distance of every pair, in lexicographic pair order
-    ranks: np.ndarray = field(repr=False)
-    distances: np.ndarray = field(repr=False)
-    n: int
-    m: int | None = None
-
-    @cached_property
-    def classes(self) -> tuple[tuple[Pair, ...], ...]:
-        # ties in distance keep lexicographic order, as in induced_preorder
-        order = np.argsort(self.distances, kind="stable")
-        ranked = list(map(tuple, _pairs_at(self.n, self.m, order).tolist()))
-        ends = np.cumsum(np.bincount(self.ranks)[1:]).tolist()
-        return tuple(tuple(ranked[a:b]) for a, b in zip([0] + ends, ends))
-
-    def __eq__(self, other):
-        if not isinstance(other, InducedOrder):
-            return NotImplemented
-        return ((self.classes, self.gaps, self.spread)
-                == (other.classes, other.gaps, other.spread))
 
 
 @dataclass(frozen=True)
@@ -78,31 +50,33 @@ def _largest(vals: np.ndarray) -> float:
     return top
 
 
-def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
-                     tol_rel: float = TOL_REL, distances=None) -> InducedOrder:
-    """Classes of the induced order, ascending, with gap/spread diagnostics;
-    distances, if given, are config's pair distances. A distance that is
-    not finite raises NonFiniteEntry."""
-    check_tolerances(tol_abs, tol_rel)
-    vals = pair_distances(config) if distances is None else distances
-    if vals.size == 0:
-        raise ShapeMismatch("a configuration of fewer than two points "
-                            "induces no order")
-    threshold = tol_abs + tol_rel * _largest(vals)
-    # a stable sort breaks distance ties by lexicographic pair order
+def _induce(vals: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
+    """The induced rank of every pair distance in vals, and the least step
+    between classes (inf for one class): the distances sorted, a stable
+    sort breaking ties by lexicographic pair order, and split at every
+    step above threshold."""
     order = np.argsort(vals, kind="stable")
-    ascending = vals[order]
-    steps = np.diff(ascending)
+    steps = np.diff(vals[order])
     cut = steps > threshold
     ranks = np.empty(vals.size, dtype=np.int64)
     ranks[order] = np.concatenate(([1], 1 + np.cumsum(cut)))
-    starts = np.flatnonzero(np.concatenate(([True], cut)))
-    ends = np.append(starts[1:], vals.size)
-    return InducedOrder(
-        gaps=tuple(steps[cut].tolist()),
-        spread=float((ascending[ends - 1] - ascending[starts]).max()),
-        ranks=ranks, distances=vals, n=len(config.P),
-        m=None if config.Q is None else len(config.Q))
+    return ranks, float(steps[cut].min(initial=np.inf))
+
+
+def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
+                     tol_rel: float = TOL_REL) -> OrderSpec:
+    """The canonical spec of the order that config's pair distances
+    induce; its separation(pair_distances(config)) is the least gap and
+    the greatest spread. A distance that is not finite raises
+    NonFiniteEntry."""
+    check_tolerances(tol_abs, tol_rel)
+    vals = pair_distances(config)
+    if vals.size == 0:
+        raise ShapeMismatch("a configuration of fewer than two points "
+                            "induces no order")
+    ranks, _ = _induce(vals, tol_abs + tol_rel * _largest(vals))
+    return from_ranks(ranks, len(config.P),
+                      None if config.Q is None else len(config.Q))
 
 
 def check_shape(config: PointConfig, spec: OrderSpec) -> None:
@@ -123,7 +97,7 @@ def check_shape(config: PointConfig, spec: OrderSpec) -> None:
                 f"{len(config.P)}x{len(config.Q)}")
 
 
-def _first_disagreement(spec: OrderSpec, induced: InducedOrder
+def _first_disagreement(spec: OrderSpec, got: np.ndarray
                         ) -> tuple[Pair, Pair]:
     """Lexicographically first pair of pairs (a, b), a before b in pair
     order, that spec (ranks want) and configuration (ranks got) order
@@ -135,7 +109,7 @@ def _first_disagreement(spec: OrderSpec, induced: InducedOrder
     The relation is symmetric, so the first marked pair a* has a partner
     after it (one before it would be marked earlier): a* opens the witness
     and one sign compare finds b. O(N + K) for N pairs and K classes."""
-    want, got = spec.ranks, induced.ranks
+    want = spec.ranks
     lo, hi = spec.extremes(got)
     before = np.concatenate(([-np.inf], np.maximum.accumulate(hi)[:-1]))
     after = np.concatenate((np.minimum.accumulate(lo[::-1])[::-1][1:],
@@ -168,10 +142,9 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
     distinctness = float(vals.min())
     witness = None
     if not (margin > threshold and spread <= threshold):
-        induced = induced_preorder(config, tol_abs, tol_rel, vals)
-        margin = min(induced.gaps) if induced.gaps else float("inf")
-        if not np.array_equal(induced.ranks, spec.ranks):
-            witness = _first_disagreement(spec, induced)
+        got, margin = _induce(vals, threshold)
+        if not np.array_equal(got, spec.ranks):
+            witness = _first_disagreement(spec, got)
     return VerifyReport(verdict="match" if witness is None else "mismatch",
                         witness=witness, margin=margin,
                         distinctness=distinctness)

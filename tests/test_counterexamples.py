@@ -153,6 +153,11 @@ def test_infeasible_dimension_table():
     assert infeasible_dimension("bip_affine_preorder", 4) == 3
 
 
+def test_falsifier_legs_dimensions_are_the_gallery_table():
+    assert [dim for _, _, dim in FALSIFIER_LEGS] == [
+        infeasible_dimension(name, n) for name, n, _ in FALSIFIER_LEGS]
+
+
 def test_simplex_diameter_bound_values():
     assert simplex_diameter_bound(3) == 2.0
     assert abs(simplex_diameter_bound(4) - np.sqrt(3.0)) < 1e-12
@@ -582,6 +587,26 @@ def test_falsify_recall_at_realized_dimension(kind, make, n):
         report = falsify(spec, FalsifierConfig(dim=dim, restarts=2,
                                                iters=3000))
         assert report.verdict == "feasible", f"{kind} n={n} at d={dim}"
+
+
+def test_descend_stops_when_no_step_decreases(monkeypatch):
+    # the loss is infinite at every point but the start, so backtracking
+    # halves the step below MIN_STEP and the restart stops before its
+    # first step
+    terms = counterexamples._StressTerms(gallery("d4_linear", 4), 1,
+                                         counterexamples.MARGIN,
+                                         counterexamples.FLOOR)
+    X = np.random.default_rng(60).standard_normal((4, 1))
+    real = counterexamples._loss_only
+
+    def never_lower(terms, at):
+        loss, parts = real(terms, at)
+        return (loss if at is X else np.inf), parts
+
+    monkeypatch.setattr(counterexamples, "_loss_only", never_lower)
+    f, Y, stop = counterexamples._descend(terms, X, 100)
+    assert stop == counterexamples.RestartStop("no_step", 0)
+    assert Y is X and f > counterexamples.STOP_LOSS
 
 
 def _differing_rows_broadcast(R):

@@ -59,6 +59,24 @@ def test_validate_index_out_of_range():
     assert "classes" not in vars(spec)
 
 
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+def test_validate_bipartite_needs_both_sides(n, m):
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^bipartite spec needs n, m >= 1$"):
+        orders.validate(OrderSpec("bipartite", n, (), m=m))
+
+
+def test_hash_agrees_with_equality():
+    # a spec read from its canonical text and the same spec built from
+    # lists are one set element
+    for spec in (OrderSpec("complete", 3, (((1, 2),), ((1, 3), (2, 3)))),
+                 OrderSpec("bipartite", 2, (((2, 1), (1, 1)), ((1, 2),),
+                                            ((2, 2),)), m=2)):
+        read = orders.from_json(orders.to_json(spec))
+        assert read == spec
+        assert len({read, spec}) == 1
+
+
 def test_validate_bipartite_indices():
     spec = OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),), m=2)
     orders.validate(spec)

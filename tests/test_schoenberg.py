@@ -101,6 +101,10 @@ def test_min_eigenvalue_i_plus_j_size5():
     assert abs(min_eigenvalue(_gram(M)) - 1.0) < 1e-12
 
 
+def test_min_eigenvalue_of_empty_gram_is_inf():
+    assert min_eigenvalue(_gram(np.zeros((0, 0)))) == float("inf")
+
+
 def test_min_eigenvalue_rejects_nan():
     with pytest.raises(NonFiniteEntry):
         min_eigenvalue(_gram([[np.nan, 0], [0, 1]]))
@@ -252,6 +256,8 @@ def test_config_json_rejects_bad_shapes():
         config_from_json('{"dim":2,"P":[[1.0]]}')
     with pytest.raises(ShapeMismatch):
         config_from_json('{"dim":1,"P":"zap"}')
+    with pytest.raises(ShapeMismatch, match="Q must be rows of length dim=2"):
+        config_from_json('{"dim":2,"P":[[0,0]],"Q":[[1,2,3]]}')
     with pytest.raises(NonFiniteEntry):
         config_from_json('{"dim":1,"P":[[Infinity]]}')
 

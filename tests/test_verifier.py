@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +19,18 @@ def _line(*xs):
     return PointConfig(dim=1, P=np.array([[float(x)] for x in xs]))
 
 
+def _gaps_and_spread(induced, config):
+    # every gap lo[c+1] - hi[c] between induced classes, and the greatest
+    # spread hi[c] - lo[c] within one
+    lo, hi = induced.extremes(pair_distances(config))
+    return tuple((lo[1:] - hi[:-1]).tolist()), float((hi - lo).max())
+
+
 def test_induced_collinear_singletons():
-    induced = induced_preorder(_line(0, 1, 3))
+    config = _line(0, 1, 3)
+    induced = induced_preorder(config)
     assert induced.classes == (((1, 2),), ((2, 3),), ((1, 3),))
-    assert induced.gaps == (1.0, 1.0)
-    assert induced.spread == 0.0
+    assert _gaps_and_spread(induced, config) == ((1.0, 1.0), 0.0)
 
 
 def test_induced_unit_tetrahedron():
@@ -45,10 +51,12 @@ def test_induced_preorder4_realization(preorder4_spec):
 def test_induced_merges_within_tolerance():
     # distances 1, 1.4, 2.4 with tol_abs 0.5: first two merge, margin is
     # measured from the class maximum, not its minimum
-    induced = induced_preorder(_line(0, 1, 2.4), tol_abs=0.5, tol_rel=0.0)
+    config = _line(0, 1, 2.4)
+    induced = induced_preorder(config, tol_abs=0.5, tol_rel=0.0)
     assert len(induced.classes) == 2
-    assert induced.gaps == (pytest.approx(1.0),)
-    assert induced.spread == pytest.approx(0.4)
+    gaps, spread = _gaps_and_spread(induced, config)
+    assert gaps == (pytest.approx(1.0),)
+    assert spread == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("tolerances", [
@@ -258,11 +266,28 @@ def test_verify_and_induce_read_distances_once(monkeypatch, preorder4_spec,
         assert len(calls) == 1
 
 
-def test_induced_distances_are_the_pair_distances(bip32_spec):
+def test_distinctness_is_the_least_pair_distance(bip32_spec):
     config = realize(bip32_spec).config
+    assert (verify(config, bip32_spec).distinctness
+            == pair_distances(config).min())
+
+
+@pytest.mark.parametrize("m", [None, 4])
+@pytest.mark.parametrize("grid", [False, True])
+def test_induced_preorder_is_what_induce_prints(m, grid, tmp_path, capsys):
+    # the induced order is a spec: the one induce prints, and matched by
+    # the configuration that induces it; P rounded to a grid ties distances
+    rng = np.random.default_rng(54)
+    P = rng.standard_normal((7, 2))
+    P = P.round() if grid else P
+    Q = None if m is None else rng.standard_normal((m, 2))
+    config = PointConfig(dim=2, P=P, Q=Q)
+    path = tmp_path / "points.json"
+    schoenberg.save_config(config, str(path))
+    assert cli.main(["induce", str(path)]) == 0
     induced = induced_preorder(config)
-    assert np.array_equal(induced.distances, pair_distances(config))
-    assert verify(config, bip32_spec).distinctness == induced.distances.min()
+    assert induced == orders.from_json(capsys.readouterr().out)
+    assert verify(config, induced).matched
 
 
 def _quadratic_witness(spec, got):
@@ -331,7 +356,7 @@ def test_witness_matches_quadratic_search(specs):
     if want is None:
         assert np.array_equal(spec.ranks, other.ranks)
         return
-    got = _first_disagreement(spec, SimpleNamespace(ranks=other.ranks))
+    got = _first_disagreement(spec, other.ranks)
     assert got == want
     assert all(type(v) is int for pair in got for v in pair)
 
@@ -404,12 +429,13 @@ def _verify_by_sort(config, spec, tol_abs=verifier.TOL_ABS,
     # with no certificate; verdict, witness, margin and distinctness as
     # verify reports them
     induced = induced_preorder(config, tol_abs, tol_rel)
-    margin = min(induced.gaps) if induced.gaps else float("inf")
+    vals = pair_distances(config)
+    margin, _ = induced.separation(vals)
     witness = None
     if not np.array_equal(induced.ranks, spec.ranks):
-        witness = _first_disagreement(spec, induced)
+        witness = _first_disagreement(spec, induced.ranks)
     return ("match" if witness is None else "mismatch", witness,
-            repr(margin), repr(float(induced.distances.min())))
+            repr(margin), repr(float(vals.min())))
 
 
 def _reported(report):
