@@ -9,14 +9,14 @@ All three perturb a regular simplex: pairs of rank k get target distance
 1 + k*eps, and eps shrinks geometrically until every Gram matrix involved
 is positive definite with margin eta. Positive definiteness of the limit
 guarantees the search terminates. Each realizer splits its points into a
-base simplex and apexes and hands their target distances to one search,
-_realize_apexes, which builds them with one primitive, place_apexes.
+base simplex and apexes and hands their apex Grams and a factor of them
+to one search, _realize_apexes, which places them with place_apexes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (PointConfig, check_pair_count, pair_distances,
-                         pair_index)
+from .schoenberg import (CHUNK, PointConfig, check_pair_count,
+                         pair_distances, pair_index)
 
 ETA = 1e-6
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -94,61 +94,73 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     return spec.separation(pair_distances(config))[0]
 
 
-def _apex_grams(base: np.ndarray, apexes: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The apex Grams in pieces: corner, the Gram of the base relative to
-    its last point, bordered for apex j by edge[j] and tip[j].
-
-    base holds the k x k target distances among the base points, apexes
-    the m x k target distances of each apex to them. The float operations
-    are gram_from_distances' on each apex's (k+1)-point distance matrix
-    with the last base point as base. Non-finite pieces raise
-    NonFiniteEntry."""
+def _apex_stack(base: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """The complete realizers' (m, k, k) stack of apex Grams from the k x k
+    base and m x k apex target distances: apex j's Gram relative to the
+    last base point, apex last, in gram_from_distances' float operations."""
     b2, a2 = base * base, apexes * apexes
     db2 = b2[-1, :-1]
-    corner = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
-    edge = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
-    tip = 0.5 * (a2[:, -1] + a2[:, -1])
-    if not all(np.isfinite(x).all() for x in (corner, edge, tip)):
-        raise NonFiniteEntry("matrix has non-finite entries")
-    return corner, edge, tip
+    G = np.empty((len(a2),) + b2.shape)
+    G[:, :-1, :-1] = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
+    G[:, :-1, -1] = G[:, -1, :-1] = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
+    G[:, -1, -1] = 0.5 * (a2[:, -1] + a2[:, -1])
+    return G
 
 
-def _bordered_cholesky(corner: np.ndarray, edge: np.ndarray,
-                       tip: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L = cholesky(corner), Y = L^-1 edge^T and the Schur complements
-    s_j = tip_j - |Y_j|^2 (Y_j is column j of Y).
-
-    Apex j's Gram is positive definite iff L exists and s_j > 0. If L
-    does not exist, every apex Gram has an eigenvalue at or below zero
-    (interlacing), and NotPSD is raised."""
+def _stack_factor(G: np.ndarray) -> tuple[np.ndarray, ...]:
+    """place_apexes' arguments from one batched Cholesky factor F of G:
+    F[0]'s leading block and each F[j]'s last row; NotPSD if one fails."""
     try:
-        L = np.linalg.cholesky(corner)
-        Y = np.linalg.solve(L, edge.T)
+        F = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise NotPSD("base Gram is not positive definite") from None
-    return L, Y, tip - (Y * Y).sum(axis=0)
+        raise NotPSD("an apex Gram is not positive definite") from None
+    return F[0, :-1, :-1], F[:, -1, :-1], F[:, -1, -1]
 
 
-def _least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
-                       tip: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of each apex Gram, the Grams written as one stack
-    and eigen-solved together, a per-apex vector."""
-    G = np.empty((len(tip),) + (len(corner) + 1,) * 2)
-    G[:, :-1, :-1] = corner
-    G[:, :-1, -1] = G[:, -1, :-1] = edge
-    G[:, -1, -1] = tip
-    return np.linalg.eigvalsh(G)[:, 0]
+@lru_cache(maxsize=16)
+def _unit_simplex_factor(p: int) -> np.ndarray:
+    """cholesky(I + J), p x p, read-only (see _simplex_factor)."""
+    r = np.arange(1.0, p + 1)
+    L0 = np.tril(np.broadcast_to(1.0 / np.sqrt(r * (r + 1)), (p, p)), -1)
+    L0[np.diag_indices(p)] = np.sqrt((r + 1) / r)
+    L0.flags.writeable = False
+    return L0
 
 
-def _simplex_least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
+def _simplex_factor(c: float, edge: np.ndarray, tip: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """place_apexes' arguments over a regular simplex in closed form. The
+    corner (c/2)(I + J), p x p, has the factor sqrt(c/2) L0, L0[i, i] =
+    sqrt((i + 2)/(i + 1)) and L0[i, j < i] = 1/sqrt((j + 1)(j + 2)), so
+    forward substitution is a prefix mean, O(mk): Y_j[i] = (e[i] - (e[0] +
+    ... + e[i-1])/(i + 1)) sqrt((i + 1)/(i + 2)) / sqrt(c/2), e = edge[j],
+    and apex j's height squared is tip_j - |Y_j|^2 (NotPSD, before L0 is
+    built, unless positive). The prefix sums are scaled by the power of
+    two f that puts c in [0.5, 1), so they are finite where the edges are."""
+    p = edge.shape[1]
+    r, f = np.arange(1.0, p + 1), math.ldexp(1.0, -math.frexp(c)[1])
+    prefix = np.cumsum(edge[:, :-1] * f, axis=1)
+    Y = edge.copy()
+    Y[:, 1:] -= np.divide(prefix, r[1:] * f, out=prefix)
+    Y *= np.sqrt(r / (r + 1)) / math.sqrt(0.5 * c)
+    s = tip - np.einsum("ij,ij->i", Y, Y)
+    if not (s > 0).all():
+        raise NotPSD(f"apex height squared {s.min():.3e} not positive")
+    L0 = (_unit_simplex_factor if p * p <= CHUNK  # at most 8 MB cached
+          else _unit_simplex_factor.__wrapped__)(p)
+    return math.sqrt(0.5 * c) * L0, Y, np.sqrt(s)
+
+
+def _simplex_least_eigenvalues(c: float, edge: np.ndarray,
                                tip: np.ndarray) -> np.ndarray:
-    """_least_eigenvalues over a regular simplex, from one 3 x 3 matrix per
-    apex (realize_preorder_bipartite), scaled by a power of two that puts c
-    in [0.5, 1): |w_j|^2 and ck/2 stay finite wherever the Gram's are."""
-    m, k = len(tip), len(corner) + 1
-    c = max(corner.diagonal().tolist(), default=0.0)  # no corner at k = 1
+    """Least eigenvalue of each apex Gram over a regular simplex, from a
+    3 x 3 matrix per apex. Split edge[j] into alpha_j along the unit
+    all-ones vector and w_j orthogonal to it: corner eigenvectors
+    orthogonal to both keep eigenvalue c/2, so by interlacing the least
+    eigenvalue is that of [[c/2, 0, |w_j|], [0, ck/2, alpha_j], [|w_j|,
+    alpha_j, tip_j]] (its trailing 2 x 2 block at k = 2, tip_j at k = 1).
+    Scaled by f as in _simplex_factor, it is finite where the Gram is."""
+    m, k = len(tip), edge.shape[1] + 1
     f = math.ldexp(1.0, -math.frexp(c)[1])
     e = edge * f
     mean = np.add.reduce(e, axis=1) / max(k - 1, 1)
@@ -162,67 +174,51 @@ def _simplex_least_eigenvalues(corner: np.ndarray, edge: np.ndarray,
     return np.linalg.eigvalsh(G[:, s:, s:])[:, 0] / f
 
 
-def place_apexes(L: np.ndarray, Y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """k base points and m apexes in R^k, each apex at its target
-    distances from the base and all of them on one side of its hyperplane.
-
-    The paper's one construction: the Cholesky factor (L, Y, s) of the
-    apex Grams, from _bordered_cholesky, is the configuration. The base
-    rows are L with a zero last column, then the origin, so base point i
-    is nonzero only in its first i coordinates; apex j is (Y_j, sqrt(s_j)),
-    its positive height the same-side choice. Returns the base rows, then
-    the apex rows. A complement s_j <= 0 (apex Gram j not positive
-    definite) raises NotPSD."""
-    if not (s > 0).all():
-        raise NotPSD(f"apex height squared {s.min():.3e} not positive")
+def place_apexes(L: np.ndarray, Y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The paper's one construction, the apex Grams' Cholesky factor laid
+    out as k base points and m apexes in R^k: L (the corner's factor) with
+    a zero last column, then the origin, then apex j at (Y[j], h[j]), each
+    height positive, so every apex is on one side of the base."""
     k = len(L) + 1
-    X = np.zeros((k + len(s), k))
-    X[:k - 1, :k - 1] = L
-    X[k:, :-1] = Y.T
-    X[k:, -1] = np.sqrt(s)
+    X = np.zeros((k + len(h), k))
+    X[:k - 1, :k - 1], X[k:, :-1], X[k:, -1] = L, Y, h
     return X
 
 
 def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
-                    target: Callable[[float], tuple[np.ndarray, np.ndarray]],
-                    order: list[int],
+                    target: Callable[[float], tuple], order: list[int],
                     accept: Callable[[np.ndarray], bool] | None = None,
-                    least: Callable[..., np.ndarray] = _least_eigenvalues
-                    ) -> RealizationReport:
-    """The realizers' one epsilon search.
-
-    target(eps) gives the base and apex target distances (the arguments
-    of _apex_grams). A step is accepted once every apex Gram's least
-    eigenvalue, least(corner, edge, tip), clears max(eta, (k + 1) u s),
-    place_apexes places the apexes and accept, if given, passes the placed
-    rows; any other step is rejected. The second bound is the rounding
-    residue of a least eigenvalue of a k x k Gram whose diagonal is at most
-    s = (1 + K eps)^2 (K classes, u the unit roundoff): a least eigenvalue
-    below it may be residue alone, as it is for any spec of more than one
-    class at eps beyond about 1e73. It passes eta only once K eps passes
-    about 5e4. Placed row i is row order[i] of the configuration, P or P
-    stacked over Q. A spec of more than MAX_PAIRS pairs raises BadSize
-    first; a step whose Grams overflow raises NonFiniteEntry.
-
-    Each step is factored once, by _bordered_cholesky, and placed from
-    that factor. A step that does not place has an apex Gram that is not
-    positive definite, whose least eigenvalue is at or below 0 < eta, so
-    it is rejected without calling least."""
+                    factor: Callable[..., tuple] = _stack_factor,
+                    least: Callable[..., np.ndarray] = lambda G: (
+                        np.linalg.eigvalsh(G)[:, 0])) -> RealizationReport:
+    """The realizers' one epsilon search. target(eps) gives a step's apex
+    Grams in pieces: the complete realizers' stack (_apex_stack), whose
+    least eigenvalues are one eigen-solve, or the bipartite c, edge, tip.
+    A step is accepted once factor(*pieces) places the apexes, least(*pieces)
+    clears max(eta, (k + 1) u s) for every apex and accept, if given, passes
+    the placed rows. A factor that raises NotPSD rejects the step without
+    calling least: some apex Gram's least eigenvalue is at or below 0.
+    The second bound is the rounding residue of a least eigenvalue of a
+    k x k Gram of diagonal at most s = (1 + K eps)^2 (K classes, u the unit
+    roundoff), all a spec of more than one class has past eps ~ 1e73; it
+    passes eta only past K eps ~ 5e4. Placed row i is row order[i] of P,
+    or of P over Q. BadSize past MAX_PAIRS; NonFiniteEntry on overflow."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
     state: dict = {}
 
     def step(eps: float) -> bool:
-        grams = _apex_grams(*target(eps))
+        pieces = target(eps)
+        if not all(np.isfinite(x).all() for x in pieces):
+            raise NonFiniteEntry("matrix has non-finite entries")
         try:
-            X = place_apexes(*_bordered_cholesky(*grams))
+            X = place_apexes(*factor(*pieces))
         except NotPSD:
             return False
-        lam = least(*grams)
-        k, top = len(grams[0]) + 1, 1.0 + spec.num_classes * eps
-        bound = max(eta, (k + 1) * UNIT_ROUNDOFF * top * top)
+        lam, top = least(*pieces), 1.0 + spec.num_classes * eps
+        bound = max(eta, (X.shape[1] + 1) * UNIT_ROUNDOFF * top * top)
         if not (lam > bound).all() or (accept is not None and not accept(X)):
             return False
         state.update(X=X, eigs=lam)
@@ -251,9 +247,9 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
     n = spec.n
     order = [*range(n - 2), n - 1, n - 2]
 
-    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    def target(eps: float) -> tuple[np.ndarray]:
         M = perturbed_distances(spec, eps)[np.ix_(order, order)]
-        return M[:-1, :-1], M[-1:, :-1]
+        return _apex_stack(M[:-1, :-1], M[-1:, :-1]),
 
     return _realize_apexes(spec, eta, search, target, order)
 
@@ -304,18 +300,15 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
         raise ShapeMismatch("realize_linear_complete needs n >= 3")
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
-    i1, j1 = spec._ij[0].tolist()
-    order = [k for k in range(n) if k not in (i1 - 1, j1 - 1)]
-    order += [i1 - 1, j1 - 1]
+    pair = [i - 1 for i in spec._ij[0].tolist()]
+    order = [k for k in range(n) if k not in pair] + pair
 
-    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    def target(eps: float) -> tuple[np.ndarray]:
         M = perturbed_distances(spec, eps)[np.ix_(order, order[:-2])]
-        return M[:-2], M[-2:]
+        return _apex_stack(M[:-2], M[-2:]),
 
-    def apart(X: np.ndarray) -> bool:
-        return 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0
-
-    return _realize_apexes(spec, eta, search, target, order, apart)
+    return _realize_apexes(spec, eta, search, target, order, lambda X: (
+        0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -327,31 +320,29 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     (Q when m < n, with the rank matrix transposed); each point of the
     other collection is an apex at distances 1 + r*eps. One shared eps
     must make all apex Grams positive definite with margin eta; the
-    accepted step's least eigenvalues are the report's. Every apex Gram
-    has the corner (c/2)(I + J), c = (1 + eps)^2. Split apex j's edge into
-    alpha_j along the unit all-ones vector and w_j orthogonal to it; the
-    corner's eigenvectors orthogonal to both keep eigenvalue c/2, so by
-    interlacing the least eigenvalue is that of [[c/2, 0, |w_j|], [0, ck/2,
-    alpha_j], [|w_j|, alpha_j, tip_j]], O(k) work instead of O(k^3). At
-    k = 2 the trailing 2 x 2 block is the Gram; at k = 1 the tip is.
+    accepted step's least eigenvalues are the report's. Every apex Gram has
+    the corner (c/2)(I + J), c = (1 + eps)^2, which _simplex_factor and
+    _simplex_least_eigenvalues use for O(k) work per apex, not O(k^3).
     """
     spec.ranks  # validates
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
     n, m = spec.n, spec.m
-    R = spec.ranks.reshape(n, m)
+    A = spec.ranks.reshape(n, m)
     order = list(range(n + m))
     if m < n:
-        R = R.T
         order = order[n:] + order[:n]
+    else:  # row j of A holds apex j's ranks, C-ordered for the edge sums
+        A = A.T.copy()
 
-    def target(eps: float) -> tuple[np.ndarray, np.ndarray]:
-        base = np.full((len(R),) * 2, 1.0 + eps)
-        np.fill_diagonal(base, 0.0)
-        # row j holds apex j's target distances to the simplex
-        return base, 1.0 + R.T * eps
+    def target(eps: float) -> tuple[float, np.ndarray, np.ndarray]:
+        # the simplex's squared side, then _apex_stack's edge and tip
+        c, a2 = (1.0 + eps) * (1.0 + eps), np.square(1.0 + A * eps)
+        return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
+                0.5 * (a2[:, -1] + a2[:, -1]))
 
     return _realize_apexes(spec, eta, search, target, order,
+                           factor=_simplex_factor,
                            least=_simplex_least_eigenvalues)
 
 

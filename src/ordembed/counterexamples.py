@@ -366,6 +366,9 @@ class FalsifierConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(orders._is_index_type(type(v)) for v in (
+                self.dim, self.restarts, self.iters, self.seed)):
+            raise BadSize("dim, restarts, iters and seed must be integers")
         if self.dim < 1:
             raise BadSize("dim must be >= 1")
         if self.restarts < 1 or self.iters < 1:

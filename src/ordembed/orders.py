@@ -174,6 +174,9 @@ def validate(spec: OrderSpec) -> None:
     if spec.kind not in ("complete", "bipartite"):
         raise SpecError(f"unknown kind {spec.kind!r}")
     n, m = spec.n, spec.m
+    if not (_is_index_type(type(n))
+            and (m is None or _is_index_type(type(m)))):
+        raise SpecError(f"n and m must be integers, got {n!r} and {m!r}")
     complete = spec.kind == "complete"
     if complete:
         if m is not None:

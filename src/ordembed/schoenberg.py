@@ -90,6 +90,8 @@ def _as_matrix(G) -> np.ndarray:
 
 def min_eigenvalue(G) -> float:
     M = _as_matrix(G)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ShapeMismatch(f"matrix must be square, got shape {M.shape}")
     if M.size == 0:
         return float("inf")
     return float(np.linalg.eigvalsh(M)[0])

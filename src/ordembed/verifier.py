@@ -134,6 +134,7 @@ def verify(config: PointConfig, spec: OrderSpec, tol_abs: float = TOL_ABS,
     distance that is not finite raises NonFiniteEntry."""
     check_shape(config, spec)
     check_tolerances(tol_abs, tol_rel)
+    spec.ranks  # validates: a spec with no pairs is refused here
     vals = pair_distances(config)
     threshold = tol_abs + tol_rel * _largest(vals)
     margin, spread = spec.separation(vals)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,9 +11,10 @@ from conftest import (count_calls, one_spec_per_realizer,
                       random_linear_order, random_preorder, rank)
 from ordembed import (constructions, counterexamples, orders, schoenberg,
                       verifier)
-from ordembed.constructions import (EpsilonSearch, _apex_grams,
-                                    _bordered_cholesky, _least_eigenvalues,
+from ordembed.constructions import (EpsilonSearch, _apex_stack,
+                                    _simplex_factor,
                                     _simplex_least_eigenvalues,
+                                    _stack_factor, _unit_simplex_factor,
                                     align_isometry, choose_epsilon,
                                     default_search, perturbed_distances,
                                     place_apexes, realize,
@@ -481,8 +483,9 @@ def test_bipartite_tall_spec_is_its_transpose_swapped():
 
 def test_bipartite_realizer_builds_no_per_apex_gram(monkeypatch):
     # no realizer re-checks a Gram it built itself, eigen-factors a Gram
-    # into points or aligns two factorizations: _apex_grams forms the
-    # Grams and one Cholesky factor of them is the configuration
+    # into points or aligns two factorizations: each step forms its apex
+    # Grams in pieces and one Cholesky factor of them, whole or in closed
+    # form, is the configuration
     grams = count_calls(monkeypatch, schoenberg.gram_from_distances)
     eigens = count_calls(monkeypatch, schoenberg.min_eigenvalue)
     factors = count_calls(monkeypatch, schoenberg.factor_points)
@@ -522,18 +525,13 @@ def _eigen_bound(gram: np.ndarray) -> float:
     return 4 * len(gram) * u * np.abs(gram).sum(axis=1).max()
 
 
-def _apex_gram(corner, edge, tip, j: int) -> np.ndarray:
-    """Apex j's whole Gram from the pieces _apex_grams returns."""
-    return np.block([[corner, edge[j][:, None]], [edge[j][None, :], tip[j]]])
-
-
 def test_bipartite_grams_match_per_apex_reference():
     # reference: each apex's distance matrix through gram_from_distances,
     # as the realizer did one apex at a time; the least eigenvalues agree
     # within the order of an eigen-solve's error (the realizer takes them
-    # from a 3 x 3 reduction), and the base rows are bit for bit the
-    # simplex Gram's Cholesky factor with a zero last column, then the
-    # origin
+    # from a 3 x 3 reduction), and the base rows are the simplex Gram's
+    # Cholesky factor with a zero last column, then the origin, within a
+    # few units of rounding (the realizer writes the factor in closed form)
     rng = np.random.default_rng(35)
     for n, m in ((1, 3), (3, 1), (2, 5), (4, 4), (6, 3), (9, 12)):
         spec = random_bipartite_preorder(rng, n, m)
@@ -553,40 +551,94 @@ def test_bipartite_grams_match_per_apex_reference():
         P = report.config.P if m >= n else report.config.Q
         want = np.zeros((k, k))
         want[:k - 1, :k - 1] = np.linalg.cholesky(simplex.matrix)
-        assert np.array_equal(P, want)
+        assert np.abs(P - want).max() <= 4 * np.finfo(float).eps
+        assert not np.triu(P, 1).any() and not P[-1].any()
 
 
-def test_place_apexes_meets_every_target_on_one_side():
+def test_whole_gram_factor_places_every_apex_at_its_targets_on_one_side():
     # random points in R^k: the first k are the base, the rest apexes; the
-    # placement must reproduce every prescribed distance, lay the base out
-    # lower triangular (its last coordinates and last point zero) and put
-    # each apex at a nonnegative height
+    # placement from the factor of the whole apex Grams must reproduce
+    # every prescribed distance, lay the base out lower triangular (its
+    # last coordinates and last point zero) and put each apex at a
+    # positive height
     rng = np.random.default_rng(36)
     for k in (1, 2, 3, 6, 10):
-        for m in (1, 4):
+        for m in (1, 2, 4):
             X = rng.standard_normal((k + m, k)) * 3.0
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            grams = _apex_grams(D[:k, :k], D[k:, :k])
-            assert (_least_eigenvalues(*grams) > 0).all()
-            Y = place_apexes(*_bordered_cholesky(*grams))
+            Y = place_apexes(*_stack_factor(_apex_stack(D[:k, :k],
+                                                        D[k:, :k])))
             assert Y.shape == (k + m, k)
             assert not Y[:k, -1].any() and not Y[k - 1].any()
             assert not np.triu(Y[:k], 1).any()
-            assert (Y[k:, -1] >= 0).all()
+            assert (Y[k:, -1] > 0).all()
             got = distances_of(schoenberg.PointConfig(dim=k, P=Y))
             scale = float(D.max())
             assert np.abs(got[:k] - D[:k]).max() <= 1e-12 * scale
             assert np.abs(got[k:, :k] - D[k:, :k]).max() <= 1e-12 * scale
-    # a corner that is positive semidefinite but singular does not factor,
-    # and an apex with a zero complement has no positive height
+    # a stack with one Gram that is positive semidefinite but singular
+    # does not factor, even when the other does
+    singular = np.array([[[4.0, 2.0], [2.0, 1.0]], [[4.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(NotPSD):
-        _bordered_cholesky(np.array([[4.0, 2.0], [2.0, 1.0]]),
-                           np.ones((1, 2)), np.full(1, 9.0))
-    factor = _bordered_cholesky(np.eye(2), np.ones((2, 2)),
-                                np.array([3.0, 2.0]))
-    assert np.array_equal(factor[2], [1.0, 0.0])
+        _stack_factor(singular)
     with pytest.raises(NotPSD):
-        place_apexes(*factor)
+        _stack_factor(singular[::-1])
+
+
+def test_closed_form_simplex_factor_matches_cholesky_and_solve():
+    # the corner (c/2)(I + J) of size p: the closed-form factor against
+    # np.linalg.cholesky, the prefix-mean forward substitution against
+    # np.linalg.solve on that factor, and the heights against the Schur
+    # complements tip - |Y|^2 they give; the one-class edge c/2 and random
+    # edges near it, at two simplex sides
+    rng = np.random.default_rng(48)
+    u = np.finfo(float).eps
+    for p in (1, 2, 5, 99, 599):
+        for c in (1.0, 1.7):
+            corner = 0.5 * c * (np.eye(p) + 1.0)
+            edge = 0.5 * c * (1.0 + 0.1 * rng.random((6, p)))
+            edge[0] = 0.5 * c
+            tip = c * (1.0 + 0.1 * rng.random(6))
+            L, Y, h = _simplex_factor(c, edge, tip)
+            L_ref = np.linalg.cholesky(corner)
+            Y_ref = np.linalg.solve(L_ref, edge.T).T
+            s_ref = tip - (Y_ref * Y_ref).sum(axis=1)
+            assert np.abs(L - L_ref).max() <= 4 * u
+            assert np.abs(Y - Y_ref).max() <= 64 * u
+            assert np.abs(h * h - s_ref).max() <= 4096 * u * c
+            assert (h > 0).all()
+    # at p = 0 (a one-point base) the height is the tip's root, and a
+    # complement at or below zero raises NotPSD
+    L, Y, h = _simplex_factor(1.0, np.empty((2, 0)), np.array([4.0, 9.0]))
+    assert L.shape == (0, 0) and Y.shape == (2, 0) and h.tolist() == [2, 3]
+    with pytest.raises(NotPSD):
+        _simplex_factor(2.0, np.full((2, 3), 2.0), np.array([9.0, 1.0]))
+    # the cached unit factor is read-only
+    assert not _unit_simplex_factor(5).flags.writeable
+
+
+def test_unfactored_step_is_rejected_without_calling_least():
+    # a step whose stack does not factor is rejected before least runs;
+    # the search accepts the next step, whose stack factors
+    spec = random_preorder(np.random.default_rng(49), 4)
+    order = [0, 1, 3, 2]
+    calls = []
+
+    def target(eps):
+        if eps == 0.2:
+            return -np.eye(3)[None],
+        M = perturbed_distances(spec, eps)[np.ix_(order, order)]
+        return _apex_stack(M[:-1, :-1], M[-1:, :-1]),
+
+    def least(G):
+        calls.append(G)
+        return np.linalg.eigvalsh(G)[:, 0]
+
+    report = constructions._realize_apexes(
+        spec, constructions.ETA, EpsilonSearch(initial=0.2), target, order,
+        least=least)
+    assert report.epsilon == 0.1 and len(calls) == 1
+    assert verifier.verify(report.config, spec).matched
 
 
 def test_preorder_grams_match_whole_matrix_reference():
@@ -657,10 +709,9 @@ def _eigvalsh_search(spec, search, eta=constructions.ETA):
         grams = _whole_grams(spec, eps)
         eigs = tuple(min_eigenvalue(g) for g in grams)
         if min(eigs) > eta:
-            G = np.array([g.matrix for g in grams])
             try:
-                X = place_apexes(*_bordered_cholesky(
-                    G[0, :-1, :-1], G[:, -1, :-1], G[:, -1, -1]))
+                X = place_apexes(*_stack_factor(
+                    np.array([g.matrix for g in grams])))
             except NotPSD:
                 X = None
             if X is not None and (not linear or 0.0 < float(
@@ -707,21 +758,22 @@ def test_screened_search_matches_eigvalsh_reference():
     assert min(most.values()) >= 2, most
 
 
-def test_screen_rejects_only_what_the_eigenvalues_reject():
-    # the bordered Cholesky of the pieces shifted by s (corner - s*I, edge,
-    # tip - s) is the factor of the apex Grams minus s*I. On every draw it
-    # passes a shift 1e-3 below the worst apex's least eigenvalue and
-    # rejects one 1e-3 above it. Where the corner factors at the shift,
-    # apex j's Schur complement is positive exactly when its least
-    # eigenvalue clears the shift; a shift at or past the corner's least
-    # eigenvalue fails at the corner's factor, which the step takes as a
-    # rejection (by interlacing, some apex's eigenvalue is at or below the
-    # shift too). k = 1 has an empty corner, which always factors
-    def shifted(grams, shift):
-        corner, edge, tip = grams
-        return _bordered_cholesky(corner - shift * np.eye(len(corner)),
-                                  edge, tip - shift)
+def _factors(factor, *pieces) -> bool:
+    """Whether factor(*pieces) gives a factor rather than raising NotPSD."""
+    try:
+        factor(*pieces)
+    except NotPSD:
+        return False
+    return True
 
+
+def test_screen_rejects_only_what_the_eigenvalues_reject():
+    # the whole-Gram factor of each apex Gram shifted by s (G_j - s*I)
+    # exists exactly when its least eigenvalue clears s, and the stack of
+    # all of them factors exactly when every one does. On every draw a
+    # shift 1e-3 below the worst apex's least eigenvalue passes and one
+    # 1e-3 above it is rejected; per apex, shifts between the apexes'
+    # least eigenvalues split them as the eigenvalues do
     rng = np.random.default_rng(40)
     for k, m in ((1, 1), (1, 4), (2, 1), (4, 3), (7, 12), (30, 5)):
         for _ in range(4):
@@ -730,21 +782,34 @@ def test_screen_rejects_only_what_the_eigenvalues_reject():
             base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
             base = np.triu(base, 1) + np.triu(base, 1).T
             apexes = D[k:, :k] * (1.0 + 0.2 * rng.random((m, k)))
-            grams = _apex_grams(base, apexes)
-            lam = _least_eigenvalues(*grams)
-            corner_least = (np.linalg.eigvalsh(grams[0])[0] if k > 1
-                            else np.inf)
-            for shift in (lam.min() - 1e-3, lam.min() + 1e-3):
-                if shift >= corner_least:
-                    with pytest.raises(NotPSD):
-                        shifted(grams, shift)
-                else:
-                    s = shifted(grams, shift)[2]
-                    assert np.array_equal(s > 0, lam > shift)
-            assert (shifted(grams, lam.min() - 1e-3)[2] > 0).all()
-            if k > 1:
-                with pytest.raises(NotPSD):
-                    shifted(grams, corner_least + 1e-3)
+            G = _apex_stack(base, apexes)
+            lam = np.linalg.eigvalsh(G)[:, 0]
+            shifts = [lam.min() - 1e-3, lam.min() + 1e-3,
+                      *(lam[1:] + lam[:-1]) / 2]
+            for shift in shifts:
+                shifted = G - shift * np.eye(k)
+                each = [_factors(_stack_factor, g[None]) for g in shifted]
+                assert each == (lam > shift).tolist()
+                assert _factors(_stack_factor, shifted) == all(each)
+
+
+def test_simplex_screen_rejects_only_what_the_eigenvalues_reject():
+    # over a regular simplex the closed-form factor places apex j exactly
+    # when its dense least eigenvalue is positive: at eps from 1/(2K) up,
+    # where Grams stop being positive definite, away from rounding
+    rng = np.random.default_rng(50)
+    both = set()
+    for n, m in ((1, 3), (2, 4), (4, 4), (6, 9), (12, 20)):
+        R = random_bipartite_preorder(rng, n, m).ranks.reshape(n, m)
+        for eps in np.geomspace(0.5 / R.max(), 2.0, 12):
+            pieces, G = _simplex_pieces(R, eps)
+            lam = np.linalg.eigvalsh(G)[:, 0]
+            for j in np.flatnonzero(np.abs(lam) > 1e-9):
+                placed = _factors(_simplex_factor, pieces[0],
+                                  pieces[1][j:j + 1], pieces[2][j:j + 1])
+                assert placed == (lam[j] > 0)
+                both.add(placed)
+    assert both == {True, False}
 
 
 def _probe_search(monkeypatch, name: str) -> tuple[list, list]:
@@ -783,31 +848,34 @@ def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
         assert len(eigen) == 1
 
 
-def test_least_eigenvalues_of_complete_apexes_match_each_solved_alone(
-        monkeypatch):
-    # the complete realizers have one or two apexes, whose Grams take one
-    # eigvalsh call as one stack; each least eigenvalue is bitwise that of
-    # its Gram solved alone
+def test_least_eigenvalues_of_complete_apexes_match_each_solved_alone():
+    # the complete realizers have one or two apexes, whose Grams _apex_stack
+    # builds bit for bit as gram_from_distances does, and whose least
+    # eigenvalues one eigvalsh call on the stack gives bit for bit as each
+    # Gram solved alone
     rng = np.random.default_rng(44)
-    eigen, _ = _probe_search(monkeypatch, "eigvalsh")
     for k in (1, 2, 5, 40, 101):
         for m in (1, 2):
             X = rng.standard_normal((k + m, k))
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            corner, edge, tip = _apex_grams(D[:k, :k], D[k:, :k])
-            alone = [np.linalg.eigvalsh(_apex_gram(corner, edge, tip, j))[0]
-                     for j in range(m)]
-            del eigen[:]
-            assert _least_eigenvalues(corner, edge, tip).tolist() == alone
-            assert len(eigen) == 1
+            G = _apex_stack(D[:k, :k], D[k:, :k])
+            for j in range(m):
+                keep = [*range(k), k + j]
+                want = gram_from_distances(D[np.ix_(keep, keep)], k).matrix
+                assert np.array_equal(G[j], want)
+            alone = [np.linalg.eigvalsh(g)[0] for g in G]
+            assert np.linalg.eigvalsh(G)[:, 0].tolist() == alone
 
 
-def _simplex_grams(R: np.ndarray, eps: float):
-    """The bipartite realizer's apex Gram pieces at eps for the k x m rank
-    matrix R (a regular simplex of side 1 + eps under m apexes)."""
+def _simplex_pieces(R: np.ndarray, eps: float):
+    """The bipartite realizer's pieces (c, edge, tip) at eps for the k x m
+    rank matrix R (a regular simplex of side 1 + eps under m apexes), and
+    the stack of the apex Grams they border."""
     base = np.full((len(R),) * 2, 1.0 + eps)
     np.fill_diagonal(base, 0.0)
-    return _apex_grams(base, 1.0 + R.T * eps)
+    G = _apex_stack(base, 1.0 + R.T * eps)
+    c = (1.0 + eps) * (1.0 + eps)
+    return (c, G[:, -1, :-1].copy(), G[:, -1, -1]), G
 
 
 def test_simplex_reduction_matches_the_dense_solve():
@@ -823,12 +891,11 @@ def test_simplex_reduction_matches_the_dense_solve():
         R = spec.ranks.reshape(n, m)
         R = R.T if m < n else R
         for eps in (0.1, 0.01, 1e-4, default_search(spec).initial):
-            grams = _simplex_grams(R, eps)
-            got, want = (_simplex_least_eigenvalues(*grams),
-                         _least_eigenvalues(*grams))
+            pieces, G = _simplex_pieces(R, eps)
+            got = _simplex_least_eigenvalues(*pieces)
+            want = np.linalg.eigvalsh(G)[:, 0]
             for j in range(len(got)):
-                bound = _eigen_bound(_apex_gram(*grams, j))
-                assert abs(got[j] - want[j]) <= bound
+                assert abs(got[j] - want[j]) <= _eigen_bound(G[j])
             levels = np.unique(want)
             gaps = np.diff(levels) > 1e-12
             halfway = (levels[:-1][gaps] + levels[1:][gaps]) / 2
@@ -852,13 +919,13 @@ def test_simplex_reduction_does_not_overflow_where_the_gram_does_not():
         D = distances_of(schoenberg.PointConfig(dim=k, P=X))
         base = np.full((k, k), 1e150)
         np.fill_diagonal(base, 0.0)
-        grams = _apex_grams(base, D[k:, :k])
-        assert np.isfinite(grams[1]).all() and np.isfinite(grams[2]).all()
-        got, want = (_simplex_least_eigenvalues(*grams),
-                     _least_eigenvalues(*grams))
+        G = _apex_stack(base, D[k:, :k])
+        assert np.isfinite(G).all()
+        got = _simplex_least_eigenvalues(1e150 * 1e150, G[:, -1, :-1].copy(),
+                                         G[:, -1, -1])
+        want = np.linalg.eigvalsh(G)[:, 0]
         for j in range(len(got)):
-            bound = _eigen_bound(_apex_gram(*grams, j))
-            assert abs(got[j] - want[j]) <= bound
+            assert abs(got[j] - want[j]) <= _eigen_bound(G[j])
     for n, m in ((5, 6), (7, 4), (9, 9)):
         spec = OrderSpec("bipartite", n, (tuple(orders.bipartite_pairs(
             n, m)),), m=m)
@@ -906,15 +973,20 @@ def test_bipartite_realize_eigen_solves_no_matrix_past_3x3(monkeypatch):
 
 
 def test_search_factors_each_step_once(monkeypatch):
-    # one Cholesky factor per probed step, accepted or not: the factor that
-    # decides whether the apex Grams are positive definite also places the
-    # points
+    # one factorization per probed step, accepted or not, and no LAPACK
+    # solve: the complete realizers' one batched Cholesky of the whole
+    # apex Grams, the bipartite realizer's closed form with none
     factors, steps = _probe_search(monkeypatch, "cholesky")
+    solves = []
+    monkeypatch.setattr(constructions.np.linalg, "solve",
+                        _counted(solves, np.linalg.solve))
     for spec in _searches_that_reject(41):
         del factors[:], steps[:]
         realize(spec, search=EpsilonSearch(initial=0.45))
         assert len(steps) >= 3
-        assert len(factors) == len(steps)
+        bipartite = spec.kind == "bipartite"
+        assert len(factors) == (0 if bipartite else len(steps))
+    assert not solves
 
 
 def test_step_within_eta_of_singular_is_rejected(monkeypatch):
@@ -966,3 +1038,45 @@ def test_realize_reads_its_margin_only_when_asked(monkeypatch):
         for _ in range(2):
             assert report.margin.hex() == check.margin.hex()
         assert len(calls) == 1
+
+
+def _parity_corpus():
+    """Criteria 1-3's seeded specs (with their realizers), seeded 1x1 to
+    6x6 bipartite preorders and three large bipartite preorders."""
+    rng = np.random.default_rng(1001)
+    for n in range(3, 9):
+        for _ in range(200):
+            yield realize_preorder_complete, random_preorder(rng, n)
+    rng = np.random.default_rng(1002)
+    for n in range(3, 9):
+        for _ in range(200):
+            yield realize, random_linear_order(rng, n)
+    rng = np.random.default_rng(1003)
+    for n, m in itertools.product(range(2, 7), repeat=2):
+        for _ in range(200):
+            yield realize, random_bipartite_preorder(rng, n, m)
+    rng = np.random.default_rng(2601)
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        for _ in range(10):
+            yield realize, random_bipartite_preorder(rng, n, m)
+    rng = np.random.default_rng(2602)
+    for n, m in ((100, 100), (60, 300), (300, 60)):
+        yield realize, random_bipartite_preorder(rng, n, m)
+
+
+# SHA-256 of the corpus' decisions: a change to how an epsilon step is
+# factored must leave it unchanged
+PARITY_DIGEST = ("cbf686012d48c9452f3aef24b19f745c"
+                 "64b05dd5b47de967570f91f648bf12ba")
+
+
+def test_epsilon_decisions_match_the_pinned_digest():
+    # the accepted eps, every least eigenvalue and the dimension of each
+    # corpus realize, bit for bit, as float.hex
+    digest = hashlib.sha256()
+    for realizer, spec in _parity_corpus():
+        report = realizer(spec)
+        digest.update(" ".join([
+            report.epsilon.hex(), *map(float.hex, report.min_eigenvalues),
+            str(report.config.dim)]).encode() + b"\n")
+    assert digest.hexdigest() == PARITY_DIGEST

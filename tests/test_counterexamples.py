@@ -280,6 +280,15 @@ def test_falsifier_config_validation():
         FalsifierConfig(dim=1, seed=-1)
 
 
+def test_falsifier_config_refuses_non_integer_sizes():
+    for name in ("dim", "restarts", "iters", "seed"):
+        for value in (1.5, 2.0, True, "3", None):
+            with pytest.raises(BadSize, match="must be integers"):
+                FalsifierConfig(**{"dim": 1, name: value})
+    config = FalsifierConfig(dim=np.int64(2), restarts=np.int32(3), seed=0)
+    assert config.dim == 2 and config.restarts == 3
+
+
 def test_falsify_feasible_case_verifies():
     spec = gallery("diameter_preorder", 3)
     report = falsify(spec, FalsifierConfig(dim=2, restarts=10, iters=2000))

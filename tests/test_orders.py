@@ -45,6 +45,17 @@ def test_validate_duplicate_pair():
     assert "classes" not in vars(spec)
 
 
+def test_validate_refuses_non_integer_sizes():
+    pairs = [[(1, 2), (1, 3), (2, 3)]]
+    for n in ("3", 3.0, True, None):
+        with pytest.raises(SpecError, match="n and m must be integers"):
+            OrderSpec("complete", n, pairs).ranks
+    for m in ("1", 1.0, False):
+        with pytest.raises(SpecError, match="n and m must be integers"):
+            OrderSpec("bipartite", 1, [[(1, 1)]], m=m).ranks
+    assert OrderSpec("complete", np.int64(3), pairs).ranks.tolist() == [1] * 3
+
+
 def test_validate_empty_class():
     spec = OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)), ()))
     with pytest.raises(EmptyClass):

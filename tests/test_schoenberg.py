@@ -105,6 +105,12 @@ def test_min_eigenvalue_of_empty_gram_is_inf():
     assert min_eigenvalue(_gram(np.zeros((0, 0)))) == float("inf")
 
 
+def test_min_eigenvalue_rejects_a_matrix_that_is_not_square():
+    for M in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeMismatch, match="must be square"):
+            min_eigenvalue(M)
+
+
 def test_min_eigenvalue_rejects_nan():
     with pytest.raises(NonFiniteEntry):
         min_eigenvalue(_gram([[np.nan, 0], [0, 1]]))
