@@ -84,8 +84,10 @@ def default_search(spec: OrderSpec) -> EpsilonSearch:
 
 def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     """m_ij = 1 + rank(i,j)*eps, zero diagonal. Complete specs only."""
+    if spec.kind != "complete":
+        raise ShapeMismatch("perturbed_distances needs a complete spec")
     M = np.zeros((spec.n, spec.n))
-    M[pair_index(spec.n, spec.m)] = 1.0 + spec.ranks * eps
+    M[pair_index(spec.n)] = 1.0 + spec.ranks * eps
     return M + M.T
 
 
@@ -94,27 +96,52 @@ def _realized_margin(spec: OrderSpec, config: PointConfig) -> float:
     return spec.separation(pair_distances(config))[0]
 
 
-def _apex_stack(base: np.ndarray, apexes: np.ndarray) -> np.ndarray:
-    """The complete realizers' (m, k, k) stack of apex Grams from the k x k
-    base and m x k apex target distances: apex j's Gram relative to the
-    last base point, apex last, in gram_from_distances' float operations."""
-    b2, a2 = base * base, apexes * apexes
-    db2 = b2[-1, :-1]
-    G = np.empty((len(a2),) + b2.shape)
-    G[:, :-1, :-1] = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
-    G[:, :-1, -1] = G[:, -1, :-1] = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
-    G[:, -1, -1] = 0.5 * (a2[:, -1] + a2[:, -1])
-    return G
+@lru_cache(maxsize=128)
+def _apex_plan(n: int, pair: tuple[int, int] | None, dtype
+               ) -> tuple[np.ndarray, ...]:
+    """A complete realizer's read-only plan (rows, a, c, e) of its shape:
+    k base points, then the apexes (point n - 1, or the minimal pair of a
+    linear order), point i placed as row rows[i]. Apex j's Gram is that of
+    the base but its last point b, then the apex, relative to b. With sq
+    the squared targets in pair_index order and a 0.0 appended, its entry
+    (i, l) is 0.5 ((s[i] + s[l]) - sq[c[0, i, l]]), s = sq[a[j]], but
+    sq[e[j - 1]] in the last row and column of apex j > 0, the float
+    operations of gram_from_distances. Plans with k * k <= CHUNK are
+    cached (128 x CHUNK indices, 64 MB, at most); _gathered_target builds
+    larger ones on each call, with 4-byte indices."""
+    order = ([*range(n - 2), n - 1, n - 2] if pair is None
+             else [x for x in range(n) if x not in pair] + [*pair])
+    k = n - 1 if pair is None else n - 2
+    u = np.arange(n, dtype=dtype)
+    off = u * (2 * n - 1 - u) // 2 - u - 1  # pair (u, v > u) is at off[u] + v
+
+    def lex(g, h):  # positions of the pairs {g, h}; the 0.0 where g == h
+        lo, hi = np.minimum(g, h), np.maximum(g, h)
+        return np.where(lo == hi, n * (n - 1) // 2, off[lo] + hi)
+
+    gram = np.array([order[:k - 1] + [x] for x in order[k:]], dtype=dtype)
+    c, step = np.empty((1, k, k), dtype), max(1, CHUNK // k)
+    for r in range(0, k, step):  # temporaries of at most CHUNK entries
+        c[0, r:r + step] = lex(gram[0, r:r + step, None], gram[0])
+    plan = (np.argsort(order), lex(gram, order[k - 1]), c,
+            lex(gram[1:, -1:], gram[1:]))
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def _stack_factor(G: np.ndarray) -> tuple[np.ndarray, ...]:
-    """place_apexes' arguments from one batched Cholesky factor F of G:
-    F[0]'s leading block and each F[j]'s last row; NotPSD if one fails."""
+    """place_apexes' arguments from the Cholesky factors F_j of the Grams,
+    in turn, none after one fails (NotPSD): F_0's leading block, each F_j's
+    last row. The Grams share that block, which LAPACK factors from it
+    alone, so only the last F_j is kept whole."""
     try:
-        F = np.linalg.cholesky(G)
+        last = [np.linalg.cholesky(g)[-1].copy() for g in G[:-1]]
+        F = np.linalg.cholesky(G[-1])
     except np.linalg.LinAlgError:
         raise NotPSD("an apex Gram is not positive definite") from None
-    return F[0, :-1, :-1], F[:, -1, :-1], F[:, -1, -1]
+    last = np.array(last + [F[-1]])
+    return F[:-1, :-1], last[:, :-1], last[:, -1]
 
 
 @lru_cache(maxsize=16)
@@ -187,26 +214,29 @@ def place_apexes(L: np.ndarray, Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
-                    target: Callable[[float], tuple], order: list[int],
+                    plan: Callable[[], tuple],
                     accept: Callable[[np.ndarray], bool] | None = None,
                     factor: Callable[..., tuple] = _stack_factor,
                     least: Callable[..., np.ndarray] = lambda G: (
                         np.linalg.eigvalsh(G)[:, 0])) -> RealizationReport:
-    """The realizers' one epsilon search. target(eps) gives a step's apex
-    Grams in pieces: the complete realizers' stack (_apex_stack), whose
-    least eigenvalues are one eigen-solve, or the bipartite c, edge, tip.
-    A step is accepted once factor(*pieces) places the apexes, least(*pieces)
-    clears max(eta, (k + 1) u s) for every apex and accept, if given, passes
-    the placed rows. A factor that raises NotPSD rejects the step without
-    calling least: some apex Gram's least eigenvalue is at or below 0.
-    The second bound is the rounding residue of a least eigenvalue of a
-    k x k Gram of diagonal at most s = (1 + K eps)^2 (K classes, u the unit
-    roundoff), all a spec of more than one class has past eps ~ 1e73; it
-    passes eta only past K eps ~ 5e4. Placed row i is row order[i] of P,
-    or of P over Q. BadSize past MAX_PAIRS; NonFiniteEntry on overflow."""
+    """The realizers' one epsilon search. plan(), called once the arguments
+    are checked, gives target and rows. target(eps) gives a step's apex
+    Grams in pieces: the complete realizers' stack (_gathered_target),
+    whose least eigenvalues are one eigen-solve, or the bipartite c, edge,
+    tip. A step is accepted once factor(*pieces) places the apexes,
+    least(*pieces) clears max(eta, (k + 1) u s) for every apex and accept,
+    if given, passes the placed rows. A factor that raises NotPSD rejects
+    the step without calling least: some apex Gram's least eigenvalue is at
+    or below 0. The second bound is the rounding residue of a least
+    eigenvalue of a k x k Gram of diagonal at most s = (1 + K eps)^2 (K
+    classes, u the unit roundoff), all a spec of more than one class has
+    past eps ~ 1e73; it passes eta only past K eps ~ 5e4. Row i of P, or
+    of P over Q, is placed row rows[i] (row i if rows is None). BadSize
+    past MAX_PAIRS; NonFiniteEntry on overflow."""
     if not eta > 0:
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
+    target, rows = plan()
     state: dict = {}
 
     def step(eps: float) -> bool:
@@ -226,11 +256,46 @@ def _realize_apexes(spec: OrderSpec, eta: float,
 
     with np.errstate(over="ignore", invalid="ignore"):
         eps = choose_epsilon(search or default_search(spec), step)
-    rows = np.empty_like(state["X"])
-    rows[order] = state["X"]
-    config = PointConfig.from_rows(rows, spec.n, spec.kind)
+    X = state["X"] if rows is None else state["X"][rows]
+    config = PointConfig.from_rows(X, spec.n, spec.kind)
     return RealizationReport(config=config, epsilon=eps, spec=spec,
                              min_eigenvalues=tuple(state["eigs"].tolist()))
+
+
+def _gathered_target(spec: OrderSpec, pair: tuple[int, int] | None
+                     ) -> tuple[Callable[[float], tuple], np.ndarray]:
+    """A complete realizer's target and rows: a step squares the targets
+    1 + r eps and gathers the apex Grams with _apex_plan, no n x n matrix."""
+    small = (spec.n - 1 - (pair is not None)) ** 2 <= CHUNK
+    rows, a, c, e = (_apex_plan if small else _apex_plan.__wrapped__)(
+        spec.n, pair, np.intp if small else np.int32)
+    ranks = spec.ranks
+
+    def target(eps: float) -> tuple[np.ndarray]:
+        sq = np.zeros(len(ranks) + 1)
+        t = np.add(np.multiply(ranks, eps, out=sq[:-1]), 1.0, out=sq[:-1])
+        t *= t
+        s = sq[a]
+        S = s[0, :, None] + s[0]  # Gram 0's sums, the others' but the last
+        G = np.empty((len(s),) + S.shape)
+        np.subtract(S, sq[c], out=G)
+        if len(e):
+            G[1:, -1] = G[1:, :, -1] = (s[1:, -1:] + s[1:]) - sq[e]
+        G *= 0.5
+        return G,
+
+    return target, rows
+
+
+def _realize_complete(spec: OrderSpec, eta: float,
+                      search: EpsilonSearch | None,
+                      linear: bool) -> RealizationReport:
+    """The complete realizers' search on a validated complete spec."""
+    pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
+    return _realize_apexes(
+        spec, eta, search, lambda: _gathered_target(spec, pair),
+        None if pair is None else lambda X: (
+            0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
 
 
 def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
@@ -244,14 +309,7 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
     spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
-    n = spec.n
-    order = [*range(n - 2), n - 1, n - 2]
-
-    def target(eps: float) -> tuple[np.ndarray]:
-        M = perturbed_distances(spec, eps)[np.ix_(order, order)]
-        return _apex_stack(M[:-1, :-1], M[-1:, :-1]),
-
-    return _realize_apexes(spec, eta, search, target, order)
+    return _realize_complete(spec, eta, search, False)
 
 
 def align_isometry(source: np.ndarray, target: np.ndarray
@@ -295,20 +353,11 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
     spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_linear_complete needs a complete spec")
-    n = spec.n
-    if n < 3:
+    if spec.n < 3:
         raise ShapeMismatch("realize_linear_complete needs n >= 3")
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
-    pair = [i - 1 for i in spec._ij[0].tolist()]
-    order = [k for k in range(n) if k not in pair] + pair
-
-    def target(eps: float) -> tuple[np.ndarray]:
-        M = perturbed_distances(spec, eps)[np.ix_(order, order[:-2])]
-        return _apex_stack(M[:-2], M[-2:]),
-
-    return _realize_apexes(spec, eta, search, target, order, lambda X: (
-        0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
+    return _realize_complete(spec, eta, search, True)
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -328,30 +377,29 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
     n, m = spec.n, spec.m
-    A = spec.ranks.reshape(n, m)
-    order = list(range(n + m))
+    A, rows = spec.ranks.reshape(n, m), None
     if m < n:
-        order = order[n:] + order[:n]
+        rows = [*range(m, m + n), *range(m)]
     else:  # row j of A holds apex j's ranks, C-ordered for the edge sums
         A = A.T.copy()
 
     def target(eps: float) -> tuple[float, np.ndarray, np.ndarray]:
-        # the simplex's squared side, then _apex_stack's edge and tip
+        # the simplex's squared side, then the apex Grams' edge and tip
         c, a2 = (1.0 + eps) * (1.0 + eps), np.square(1.0 + A * eps)
         return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
                 0.5 * (a2[:, -1] + a2[:, -1]))
 
-    return _realize_apexes(spec, eta, search, target, order,
+    return _realize_apexes(spec, eta, search, lambda: (target, rows),
                            factor=_simplex_factor,
                            least=_simplex_least_eigenvalues)
 
 
 def realize(spec: OrderSpec, eta: float = ETA,
             search: EpsilonSearch | None = None) -> RealizationReport:
-    """Dispatch on kind and linearity to the matching construction, which
-    validates the spec."""
+    """Validate the spec and dispatch on kind and linearity to the
+    matching construction."""
     if spec.kind == "bipartite":
         return realize_preorder_bipartite(spec, eta, search)
-    if spec.is_linear() and spec.n >= 3:
-        return realize_linear_complete(spec, eta, search)
-    return realize_preorder_complete(spec, eta, search)
+    spec.ranks  # validates
+    return _realize_complete(spec, eta, search,
+                             spec.n >= 3 and spec.is_linear())

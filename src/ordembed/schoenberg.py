@@ -48,11 +48,19 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """One or two coordinate collections in a common ambient dimension."""
+    """One or two coordinate collections in a common ambient dimension.
+    ShapeMismatch unless P and Q (if given) are 2-D with dim columns: a
+    check of their shapes only, O(1) on arrays."""
 
     dim: int
     P: np.ndarray
     Q: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, A in (("P", self.P), ("Q", self.Q)):
+            if A is not None and np.shape(A)[1:] != (self.dim,):
+                raise ShapeMismatch(
+                    f"{name} must be rows of length dim={self.dim}")
 
     def rows(self) -> np.ndarray:
         """The points as one float array: P, or P stacked over Q."""
@@ -276,14 +284,10 @@ def config_from_json(text: str) -> PointConfig:
         raise ShapeMismatch(f"malformed point config: {exc}") from exc
     if not (isinstance(dim, float) and dim.is_integer()):
         raise ShapeMismatch(f"dim must be an integer, got {dim!r}")
-    dim = int(dim)
-    if P.ndim != 2 or P.shape[1] != dim:
-        raise ShapeMismatch(f"P must be rows of length dim={dim}")
-    if Q is not None and (Q.ndim != 2 or Q.shape[1] != dim):
-        raise ShapeMismatch(f"Q must be rows of length dim={dim}")
+    config = PointConfig(dim=int(dim), P=P, Q=Q)
     if not np.isfinite(P).all() or (Q is not None and not np.isfinite(Q).all()):
         raise NonFiniteEntry("point config has non-finite coordinates")
-    return PointConfig(dim=dim, P=P, Q=Q)
+    return config
 
 
 def load_config(path: str) -> PointConfig:

@@ -11,7 +11,7 @@ from conftest import (count_calls, one_spec_per_realizer,
                       random_linear_order, random_preorder, rank)
 from ordembed import (constructions, counterexamples, orders, schoenberg,
                       verifier)
-from ordembed.constructions import (EpsilonSearch, _apex_stack,
+from ordembed.constructions import (EpsilonSearch, _gathered_target,
                                     _simplex_factor,
                                     _simplex_least_eigenvalues,
                                     _stack_factor, _unit_simplex_factor,
@@ -22,7 +22,8 @@ from ordembed.constructions import (EpsilonSearch, _apex_stack,
                                     realize_preorder_bipartite,
                                     realize_preorder_complete)
 from ordembed.errors import (BadSize, DistanceMismatch, EpsilonExhausted,
-                             NotLinear, NotPSD, ShapeMismatch, SpecError)
+                             NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch,
+                             SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import (distances_of, factor_points,
                                  gram_from_distances, min_eigenvalue)
@@ -555,6 +556,20 @@ def test_bipartite_grams_match_per_apex_reference():
         assert not np.triu(P, 1).any() and not P[-1].any()
 
 
+def _dense_apex_stack(base: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """The (m, k, k) stack of apex Grams from a k x k base and m x k apex
+    target distances, built from the distances as the complete realizers
+    built it before their per-shape plan: apex j's Gram relative to the
+    last base point, apex last, in gram_from_distances' float operations."""
+    b2, a2 = base * base, apexes * apexes
+    db2 = b2[-1, :-1]
+    G = np.empty((len(a2),) + b2.shape)
+    G[:, :-1, :-1] = 0.5 * (db2[:, None] + db2[None, :] - b2[:-1, :-1])
+    G[:, :-1, -1] = G[:, -1, :-1] = 0.5 * (db2 + a2[:, -1:] - a2[:, :-1])
+    G[:, -1, -1] = 0.5 * (a2[:, -1] + a2[:, -1])
+    return G
+
+
 def test_whole_gram_factor_places_every_apex_at_its_targets_on_one_side():
     # random points in R^k: the first k are the base, the rest apexes; the
     # placement from the factor of the whole apex Grams must reproduce
@@ -566,8 +581,8 @@ def test_whole_gram_factor_places_every_apex_at_its_targets_on_one_side():
         for m in (1, 2, 4):
             X = rng.standard_normal((k + m, k)) * 3.0
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            Y = place_apexes(*_stack_factor(_apex_stack(D[:k, :k],
-                                                        D[k:, :k])))
+            Y = place_apexes(*_stack_factor(
+                _dense_apex_stack(D[:k, :k], D[k:, :k])))
             assert Y.shape == (k + m, k)
             assert not Y[:k, -1].any() and not Y[k - 1].any()
             assert not np.triu(Y[:k], 1).any()
@@ -617,6 +632,102 @@ def test_closed_form_simplex_factor_matches_cholesky_and_solve():
     assert not _unit_simplex_factor(5).flags.writeable
 
 
+def test_stack_factor_is_each_grams_own_factor_bit_for_bit():
+    # the Grams of a stack share their leading block, so the factor of the
+    # last one carries the first's leading block: the placement's pieces
+    # are those of each Gram factored alone, bit for bit
+    rng = np.random.default_rng(51)
+    for k in (1, 2, 3, 7, 64, 65, 300):
+        for m in (1, 2, 3):
+            X = rng.standard_normal((k + m, k))
+            D = distances_of(schoenberg.PointConfig(dim=k, P=X))
+            G = _dense_apex_stack(D[:k, :k], D[k:, :k])
+            L, Y, h = _stack_factor(G)
+            alone = [np.linalg.cholesky(g) for g in G]
+            assert np.array_equal(L, alone[0][:-1, :-1])
+            assert np.array_equal(Y, [f[-1, :-1] for f in alone])
+            assert np.array_equal(h, [f[-1, -1] for f in alone])
+
+
+def _dense_target(spec, eps):
+    """The complete realizers' stack at eps as they built it before their
+    per-shape plan: the whole target matrix in point order, then the
+    dense builder."""
+    n = spec.n
+    if spec.is_linear() and n >= 3:
+        pair = [i - 1 for i in spec._ij[0].tolist()]
+        order = [k for k in range(n) if k not in pair] + pair
+        M = perturbed_distances(spec, eps)[np.ix_(order, order[:-2])]
+        return _dense_apex_stack(M[:-2], M[-2:])
+    order = [*range(n - 2), n - 1, n - 2]
+    M = perturbed_distances(spec, eps)[np.ix_(order, order)]
+    return _dense_apex_stack(M[:-1, :-1], M[-1:, :-1])
+
+
+def test_planned_apex_stack_is_the_dense_one_bit_for_bit():
+    # the stack gathered with the shape's plan is, byte for byte, the one
+    # built from the whole target matrix, NaN and inf included, for
+    # preorders and linear orders at n = 3..40, also at eps whose squares
+    # overflow; a realize that starts at such an eps raises NonFiniteEntry
+    # exactly where the dense stack is not finite
+    rng = np.random.default_rng(52)
+    kinds = set()
+    for n in range(3, 41):
+        for gen in (random_preorder, random_linear_order):
+            spec = gen(rng, n)
+            pair = (tuple(i - 1 for i in spec._ij[0].tolist())
+                    if spec.is_linear() else None)
+            target, _ = _gathered_target(spec, pair)
+            top = spec.num_classes
+            for eps in (0.45, 1.0 / (2 * top), 1e-3, 3e-7, 1e130,
+                        1e154 / top, 2e154 / top, 1e300):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _dense_target(spec, eps)
+                    got, = target(eps)
+                assert got.tobytes() == want.tobytes()
+                finite = bool(np.isfinite(want).all())
+                kinds.add(finite)
+                if not finite:
+                    with pytest.raises(NonFiniteEntry):
+                        realize(spec, search=EpsilonSearch(initial=eps,
+                                                           max_steps=1))
+    assert kinds == {True, False}
+
+
+def test_cached_apex_plans_are_read_only_and_large_ones_not_cached():
+    # plans whose k x k block has at most CHUNK entries are cached, one per
+    # (n, minimal pair), and read-only; larger ones are built anew on each
+    # realize, with 4-byte indices that give the same positions
+    rng = np.random.default_rng(54)
+    cache = constructions._apex_plan
+    for n, linear, cached in ((8, False, True), (8, True, True),
+                              (257, False, True), (258, True, True),
+                              (258, False, False), (259, True, False)):
+        spec = (random_linear_order if linear else random_preorder)(rng, n)
+        pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
+        held = cache.cache_info().currsize
+        rows = _gathered_target(spec, pair)[1]
+        assert (rows is _gathered_target(spec, pair)[1]) == cached
+        assert not rows.flags.writeable
+        if not cached:
+            assert cache.cache_info().currsize == held
+            plan = cache.__wrapped__(n, pair, np.int32)
+            want = cache.__wrapped__(n, pair, np.intp)
+            assert all(x.dtype == np.int32 for x in plan[1:])
+            assert all(np.array_equal(x, y) for x, y in zip(plan, want))
+    assert cache.cache_info().maxsize >= 83 + 6  # roundtrip shapes, n 3..8
+
+
+def test_perturbed_distances_refuses_bipartite_specs():
+    # wide and tall bipartite specs alike: a typed error, not numpy's
+    # IndexError or a matrix with a nonzero diagonal
+    rng = np.random.default_rng(53)
+    for n, m in ((3, 2), (2, 3), (1, 4), (4, 1), (3, 3)):
+        spec = random_bipartite_preorder(rng, n, m)
+        with pytest.raises(ShapeMismatch, match="complete spec"):
+            perturbed_distances(spec, 0.1)
+
+
 def test_unfactored_step_is_rejected_without_calling_least():
     # a step whose stack does not factor is rejected before least runs;
     # the search accepts the next step, whose stack factors
@@ -628,15 +739,15 @@ def test_unfactored_step_is_rejected_without_calling_least():
         if eps == 0.2:
             return -np.eye(3)[None],
         M = perturbed_distances(spec, eps)[np.ix_(order, order)]
-        return _apex_stack(M[:-1, :-1], M[-1:, :-1]),
+        return _dense_apex_stack(M[:-1, :-1], M[-1:, :-1]),
 
     def least(G):
         calls.append(G)
         return np.linalg.eigvalsh(G)[:, 0]
 
     report = constructions._realize_apexes(
-        spec, constructions.ETA, EpsilonSearch(initial=0.2), target, order,
-        least=least)
+        spec, constructions.ETA, EpsilonSearch(initial=0.2),
+        lambda: (target, order), least=least)
     assert report.epsilon == 0.1 and len(calls) == 1
     assert verifier.verify(report.config, spec).matched
 
@@ -782,7 +893,7 @@ def test_screen_rejects_only_what_the_eigenvalues_reject():
             base = D[:k, :k] * (1.0 + 0.2 * rng.random((k, k)))
             base = np.triu(base, 1) + np.triu(base, 1).T
             apexes = D[k:, :k] * (1.0 + 0.2 * rng.random((m, k)))
-            G = _apex_stack(base, apexes)
+            G = _dense_apex_stack(base, apexes)
             lam = np.linalg.eigvalsh(G)[:, 0]
             shifts = [lam.min() - 1e-3, lam.min() + 1e-3,
                       *(lam[1:] + lam[:-1]) / 2]
@@ -849,8 +960,8 @@ def test_search_eigen_solves_only_the_step_it_accepts(monkeypatch):
 
 
 def test_least_eigenvalues_of_complete_apexes_match_each_solved_alone():
-    # the complete realizers have one or two apexes, whose Grams _apex_stack
-    # builds bit for bit as gram_from_distances does, and whose least
+    # the complete realizers have one or two apexes, whose Grams the dense
+    # builder makes bit for bit as gram_from_distances does, and whose least
     # eigenvalues one eigvalsh call on the stack gives bit for bit as each
     # Gram solved alone
     rng = np.random.default_rng(44)
@@ -858,7 +969,7 @@ def test_least_eigenvalues_of_complete_apexes_match_each_solved_alone():
         for m in (1, 2):
             X = rng.standard_normal((k + m, k))
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            G = _apex_stack(D[:k, :k], D[k:, :k])
+            G = _dense_apex_stack(D[:k, :k], D[k:, :k])
             for j in range(m):
                 keep = [*range(k), k + j]
                 want = gram_from_distances(D[np.ix_(keep, keep)], k).matrix
@@ -873,7 +984,7 @@ def _simplex_pieces(R: np.ndarray, eps: float):
     the stack of the apex Grams they border."""
     base = np.full((len(R),) * 2, 1.0 + eps)
     np.fill_diagonal(base, 0.0)
-    G = _apex_stack(base, 1.0 + R.T * eps)
+    G = _dense_apex_stack(base, 1.0 + R.T * eps)
     c = (1.0 + eps) * (1.0 + eps)
     return (c, G[:, -1, :-1].copy(), G[:, -1, -1]), G
 
@@ -919,7 +1030,7 @@ def test_simplex_reduction_does_not_overflow_where_the_gram_does_not():
         D = distances_of(schoenberg.PointConfig(dim=k, P=X))
         base = np.full((k, k), 1e150)
         np.fill_diagonal(base, 0.0)
-        G = _apex_stack(base, D[k:, :k])
+        G = _dense_apex_stack(base, D[k:, :k])
         assert np.isfinite(G).all()
         got = _simplex_least_eigenvalues(1e150 * 1e150, G[:, -1, :-1].copy(),
                                          G[:, -1, -1])
@@ -973,19 +1084,34 @@ def test_bipartite_realize_eigen_solves_no_matrix_past_3x3(monkeypatch):
 
 
 def test_search_factors_each_step_once(monkeypatch):
-    # one factorization per probed step, accepted or not, and no LAPACK
-    # solve: the complete realizers' one batched Cholesky of the whole
-    # apex Grams, the bipartite realizer's closed form with none
+    # each probed step factors its apex Grams one at a time, a linear
+    # order's second only once its first has factored, and no step calls a
+    # LAPACK solve: a preorder makes one Cholesky call per step, a linear
+    # order one or two, the bipartite realizer's closed form none
     factors, steps = _probe_search(monkeypatch, "cholesky")
     solves = []
     monkeypatch.setattr(constructions.np.linalg, "solve",
                         _counted(solves, np.linalg.solve))
+    both = set()
     for spec in _searches_that_reject(41):
         del factors[:], steps[:]
         realize(spec, search=EpsilonSearch(initial=0.45))
         assert len(steps) >= 3
-        bipartite = spec.kind == "bipartite"
-        assert len(factors) == (0 if bipartite else len(steps))
+        assert all(g.ndim == 2 for g, in factors)
+        if spec.kind == "bipartite":
+            assert not factors
+        elif not spec.is_linear():
+            assert len(factors) == len(steps)
+        else:
+            calls = iter(factors)
+            for _ in steps:
+                first, = next(calls)
+                second = np.linalg.eigvalsh(first)[0] > 0
+                if second:
+                    next(calls)
+                both.add(second)
+            assert next(calls, None) is None
+    assert both == {True, False}
     assert not solves
 
 

@@ -268,6 +268,29 @@ def test_config_json_rejects_bad_shapes():
         config_from_json('{"dim":1,"P":[[Infinity]]}')
 
 
+def test_point_config_checks_its_shapes():
+    # P and Q (if given) must be 2-D with dim columns, checked when the
+    # config is built: P one column wide under a two-column Q used to get
+    # a verdict for P broadcast across Q's columns, and a 1-D P an
+    # IndexError in verify
+    wide = np.zeros((3, 2))
+    bad = [dict(dim=2, P=np.zeros((3, 1)), Q=wide),
+           dict(dim=2, P=np.zeros(3)),
+           dict(dim=2, P=np.zeros((3, 2, 1))),
+           dict(dim=1, P=wide),
+           dict(dim=2, P=wide, Q=np.zeros(3)),
+           dict(dim=2, P=wide, Q=np.zeros((3, 3))),
+           dict(dim=3, P=[[0.0, 1.0]])]
+    for fields in bad:
+        with pytest.raises(ShapeMismatch, match="must be rows of length"):
+            PointConfig(**fields)
+    assert PointConfig(dim=2, P=wide, Q=wide).Q is wide
+    assert PointConfig(dim=0, P=np.zeros((4, 0))).dim == 0
+    # shapes only: 8 TB of zero-strided rows are checked at once
+    huge = np.broadcast_to(0.0, (10 ** 6, 10 ** 6))
+    assert PointConfig(dim=10 ** 6, P=huge).P is huge
+
+
 def test_save_load_config(tmp_path):
     path = str(tmp_path / "points.json")
     config = PointConfig(dim=2, P=np.array([[0.25, -1.5], [3.125, 0.0]]))
