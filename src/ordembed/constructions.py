@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
-from .schoenberg import (CHUNK, PointConfig, check_pair_count,
-                         pair_distances, pair_index)
+from .schoenberg import (CHUNK, PointConfig, _is_index_type, _is_real,
+                         check_pair_count, pair_distances, pair_index)
 
 ETA = 1e-6
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -41,10 +41,13 @@ class EpsilonSearch:
     max_steps: int = 60
 
     def __post_init__(self):
-        if not self.initial > 0:
+        if not (_is_real(self.initial) and self.initial > 0):
             raise BadSize("initial must be positive")
-        if not 0 < self.shrink_factor < 1:
+        if not (_is_real(self.shrink_factor) and 0 < self.shrink_factor < 1):
             raise BadSize("shrink_factor must lie in (0,1)")
+        if not _is_index_type(type(self.max_steps)):
+            raise BadSize(f"max_steps must be an integer, "
+                          f"got {self.max_steps!r}")
         if self.max_steps < 1:
             raise BadSize("max_steps must be >= 1")
 
@@ -233,7 +236,7 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     past eps ~ 1e73; it passes eta only past K eps ~ 5e4. Row i of P, or
     of P over Q, is placed row rows[i] (row i if rows is None). BadSize
     past MAX_PAIRS; NonFiniteEntry on overflow."""
-    if not eta > 0:
+    if not (_is_real(eta) and eta > 0):
         raise BadSize(f"eta must be positive, got {eta}")
     check_pair_count(len(spec.ranks))
     target, rows = plan()

@@ -12,7 +12,6 @@ impossibility arguments all assume the relevant points distinct). A
 """
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import pickle
@@ -25,7 +24,8 @@ import numpy as np
 from . import orders, verifier
 from .errors import BadSize, NonFiniteEntry, UnknownName
 from .orders import OrderSpec
-from .schoenberg import MAX_PAIRS, PointConfig, check_pair_count, pair_index
+from .schoenberg import (MAX_PAIRS, PointConfig, _is_index_type,
+                         _is_real, check_pair_count, pair_index)
 
 MARGIN = 5e-2
 FLOOR = 5e-2
@@ -44,42 +44,17 @@ SHIFT_MAX = float(np.finfo(float).max) ** 0.25
 # ---------------------------------------------------------------------------
 # gallery
 
-def _lex_extension(pairs, relations):
-    """Complete a strict partial order into the lexicographically smallest
-    compatible linear order (Kahn's algorithm with a lex min-heap)."""
-    succ = {p: [] for p in pairs}
-    indeg = {p: 0 for p in pairs}
-    for a, b in relations:
-        succ[a].append(b)
-        indeg[b] += 1
-    heap = [p for p in pairs if indeg[p] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        p = heapq.heappop(heap)
-        out.append(p)
-        for q in succ[p]:
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                heapq.heappush(heap, q)
-    if len(out) != len(pairs):
-        raise AssertionError("relation cycle in gallery construction")
-    return out
-
-
 def _d4_linear(n: int) -> OrderSpec:
-    pairs = orders.complete_pairs(4)
-    relations = [((1, 2), (1, 3)), ((2, 4), (3, 4))]
-    relations += [(p, (1, 4)) for p in pairs if p != (1, 4)]
-    chain = _lex_extension(pairs, relations)
+    """The source relations (1,2) < (1,3), (2,4) < (3,4) and every other
+    pair < (1,4), in one chain."""
+    chain = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 4)]
     return OrderSpec("complete", 4, tuple((p,) for p in chain))
 
 
 def _block_linear(n: int) -> OrderSpec:
     low = [(i, j) for i in range(1, n - 2) for j in (n - 2, n - 1, n)]
     mid = [(n - 2, n - 1), (n - 2, n), (n - 1, n)]
-    top = orders.complete_pairs(n - 3) if n >= 5 else []
-    chain = sorted(low) + mid + sorted(top)
+    chain = low + mid + orders.complete_pairs(n - 3)
     return OrderSpec("complete", n, tuple((p,) for p in chain))
 
 
@@ -89,12 +64,11 @@ def _diameter_preorder(n: int) -> OrderSpec:
 
 
 def _bip_cyclic_linear(n: int) -> OrderSpec:
-    pairs = orders.bipartite_pairs(n, n)
-    relations = []
-    for col in range(1, n + 1):
-        rows = [((col - 1 + k) % n) + 1 for k in range(n)]
-        relations += [((a, col), (b, col)) for a, b in zip(rows, rows[1:])]
-    chain = _lex_extension(pairs, relations)
+    """The source relations (j, j) < (j+1, j) < ... < (n, j) < (1, j) < ...
+    < (j-1, j) down each column j, in one chain: rows 1..n-1 up to the
+    diagonal, then each column's (n, j), (1, j), ..., (j-1, j)."""
+    chain = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
+    chain += [(i, j) for j in range(1, n + 1) for i in (n, *range(1, j))]
     return OrderSpec("bipartite", n, tuple((p,) for p in chain), m=n)
 
 
@@ -136,7 +110,7 @@ def _family(name: str, n: int):
             f"unknown gallery family {name!r}; "
             f"choose from {', '.join(FAMILIES)}") from None
     sizes = family[1]
-    if n not in sizes:
+    if not (_is_index_type(type(n)) and n in sizes):
         raise BadSize(f"{name} is fixed at n = {sizes[0]}" if len(sizes) == 1
                       else f"{name} needs {sizes[0]} <= n <= {sizes[-1]}")
     return family
@@ -145,9 +119,9 @@ def _family(name: str, n: int):
 def gallery(name: str, n: int) -> OrderSpec:
     """Emit a lower-bound family as a full order spec.
 
-    The sources fix only some relations; unconstrained pairs are completed
-    deterministically (lex-smallest compatible completion for the linear
-    families, row-major chaining for the affine preorder)."""
+    The sources fix only some relations; each builder lists one fixed
+    order that keeps them (the chain its docstring states for d4_linear
+    and bip_cyclic_linear, row-major chaining for the affine preorder)."""
     spec = _family(name, n)[0](n)
     spec.ranks  # validates
     return spec
@@ -162,8 +136,8 @@ def infeasible_dimension(name: str, n: int) -> int:
 def simplex_diameter_bound(n: int) -> float:
     """2*sqrt((n-1)/(2(n-2))): the forced distance between the two apexes
     of the reflected regular simplex; strictly above 1 for every n >= 3."""
-    if n < 3:
-        raise BadSize("simplex_diameter_bound needs n >= 3")
+    if not (_is_index_type(type(n)) and n >= 3):
+        raise BadSize("simplex_diameter_bound needs an integer n >= 3")
     return 2.0 * float(np.sqrt((n - 1) / (2.0 * (n - 2))))
 
 
@@ -366,16 +340,16 @@ class FalsifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(orders._is_index_type(type(v)) for v in (
+        if not all(_is_index_type(type(v)) for v in (
                 self.dim, self.restarts, self.iters, self.seed)):
             raise BadSize("dim, restarts, iters and seed must be integers")
         if self.dim < 1:
             raise BadSize("dim must be >= 1")
         if self.restarts < 1 or self.iters < 1:
             raise BadSize("restarts and iters must be >= 1")
-        if not 0 < self.margin < math.inf:
+        if not (_is_real(self.margin) and 0 < self.margin < math.inf):
             raise BadSize("margin must be positive and finite")
-        if not 0 <= self.floor < math.inf:
+        if not (_is_real(self.floor) and 0 <= self.floor < math.inf):
             raise BadSize("floor must be nonnegative and finite")
         if max(self.margin, self.floor) > SHIFT_MAX:
             raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
                      SpecError)
-from .schoenberg import pair_index
+from .schoenberg import _is_index_type, pair_index
 
 Pair = tuple[int, int]
 
@@ -136,11 +136,6 @@ class OrderSpec:
 
     def is_linear(self) -> bool:
         return bool((self._sizes == 1).all())
-
-
-def _is_index_type(t: type) -> bool:
-    # int or a numpy integer: bool, float and str are refused, not coerced
-    return t is int or issubclass(t, np.integer)
 
 
 def _new(kind: str, n: int, m: int | None, flat, sizes) -> OrderSpec:
@@ -266,27 +261,13 @@ def to_json(spec: OrderSpec) -> str:
             % tuple(spec._ij.ravel().tolist()) + "}")
 
 
-def _int(value, what: str) -> int:
-    # bools, floats and strings are refused rather than coerced
-    if type(value) is not int:
-        raise SpecError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def from_json_dict(data: dict) -> OrderSpec:
+    """The validated spec of a spec dict; validate checks kind, n and m."""
     try:
-        kind = data["kind"]
-        n = _int(data["n"], "n")
-        raw = data["classes"]
+        kind, n, classes = data["kind"], data["n"], data["classes"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
-    # a complete spec's m goes through as given, for validate to refuse
-    m = data.get("m")
-    if kind == "bipartite":
-        if "m" not in data:
-            raise SpecError("bipartite spec needs m")
-        m = _int(m, "m")
-    spec = OrderSpec(kind, n, raw, m)
+    spec = OrderSpec(kind, n, classes, data.get("m"))
     spec.ranks  # validates, and caches the ranks for every later reader
     return spec
 

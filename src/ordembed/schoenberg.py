@@ -46,26 +46,48 @@ class GramMatrix:
     n: int
 
 
+def _is_index_type(t: type) -> bool:
+    # int or a numpy integer: bool, float and str are refused, not coerced
+    return t is int or issubclass(t, np.integer)
+
+
+def _is_real(x) -> bool:
+    # x is a float, a numpy float or of an index type; numbers.Real would
+    # take bool and cost 0.4 us a check on a float, 20 times this
+    t = type(x)
+    return t is float or issubclass(t, np.floating) or _is_index_type(t)
+
+
 @dataclass(frozen=True)
 class PointConfig:
-    """One or two coordinate collections in a common ambient dimension.
-    ShapeMismatch unless P and Q (if given) are 2-D with dim columns: a
-    check of their shapes only, O(1) on arrays."""
+    """One or two coordinate collections in a common ambient dimension,
+    held as float arrays. ShapeMismatch unless dim is an integer and P and
+    Q (if given) hold real numbers (not ragged), 2-D with dim columns; the
+    shape is checked before the conversion, which a float array skips."""
 
     dim: int
     P: np.ndarray
     Q: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, A in (("P", self.P), ("Q", self.Q)):
-            if A is not None and np.shape(A)[1:] != (self.dim,):
+        if not _is_index_type(type(self.dim)):
+            raise ShapeMismatch(f"dim must be an integer, got {self.dim!r}")
+        for name in ("P",) if self.Q is None else ("P", "Q"):
+            try:
+                A = np.asarray(getattr(self, name))
+            except ValueError as exc:
+                raise ShapeMismatch(f"{name} is ragged: {exc}") from None
+            if A.dtype.kind not in "biuf":
+                raise ShapeMismatch(
+                    f"{name} must hold real numbers, got dtype {A.dtype}")
+            if A.ndim != 2 or A.shape[1] != self.dim:
                 raise ShapeMismatch(
                     f"{name} must be rows of length dim={self.dim}")
+            object.__setattr__(self, name, A.astype(float, copy=False))
 
     def rows(self) -> np.ndarray:
-        """The points as one float array: P, or P stacked over Q."""
-        return np.asarray(self.P if self.Q is None
-                          else np.vstack([self.P, self.Q]), dtype=float)
+        """The points as one array: P, or P stacked over Q."""
+        return self.P if self.Q is None else np.vstack([self.P, self.Q])
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, n: int, kind: str) -> PointConfig:
@@ -79,8 +101,8 @@ def gram_from_distances(D: np.ndarray, base: int) -> GramMatrix:
     NonFiniteEntry if the squares overflow."""
     D = check_distance_matrix(D)
     n = D.shape[0]
-    if not 1 <= base <= n:
-        raise BadIndex(f"base {base} outside [1..{n}]")
+    if not (_is_index_type(type(base)) and 1 <= base <= n):
+        raise BadIndex(f"base {base!r} outside [1..{n}]")
     others = [i for i in range(n) if i != base - 1]
     with np.errstate(over="ignore", invalid="ignore"):
         db2 = D[base - 1, others] ** 2
@@ -200,8 +222,8 @@ def pair_distances(config: PointConfig) -> np.ndarray:
     within relative DELTA of the direct difference, which recomputes the
     rest; so a distance is finite iff the direct one is. Both branches run
     in one errstate: a distance that overflows is inf, without a warning."""
-    P = np.asarray(config.P, dtype=float)
-    Q = P if config.Q is None else np.asarray(config.Q, dtype=float)
+    P = config.P
+    Q = P if config.Q is None else config.Q
     rows, cols = pair_index(len(P), None if config.Q is None else len(Q))
     with np.errstate(over="ignore", invalid="ignore"):
         if len(rows) * P.shape[1] <= GRAM_MIN:
@@ -231,11 +253,10 @@ def distances_of(config: PointConfig) -> np.ndarray:
 
 
 def format_rows(A, before: str, after: str, sep: str) -> str:
-    """The rows of A, each its numbers comma-separated between before and
-    after, joined by sep. One "%.17g" format over all of A: 17 significant
-    digits parse back to the exact binary values. The program's one float
-    formatter, for points files and CSV alike."""
-    A = np.asarray(A, dtype=float)
+    """The rows of the float array A, each its numbers comma-separated
+    between before and after, joined by sep. One "%.17g" format over all
+    of A: 17 significant digits parse back to the exact binary values. The
+    program's one float formatter, for points files and CSV alike."""
     row = before + ",".join(["%.17g"] * A.shape[1]) + after
     return sep.join([row] * A.shape[0]) % tuple(A.ravel().tolist())
 
@@ -274,18 +295,19 @@ def config_from_json(text: str) -> PointConfig:
     """Inverse of config_to_json. Integers are read as floats, so the
     "-0" written for -0.0 keeps its sign and an integer too large for a
     float becomes infinity (rejected as non-finite). dim must be an
-    integral number; booleans, strings and fractions are refused."""
+    integral number; booleans, strings and fractions are refused, as is
+    a "Q" of null."""
     try:
         data = json.loads(text, parse_int=float)
-        dim = data["dim"]
-        P = np.asarray(data["P"], dtype=float)
-        Q = np.asarray(data["Q"], dtype=float) if "Q" in data else None
+        dim, P, Q = data["dim"], data["P"], data.get("Q")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ShapeMismatch(f"malformed point config: {exc}") from exc
     if not (isinstance(dim, float) and dim.is_integer()):
         raise ShapeMismatch(f"dim must be an integer, got {dim!r}")
+    if Q is None and "Q" in data:
+        raise ShapeMismatch(f"Q must be rows of length dim={int(dim)}")
     config = PointConfig(dim=int(dim), P=P, Q=Q)
-    if not np.isfinite(P).all() or (Q is not None and not np.isfinite(Q).all()):
+    if not np.isfinite(config.rows()).all():
         raise NonFiniteEntry("point config has non-finite coordinates")
     return config
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadSize, NonFiniteEntry, ShapeMismatch
 from .orders import OrderSpec, Pair, _pairs_at, from_ranks
-from .schoenberg import PointConfig, pair_distances
+from .schoenberg import PointConfig, _is_real, pair_distances
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -37,7 +37,7 @@ def check_tolerances(tol_abs: float, tol_rel: float) -> None:
     """Raise BadSize unless both tolerances are nonnegative and finite: a
     negative one splits ties, a NaN or infinite one merges every class."""
     for name, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
-        if not 0 <= tol < math.inf:
+        if not (_is_real(tol) and 0 <= tol < math.inf):
             raise BadSize(f"{name} must be nonnegative and finite, got {tol}")
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -289,6 +290,55 @@ def test_point_config_checks_its_shapes():
     # shapes only: 8 TB of zero-strided rows are checked at once
     huge = np.broadcast_to(0.0, (10 ** 6, 10 ** 6))
     assert PointConfig(dim=10 ** 6, P=huge).P is huge
+
+
+_WIDE = np.zeros((3, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PointConfig(dim=True, P=np.zeros((3, 1))),
+    lambda: PointConfig(dim=2.0, P=_WIDE),
+    lambda: PointConfig(dim=1, P=[[1.0], [1.0, 2.0]]),
+    lambda: PointConfig(dim=1, P="zap"),
+    lambda: PointConfig(dim=1, P=[["1"], ["2"]]),
+    lambda: PointConfig(dim=1, P=np.array([[1j], [2.0]])),
+    lambda: PointConfig(dim=2, P=_WIDE, Q=[[0.0, None]]),
+    lambda: PointConfig(dim=2, P=np.zeros(2)),
+    lambda: PointConfig(dim=2, P=np.zeros((3, 2, 1))),
+    lambda: PointConfig(dim=2, P=_WIDE, Q=np.zeros((3, 3))),
+    lambda: config_from_json('{"dim":2,"P":[[0,0],[1,1]],"Q":null}'),
+    lambda: config_from_json('{"dim":1,"P":[[0],[1,2]]}'),
+    lambda: config_from_json('{"dim":1,"P":[["0"],[1]]}'),
+], ids=["dim-bool", "dim-float", "ragged", "string", "strings", "complex",
+        "object", "1-D", "3-D", "Q-width", "json-Q-null", "json-ragged",
+        "json-string"])
+def test_point_config_intake_refuses(make):
+    # PointConfig is the one intake of coordinates, so each of these must
+    # end here: a bool dim would be written as "dim":True, a complex P
+    # would lose its imaginary part, a ragged one raise numpy's ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatch):
+            make()
+
+
+@pytest.mark.parametrize("fields", [
+    dict(dim=2, P=np.array([[0.1, -0.0], [5e-324, 1e308]])),
+    dict(dim=np.int64(2), P=[[1, 2], [3, 4]], Q=[[True, False]]),
+    dict(dim=1, P=np.arange(3, dtype=np.float32)[:, None]),
+    dict(dim=3, P=np.zeros((2, 3), dtype=np.int8), Q=np.ones((4, 3))),
+    dict(dim=0, P=np.zeros((4, 0))),
+], ids=["float", "lists", "float32", "int8", "dim-0"])
+def test_accepted_point_configs_round_trip_bit_for_bit(fields):
+    config = PointConfig(**fields)
+    assert type(config.dim) is not bool
+    for A in (config.P, config.Q):
+        assert A is None or (A.dtype == np.float64 and A.ndim == 2)
+    back = config_from_json(config_to_json(config))
+    assert back.dim == config.dim and (back.Q is None) == (config.Q is None)
+    for A, B in ((back.P, config.P), (back.Q, config.Q)):
+        assert A is None or A.tobytes() == B.tobytes()
+    assert config_to_json(back) == config_to_json(config)
 
 
 def test_save_load_config(tmp_path):
