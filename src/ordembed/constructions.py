@@ -71,7 +71,7 @@ class RealizationReport:
 
 def choose_epsilon(search: EpsilonSearch, test: Callable[[float], bool]) -> float:
     """First eps in initial * shrink^k accepted by test."""
-    eps = search.initial
+    eps = float(search.initial)  # an int initial may pass int64
     for _ in range(search.max_steps):
         if test(eps):
             return eps
@@ -89,8 +89,10 @@ def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     """m_ij = 1 + rank(i,j)*eps, zero diagonal. Complete specs only."""
     if spec.kind != "complete":
         raise ShapeMismatch("perturbed_distances needs a complete spec")
+    if not _is_real(eps):
+        raise BadSize(f"eps must be a real number, got {eps!r}")
     M = np.zeros((spec.n, spec.n))
-    M[pair_index(spec.n)] = 1.0 + spec.ranks * eps
+    M[pair_index(spec.n)] = 1.0 + spec.ranks * float(eps)
     return M + M.T
 
 
@@ -293,7 +295,7 @@ def _gathered_target(spec: OrderSpec, pair: tuple[int, int] | None
 def _realize_complete(spec: OrderSpec, eta: float,
                       search: EpsilonSearch | None,
                       linear: bool) -> RealizationReport:
-    """The complete realizers' search on a validated complete spec."""
+    """The complete realizers' search on a complete spec."""
     pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
     return _realize_apexes(
         spec, eta, search, lambda: _gathered_target(spec, pair),
@@ -309,7 +311,6 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
     The base is points 1..n-2 followed by point n, the apex point n-1, so
     the apex Gram is the Gram of the whole target matrix relative to
     point n."""
-    spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
     return _realize_complete(spec, eta, search, False)
@@ -353,7 +354,6 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
     in (0, 1). The distance of the minimal pair is never prescribed; it is
     forced below 1 as eps shrinks.
     """
-    spec.ranks  # validates
     if spec.kind != "complete":
         raise ShapeMismatch("realize_linear_complete needs a complete spec")
     if spec.n < 3:
@@ -376,7 +376,6 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     the corner (c/2)(I + J), c = (1 + eps)^2, which _simplex_factor and
     _simplex_least_eigenvalues use for O(k) work per apex, not O(k^3).
     """
-    spec.ranks  # validates
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
     n, m = spec.n, spec.m
@@ -399,10 +398,8 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
 
 def realize(spec: OrderSpec, eta: float = ETA,
             search: EpsilonSearch | None = None) -> RealizationReport:
-    """Validate the spec and dispatch on kind and linearity to the
-    matching construction."""
+    """Dispatch on kind and linearity to the matching construction."""
     if spec.kind == "bipartite":
         return realize_preorder_bipartite(spec, eta, search)
-    spec.ranks  # validates
     return _realize_complete(spec, eta, search,
                              spec.n >= 3 and spec.is_linear())

@@ -16,7 +16,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +105,7 @@ def _family(name: str, n: int):
     the pair count within MAX_PAIRS), else UnknownName or BadSize."""
     try:
         family = FAMILIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise UnknownName(
             f"unknown gallery family {name!r}; "
             f"choose from {', '.join(FAMILIES)}") from None
@@ -122,9 +122,7 @@ def gallery(name: str, n: int) -> OrderSpec:
     The sources fix only some relations; each builder lists one fixed
     order that keeps them (the chain its docstring states for d4_linear
     and bip_cyclic_linear, row-major chaining for the affine preorder)."""
-    spec = _family(name, n)[0](n)
-    spec.ranks  # validates
-    return spec
+    return _family(name, n)[0](n)
 
 
 def infeasible_dimension(name: str, n: int) -> int:
@@ -136,7 +134,7 @@ def infeasible_dimension(name: str, n: int) -> int:
 def simplex_diameter_bound(n: int) -> float:
     """2*sqrt((n-1)/(2(n-2))): the forced distance between the two apexes
     of the reflected regular simplex; strictly above 1 for every n >= 3."""
-    if not (_is_index_type(type(n)) and n >= 3):
+    if not (_is_index_type(type(n)) and _is_real(n) and n >= 3):
         raise BadSize("simplex_diameter_bound needs an integer n >= 3")
     return 2.0 * float(np.sqrt((n - 1) / (2.0 * (n - 2))))
 
@@ -293,6 +291,16 @@ def _loss_grad(terms: _StressTerms, X: np.ndarray,
     return loss, grad.reshape(X.shape)
 
 
+def check_margin_and_floor(margin: float, floor: float) -> None:
+    """BadSize unless 0 < margin <= SHIFT_MAX and 0 <= floor <= SHIFT_MAX."""
+    if not (_is_real(margin) and 0 < margin < math.inf):
+        raise BadSize("margin must be positive and finite")
+    if not (_is_real(floor) and 0 <= floor < math.inf):
+        raise BadSize("floor must be nonnegative and finite")
+    if max(margin, floor) > SHIFT_MAX:
+        raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")
+
+
 def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
                 floor: float = FLOOR) -> tuple[float, np.ndarray]:
     """Order-violation stress of a configuration, with exact gradient.
@@ -312,9 +320,10 @@ def stress_loss(spec: OrderSpec, config: PointConfig, margin: float = MARGIN,
     The gradient is analytic, including the normalization coupling, and is
     laid out like P (complete) or P stacked over Q (bipartite). Non-finite
     coordinates, and a loss or gradient that is not finite (coincident
-    points, squares that overflow), raise NonFiniteEntry.
+    points, squares that overflow), raise NonFiniteEntry; a margin or floor
+    that FalsifierConfig refuses raises its BadSize.
     """
-    spec.ranks  # validates
+    check_margin_and_floor(margin, floor)
     verifier.check_shape(config, spec)
     X = config.rows()
     if not np.isfinite(X).all():
@@ -347,12 +356,7 @@ class FalsifierConfig:
             raise BadSize("dim must be >= 1")
         if self.restarts < 1 or self.iters < 1:
             raise BadSize("restarts and iters must be >= 1")
-        if not (_is_real(self.margin) and 0 < self.margin < math.inf):
-            raise BadSize("margin must be positive and finite")
-        if not (_is_real(self.floor) and 0 <= self.floor < math.inf):
-            raise BadSize("floor must be nonnegative and finite")
-        if max(self.margin, self.floor) > SHIFT_MAX:
-            raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")
+        check_margin_and_floor(self.margin, self.floor)
         if self.seed < 0:
             raise BadSize("seed must be >= 0")
 
@@ -379,12 +383,14 @@ class FalsifierReport:
     best_config: PointConfig
     per_restart_losses: tuple[float, ...]
     per_restart_stops: tuple[RestartStop, ...]
-    feasible: bool = field(init=False)
-    restarts: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "feasible", self.verdict == "feasible")
-        object.__setattr__(self, "restarts", len(self.per_restart_losses))
+    @property
+    def feasible(self) -> bool:
+        return self.verdict == "feasible"
+
+    @property
+    def restarts(self) -> int:
+        return len(self.per_restart_losses)
 
 
 def _descend(terms: _StressTerms, X: np.ndarray,
@@ -466,7 +472,6 @@ def falsify(spec: OrderSpec, cfg: FalsifierConfig) -> FalsifierReport:
     of a worker that failed to fork or died before reporting, and kills
     and reaps every child before it returns or raises.
     """
-    # reads spec.ranks, which validates
     terms = _StressTerms(spec, cfg.dim, cfg.margin, cfg.floor)
 
     def descend(r: int) -> tuple[float, np.ndarray, RestartStop]:

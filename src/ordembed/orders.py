@@ -15,30 +15,39 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .errors import (DuplicatePair, EmptyClass, IndexOutOfRange, MissingPair,
-                     SpecError)
-from .schoenberg import _is_index_type, pair_index
+from .errors import (BadSize, DuplicatePair, EmptyClass, IndexOutOfRange,
+                     MissingPair, SpecError)
+from .schoenberg import MAX_PAIRS, _is_index_type, pair_index
 
 Pair = tuple[int, int]
 
 
 def complete_pairs(n: int) -> list[Pair]:
     """All pairs (i,j) with 1 <= i < j <= n, lexicographic."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return _listed(n)
 
 
 def bipartite_pairs(n: int, m: int) -> list[Pair]:
     """All pairs (i,j) with i in [n], j in [m], lexicographic."""
-    return [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    return _listed(n, m)
+
+
+def _listed(*sizes: int) -> list[Pair]:
+    """The pairs of D_n (sizes n) or B_{n,m} (sizes n, m) as tuples;
+    BadSize unless the sizes are integers up to MAX_PAIRS (see pair_index)."""
+    if not all(_is_index_type(type(x)) and x <= MAX_PAIRS for x in sizes):
+        raise BadSize(f"sizes must be integers up to {MAX_PAIRS}: {sizes}")
+    rows, cols = pair_index(*(max(x, 0) for x in sizes))
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class OrderSpec:
     """A total preorder on D_n (kind 'complete') or B_{n,m} ('bipartite'),
-    stored as one int64 array of the listed (i, j) pairs, class by class,
-    and the class sizes. A complete pair given as (j, i) is stored as
-    (i, j); classes is built on first read. == compares kind, n, m, classes.
-    """
+    checked by validate when built: the listed (i, j) pairs, class by class,
+    as one int64 array, the class sizes and ranks, the rank of every pair of
+    pair_set() in that order. A complete pair (j, i) is stored as (i, j);
+    classes is built on first read. == compares kind, n, m, classes."""
 
     kind: str
     n: int
@@ -90,29 +99,12 @@ class OrderSpec:
         return len(self._sizes)
 
     def pair_set(self) -> list[Pair]:
-        if self.kind == "complete":
-            return complete_pairs(self.n)
-        return bipartite_pairs(self.n, self.m)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """Rank of every pair of pair_set(), in that (lexicographic) order.
-
-        Built once per spec, after validate(self) passes: a spec that
-        validate rejects raises the same SpecError here, on every read.
-        Each class rank is written at the pair's lexicographic index,
-        (i-1)(2n-i)/2 + (j-i-1) for a complete pair and (i-1)m + (j-1)
-        for a bipartite one; validation bounds every index first."""
-        validate(self)
-        ranks = np.empty(len(self._ij), dtype=np.int64)
-        ranks[self._lex] = np.repeat(
-            np.arange(1, self.num_classes + 1), self._sizes)
-        return ranks
+        return (complete_pairs(self.n) if self.m is None
+                else bipartite_pairs(self.n, self.m))
 
     @cached_property
     def _lex(self) -> np.ndarray:
-        """Position of every listed pair in pair_set(), for in-range pairs;
-        validate's fast path computes it and ranks reuses it."""
+        """Position of every listed pair in pair_set(), for in-range pairs."""
         i, j = self._ij[:, 0], self._ij[:, 1]
         if self.kind == "complete":
             return (i - 1) * (2 * self.n - i) // 2 + (j - i - 1)
@@ -123,7 +115,6 @@ class OrderSpec:
         within each class, as two float arrays indexed by rank - 1: one
         min and one max reduceat over the class runs of values gathered
         into listed order, exact since min and max only pick elements."""
-        self.ranks  # validates: every class is a nonempty run
         listed, starts = values[self._lex], self._starts
         return (np.minimum.reduceat(listed, starts).astype(float, copy=False),
                 np.maximum.reduceat(listed, starts).astype(float, copy=False))
@@ -138,18 +129,26 @@ class OrderSpec:
         return bool((self._sizes == 1).all())
 
 
-def _new(kind: str, n: int, m: int | None, flat, sizes) -> OrderSpec:
-    """The spec of checked indices flat (i1, j1, i2, ... or (N, 2) array)."""
+def _new(kind: str, n: int, m: int | None, flat, sizes,
+         ranks: np.ndarray | None = None) -> OrderSpec:
+    """The spec of checked indices flat (i1, j1, i2, ... or (N, 2) array),
+    validated unless its rank vector ranks is given."""
     try:
         ij = np.array(flat, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         ij = np.array(flat, dtype=object).reshape(-1, 2)
-    swap = (ij[:, 0] > ij[:, 1]) & (kind == "complete")
+    swap = (ij[:, 0] > ij[:, 1]) & (isinstance(kind, str)
+                                    and kind == "complete")
     ij[swap] = ij[swap][:, ::-1]
     spec = OrderSpec.__new__(OrderSpec)
     sizes = np.array(sizes, dtype=np.int64)
     vars(spec).update(kind=kind, n=n, m=m, _ij=ij, _sizes=sizes,
                       _starts=np.cumsum(sizes) - sizes)
+    if ranks is None:
+        validate(spec)
+        ranks = np.empty(len(ij), dtype=np.int64)
+        ranks[spec._lex] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    vars(spec)["ranks"] = ranks
     return spec
 
 
@@ -162,11 +161,9 @@ def validate(spec: OrderSpec) -> None:
     pair indices when as many pairs are listed as the pair set holds; on
     failure, a stable sort by (i, j) that puts each repeat after its first
     occurrence and shows the first gap. The pair set is never built, so
-    validation costs time in the size of the spec, not of n.
-
-    Reading spec.ranks runs this once per spec object, so the library
-    reads ranks rather than calling it."""
-    if spec.kind not in ("complete", "bipartite"):
+    validation costs time in the size of the spec, not of n."""
+    if not (isinstance(spec.kind, str)
+            and spec.kind in ("complete", "bipartite")):
         raise SpecError(f"unknown kind {spec.kind!r}")
     n, m = spec.n, spec.m
     if not (_is_index_type(type(n))
@@ -235,7 +232,7 @@ def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
     class's pairs lexicographically, and np.bincount gives the sizes."""
     pairs = _pairs_at(n, m, np.argsort(ranks, kind="stable"))
     return _new("complete" if m is None else "bipartite", n, m, pairs,
-                np.bincount(ranks)[1:])
+                np.bincount(ranks)[1:], ranks)
 
 
 def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
@@ -248,8 +245,8 @@ def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
 def to_json(spec: OrderSpec) -> str:
     """The spec as json.dumps writes its dict, with the classes written by
     one % format over the (i, j) array: each class is its pairs'
-    "[%d, %d]" joined by ", " (nothing when it is empty), and the classes
-    are joined by "], [" between "[[" and "]]"."""
+    "[%d, %d]" joined by ", ", and the classes are joined by "], ["
+    between "[[" and "]]"."""
     head = {"kind": spec.kind, "n": spec.n}
     if spec.kind == "bipartite":
         head["m"] = spec.m
@@ -257,19 +254,16 @@ def to_json(spec: OrderSpec) -> str:
     each = {k: ", ".join(["[%d, %d]"] * k) for k in set(sizes)}
     classes = "[[" + "], [".join(map(each.__getitem__, sizes)) + "]]"
     return (json.dumps(head)[:-1] + ', "classes": '
-            + (classes if sizes else "[]")
-            % tuple(spec._ij.ravel().tolist()) + "}")
+            + classes % tuple(spec._ij.ravel().tolist()) + "}")
 
 
 def from_json_dict(data: dict) -> OrderSpec:
-    """The validated spec of a spec dict; validate checks kind, n and m."""
+    """The spec of a spec dict; validate checks kind, n and m."""
     try:
         kind, n, classes = data["kind"], data["n"], data["classes"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
-    spec = OrderSpec(kind, n, classes, data.get("m"))
-    spec.ranks  # validates, and caches the ranks for every later reader
-    return spec
+    return OrderSpec(kind, n, classes, data.get("m"))
 
 
 # The canonical spec text: what to_json writes, and json.dumps of a spec
@@ -287,11 +281,11 @@ _NOT_BRACKET = bytes(range(256)).translate(None, b"[]")
 
 
 def _scan_canonical(text: str) -> OrderSpec | None:
-    """The unvalidated spec of a canonical text, else None. The indices
-    are one np.fromstring over the classes without their brackets. With
-    only the brackets left, each class is "[" + "[]" * size + "]", so
-    inside the outer "[[[" and "]]]" the classes are runs "][" * (size - 1)
-    joined by "]][[". json.loads and from_json_dict would build the same
+    """The spec of a canonical text, else None. The indices are one
+    np.fromstring over the classes without their brackets. With only the
+    brackets left, each class is "[" + "[]" * size + "]", so inside the
+    outer "[[[" and "]]]" the classes are runs "][" * (size - 1) joined by
+    "]][[". json.loads and from_json_dict would build the same
     spec from the same text."""
     hit = _CANONICAL.fullmatch(text)
     if hit is None:
@@ -308,21 +302,16 @@ def _scan_canonical(text: str) -> OrderSpec | None:
 
 
 def from_json(text: str) -> OrderSpec:
-    """The validated spec of a JSON spec text. Canonical text (see
+    """The spec of a JSON spec text. Canonical text (see
     _CANONICAL) is read without building Python lists; any other text
     goes through json.loads and from_json_dict, which raise every error,
     so both read the same spec and refuse with the same message."""
-    spec = _scan_canonical(text)
-    if spec is None:
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # ValueError: JSONDecodeError, or an integer literal beyond
-            # Python's digit limit
-            raise SpecError(f"invalid JSON: {exc}") from exc
-        return from_json_dict(data)
-    spec.ranks  # validates, and caches the ranks for every later reader
-    return spec
+    try:
+        return _scan_canonical(text) or from_json_dict(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer literal beyond
+        # Python's digit limit
+        raise SpecError(f"invalid JSON: {exc}") from exc
 
 
 def load(path: str) -> OrderSpec:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,12 +19,32 @@ from .errors import (BadIndex, BadSize, DimTooSmall, NonFiniteEntry, NotPSD,
                      ShapeMismatch)
 
 
+def _as_real(A, name: str) -> np.ndarray:
+    """A as a float array; ShapeMismatch if it is ragged or holds other
+    than real numbers (a string, None, an object, a complex number)."""
+    try:
+        A = np.asarray(A)
+    except ValueError as exc:
+        raise ShapeMismatch(f"{name} is ragged: {exc}") from None
+    if A.dtype.kind not in "biuf":
+        raise ShapeMismatch(
+            f"{name} must hold real numbers, got dtype {A.dtype}")
+    return A.astype(float, copy=False)
+
+
+def _square(A, name: str) -> np.ndarray:
+    """A as a square float matrix: ShapeMismatch unless it is one (see
+    _as_real), NonFiniteEntry if an entry is not finite."""
+    M = _as_real(A, name)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ShapeMismatch(f"{name} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteEntry(f"{name} has non-finite entries")
+    return M
+
+
 def check_distance_matrix(D: np.ndarray) -> np.ndarray:
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ShapeMismatch(f"distance matrix must be square, got {D.shape}")
-    if not np.isfinite(D).all():
-        raise NonFiniteEntry("distance matrix has non-finite entries")
+    D = _square(D, "distance matrix")
     if (D < 0).any():
         raise ShapeMismatch("distance matrix has negative entries")
     if np.abs(np.diag(D)).max(initial=0.0) != 0.0:
@@ -52,18 +73,18 @@ def _is_index_type(t: type) -> bool:
 
 
 def _is_real(x) -> bool:
-    # x is a float, a numpy float or of an index type; numbers.Real would
-    # take bool and cost 0.4 us a check on a float, 20 times this
+    # a float, a numpy float or an integer within float range; numbers.Real
+    # would take bool and cost 20 times this check on a float
     t = type(x)
-    return t is float or issubclass(t, np.floating) or _is_index_type(t)
+    return t is float or issubclass(t, np.floating) or (
+        _is_index_type(t) and -sys.float_info.max <= x <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class PointConfig:
     """One or two coordinate collections in a common ambient dimension,
     held as float arrays. ShapeMismatch unless dim is an integer and P and
-    Q (if given) hold real numbers (not ragged), 2-D with dim columns; the
-    shape is checked before the conversion, which a float array skips."""
+    Q (if given) hold real numbers (not ragged), 2-D with dim columns."""
 
     dim: int
     P: np.ndarray
@@ -73,17 +94,11 @@ class PointConfig:
         if not _is_index_type(type(self.dim)):
             raise ShapeMismatch(f"dim must be an integer, got {self.dim!r}")
         for name in ("P",) if self.Q is None else ("P", "Q"):
-            try:
-                A = np.asarray(getattr(self, name))
-            except ValueError as exc:
-                raise ShapeMismatch(f"{name} is ragged: {exc}") from None
-            if A.dtype.kind not in "biuf":
-                raise ShapeMismatch(
-                    f"{name} must hold real numbers, got dtype {A.dtype}")
+            A = _as_real(getattr(self, name), name)
             if A.ndim != 2 or A.shape[1] != self.dim:
                 raise ShapeMismatch(
                     f"{name} must be rows of length dim={self.dim}")
-            object.__setattr__(self, name, A.astype(float, copy=False))
+            object.__setattr__(self, name, A)
 
     def rows(self) -> np.ndarray:
         """The points as one array: P, or P stacked over Q."""
@@ -108,23 +123,12 @@ def gram_from_distances(D: np.ndarray, base: int) -> GramMatrix:
         db2 = D[base - 1, others] ** 2
         G = 0.5 * (db2[:, None] + db2[None, :]
                    - D[np.ix_(others, others)] ** 2)
-    return GramMatrix(matrix=_as_matrix(G), base=base, n=n)
-
-
-def _as_matrix(G) -> np.ndarray:
-    M = G.matrix if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
-    if not np.isfinite(M).all():
-        raise NonFiniteEntry("matrix has non-finite entries")
-    return M
+    return GramMatrix(matrix=_square(G, "matrix"), base=base, n=n)
 
 
 def min_eigenvalue(G) -> float:
-    M = _as_matrix(G)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeMismatch(f"matrix must be square, got shape {M.shape}")
-    if M.size == 0:
-        return float("inf")
-    return float(np.linalg.eigvalsh(M)[0])
+    M = _square(G.matrix if isinstance(G, GramMatrix) else G, "matrix")
+    return float(np.linalg.eigvalsh(M)[0]) if M.size else math.inf
 
 
 def factor_points(G: GramMatrix, dim: int) -> PointConfig:
@@ -132,9 +136,16 @@ def factor_points(G: GramMatrix, dim: int) -> PointConfig:
 
     Eigenvalues below -tol_psd raise NotPSD; tiny negatives are clamped.
     Positive eigenvalues beyond position dim (above tol_psd) raise
-    DimTooSmall. Rows are ordered so row i-1 is point i (1-based).
+    DimTooSmall. Rows are ordered so row i-1 is point i (1-based). G is
+    checked as min_eigenvalue checks it and its base must lie in [1..n]
+    (BadIndex); dim is a nonnegative integer, P within MAX_PAIRS (BadSize).
     """
-    M = _as_matrix(G)
+    if not (_is_index_type(type(dim)) and dim >= 0):
+        raise BadSize(f"dim must be a nonnegative integer, got {dim!r}")
+    M = _square(G.matrix, "matrix")
+    if not (_is_index_type(type(G.base)) and 1 <= G.base <= len(M) + 1):
+        raise BadIndex(f"base {G.base!r} outside [1..{len(M) + 1}]")
+    check_pair_count((len(M) + 1) * dim)
     w, V = np.linalg.eigh(M)
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     tol_psd = 1e-10 * scale
@@ -147,12 +158,9 @@ def factor_points(G: GramMatrix, dim: int) -> PointConfig:
     if w.size > k and w[k] > tol_psd:
         raise DimTooSmall(
             f"rank exceeds dim={dim}: eigenvalue {w[k]:.3e} at position {k}")
-    rows = np.zeros((M.shape[0], dim))
+    rows = np.zeros((len(w), dim))
     rows[:, :k] = V[:, :k] * np.sqrt(w[:k])
-    P = np.zeros((G.n, dim))
-    others = [i for i in range(G.n) if i != G.base - 1]
-    P[others] = rows
-    return PointConfig(dim=dim, P=P)
+    return PointConfig(dim=dim, P=np.insert(rows, G.base - 1, 0.0, axis=0))
 
 
 # element count of the largest temporary of the direct difference

@@ -639,9 +639,9 @@ def test_quadratic_inputs_are_refused_before_allocating(tmp_path, capsys):
 
 def test_realize_refuses_a_spec_over_the_pair_cap(monkeypatch, tmp_path,
                                                   capsys):
-    monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
     spec = _spec_file(OrderSpec("complete", 4, (tuple(
         orders.complete_pairs(4)),)), tmp_path)
+    monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
     assert cli.main(["realize", spec, str(tmp_path / "o.json")]) == 2
     assert _diag(capsys) == {"error": "BadSize",
                              "message": "6 pairs exceed the cap of 5"}

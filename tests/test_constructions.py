@@ -21,9 +21,10 @@ from ordembed.constructions import (EpsilonSearch, _gathered_target,
                                     realize_linear_complete,
                                     realize_preorder_bipartite,
                                     realize_preorder_complete)
-from ordembed.errors import (BadSize, DistanceMismatch, EpsilonExhausted,
-                             NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch,
-                             SpecError)
+from ordembed.errors import (BadSize, DistanceMismatch, DuplicatePair,
+                             EmptyClass, EpsilonExhausted, IndexOutOfRange,
+                             MissingPair, NonFiniteEntry, NotLinear, NotPSD,
+                             ShapeMismatch, SpecError)
 from ordembed.orders import OrderSpec, complete_pairs
 from ordembed.schoenberg import (distances_of, factor_points,
                                  gram_from_distances, min_eigenvalue)
@@ -402,29 +403,34 @@ def test_align_shared_points_of_linear_construction():
     assert np.abs(pg @ R.T + t - ph).max() < 1e-8
 
 
-@pytest.mark.parametrize("spec", [
-    OrderSpec("complete", 3, (((1, 2),), ((1, 3),))),
-    OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 3),), ((1, 2),))),
-    OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)), ())),
-    OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),))),
-    OrderSpec("complete", 1, (((1, 2),),)),
-    OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1)),), m=2),
-    OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),)),
-    OrderSpec("ring", 3, (((1, 2), (1, 3), (2, 3)),)),
-    OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)),), m=7),
+@pytest.mark.parametrize("args, m, error, message", [
+    (("complete", 3, (((1, 2),), ((1, 3),))), None,
+     MissingPair, "pair (2, 3) not covered"),
+    (("complete", 3, (((1, 2),), ((1, 3),), ((2, 3),), ((1, 2),))), None,
+     DuplicatePair, "pair (1, 2) occurs twice"),
+    (("complete", 3, (((1, 2), (1, 3), (2, 3)), ())), None,
+     EmptyClass, "empty class in spec"),
+    (("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),))), None,
+     IndexOutOfRange, "pair (2, 4) out of range"),
+    (("complete", 1, (((1, 2),),)), None,
+     IndexOutOfRange, "complete spec needs n >= 2, got 1"),
+    (("bipartite", 2, (((1, 1), (1, 2), (2, 1)),)), 2,
+     MissingPair, "pair (2, 2) not covered"),
+    (("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),)), None,
+     SpecError, "bipartite spec needs m"),
+    (("ring", 3, (((1, 2), (1, 3), (2, 3)),)), None,
+     SpecError, "unknown kind 'ring'"),
+    (("complete", 3, (((1, 2), (1, 3), (2, 3)),)), 7,
+     SpecError, "complete spec takes no m, got 7"),
 ], ids=["missing", "duplicate", "empty-class", "out-of-range", "n-one",
         "bip-missing", "bip-no-m", "unknown-kind", "complete-with-m"])
-def test_realize_rejects_what_validate_rejects(spec):
-    with pytest.raises(SpecError) as want:
-        orders.validate(spec)
-    with pytest.raises(SpecError) as got:
-        realize(spec)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
-    with pytest.raises(SpecError) as read:
-        spec.ranks
-    assert type(read.value) is type(want.value)
-    assert str(read.value) == str(want.value)
+def test_realize_rejects_what_validate_rejects(args, m, error, message):
+    # a spec that validate rejects is refused when built, so no realizer
+    # is ever handed one
+    with pytest.raises(SpecError) as err:
+        OrderSpec(*args, m=m)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def _relabeled(spec, perm):

@@ -236,6 +236,21 @@ def test_stress_loss_shape_mismatch(bip32_spec):
         stress_loss(bip32_spec, config)
 
 
+@pytest.mark.parametrize("margin, floor", [
+    ("x", 0.05), (-1.0, 0.05), (0.0, 0.05), (np.nan, 0.05), (True, 0.05),
+    (0.05, None), (0.05, -1.0), (0.05, np.inf), (1e200, 0.05)])
+def test_stress_loss_refuses_what_falsifier_config_refuses(margin, floor):
+    # a margin of -1.0 read a loss of 0 for a config that violates nothing,
+    # and "x" escaped as numpy's ValueError
+    spec = OrderSpec("complete", 3, (((1, 2),), ((2, 3),), ((1, 3),)))
+    config = PointConfig(dim=1, P=np.array([[0.0], [1.0], [2.4]]))
+    with pytest.raises(BadSize) as want:
+        FalsifierConfig(dim=1, margin=margin, floor=floor)
+    with pytest.raises(BadSize) as got:
+        stress_loss(spec, config, margin=margin, floor=floor)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stress_loss_not_finite_raises_without_warning():
     spec = OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)),))

@@ -17,11 +17,19 @@ from ordembed.orders import OrderSpec
 def test_complete_pairs_small():
     assert orders.complete_pairs(3) == [(1, 2), (1, 3), (2, 3)]
     assert len(orders.complete_pairs(6)) == 15
+    assert orders.complete_pairs(np.int64(3)) == [(1, 2), (1, 3), (2, 3)]
+    assert orders.complete_pairs(1) == orders.complete_pairs(-3) == []
 
 
 def test_bipartite_pairs_small():
     assert orders.bipartite_pairs(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(orders.bipartite_pairs(3, 5)) == 15
+    assert orders.bipartite_pairs(2, -1) == orders.bipartite_pairs(0, 3) == []
+
+
+def test_a_kind_that_is_not_a_string_is_an_unknown_kind():
+    with pytest.raises(SpecError, match=r"^unknown kind array"):
+        OrderSpec(np.zeros(3), 3, [[(1, 2), (1, 3), (2, 3)]])
 
 
 def test_validate_accepts_complete_partition():
@@ -29,52 +37,54 @@ def test_validate_accepts_complete_partition():
     orders.validate(spec)
 
 
+def _refuse_classes(monkeypatch):
+    # validate names a bad pair from the (i, j) array: building classes
+    # while a spec is checked fails the test
+    def built(spec):
+        raise AssertionError("classes built")
+    monkeypatch.setattr(OrderSpec, "classes", property(built))
+
+
 def test_validate_missing_pair():
-    spec = OrderSpec("complete", 3, (((1, 2),), ((1, 3),)))
-    with pytest.raises(MissingPair) as err:
-        orders.validate(spec)
-    assert "(2, 3)" in str(err.value)
+    with pytest.raises(MissingPair, match=r"^pair \(2, 3\) not covered$"):
+        OrderSpec("complete", 3, (((1, 2),), ((1, 3),)))
 
 
-def test_validate_duplicate_pair():
-    spec = OrderSpec("complete", 4, (
-        ((1, 2),), ((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))))
-    with pytest.raises(DuplicatePair) as err:
-        orders.validate(spec)
-    assert "(1, 2)" in str(err.value)
-    assert "classes" not in vars(spec)
+def test_validate_duplicate_pair(monkeypatch):
+    _refuse_classes(monkeypatch)
+    with pytest.raises(DuplicatePair, match=r"^pair \(1, 2\) occurs twice$"):
+        OrderSpec("complete", 4, (
+            ((1, 2),), ((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))))
 
 
 def test_validate_refuses_non_integer_sizes():
     pairs = [[(1, 2), (1, 3), (2, 3)]]
     for n in ("3", 3.0, True, None):
         with pytest.raises(SpecError, match="n and m must be integers"):
-            OrderSpec("complete", n, pairs).ranks
+            OrderSpec("complete", n, pairs)
     for m in ("1", 1.0, False):
         with pytest.raises(SpecError, match="n and m must be integers"):
-            OrderSpec("bipartite", 1, [[(1, 1)]], m=m).ranks
+            OrderSpec("bipartite", 1, [[(1, 1)]], m=m)
     assert OrderSpec("complete", np.int64(3), pairs).ranks.tolist() == [1] * 3
 
 
 def test_validate_empty_class():
-    spec = OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)), ()))
-    with pytest.raises(EmptyClass):
-        orders.validate(spec)
+    with pytest.raises(EmptyClass, match="^empty class in spec$"):
+        OrderSpec("complete", 3, (((1, 2), (1, 3), (2, 3)), ()))
 
 
-def test_validate_index_out_of_range():
-    spec = OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),)))
-    with pytest.raises(IndexOutOfRange) as err:
-        orders.validate(spec)
-    assert str(err.value) == "pair (2, 4) out of range"
-    assert "classes" not in vars(spec)
+def test_validate_index_out_of_range(monkeypatch):
+    _refuse_classes(monkeypatch)
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^pair \(2, 4\) out of range$"):
+        OrderSpec("complete", 3, (((1, 2),), ((1, 3),), ((2, 4),)))
 
 
 @pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
 def test_validate_bipartite_needs_both_sides(n, m):
     with pytest.raises(IndexOutOfRange,
                        match=r"^bipartite spec needs n, m >= 1$"):
-        orders.validate(OrderSpec("bipartite", n, (), m=m))
+        OrderSpec("bipartite", n, (), m=m)
 
 
 def test_hash_agrees_with_equality():
@@ -91,9 +101,9 @@ def test_hash_agrees_with_equality():
 def test_validate_bipartite_indices():
     spec = OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 1), (2, 2)),), m=2)
     orders.validate(spec)
-    bad = OrderSpec("bipartite", 2, (((1, 1), (1, 3), (2, 1), (2, 2)),), m=2)
-    with pytest.raises(IndexOutOfRange):
-        orders.validate(bad)
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^pair \(1, 3\) out of range$"):
+        OrderSpec("bipartite", 2, (((1, 1), (1, 3), (2, 1), (2, 2)),), m=2)
 
 
 def test_pair_normalization_reversed_complete():
@@ -122,11 +132,9 @@ def test_rank_of_bip32_bipartite(bip32_spec):
 
 
 def test_rank_of_unknown_pair():
-    # a pair outside the pair set has no rank: reading ranks refuses it
-    spec = OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)),
-                                     ((1, 5),)))
+    # a pair outside the pair set has no rank: the spec is refused when built
     with pytest.raises(IndexOutOfRange, match=r"^pair \(1, 5\) out of range$"):
-        spec.ranks
+        OrderSpec("complete", 4, (tuple(orders.complete_pairs(4)), ((1, 5),)))
 
 
 def test_rank_constant_on_classes_increasing_across():
@@ -202,19 +210,16 @@ def test_validate_random_specs_partition_property():
         if not broken[0]:
             broken = broken[1:]
         with pytest.raises((MissingPair, EmptyClass)):
-            orders.validate(OrderSpec(
-                "complete", n, tuple(tuple(c) for c in broken)))
+            OrderSpec("complete", n, tuple(tuple(c) for c in broken))
         dup = [list(c) for c in classes]
         dup[-1] = dup[-1] + [victim]
         with pytest.raises(DuplicatePair):
-            orders.validate(OrderSpec(
-                "complete", n, tuple(tuple(c) for c in dup)))
+            OrderSpec("complete", n, tuple(tuple(c) for c in dup))
 
 
 def test_validate_names_first_missing_bipartite_pair():
-    spec = OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 2)),), m=2)
     with pytest.raises(MissingPair, match=r"^pair \(2, 1\) not covered$"):
-        orders.validate(spec)
+        OrderSpec("bipartite", 2, (((1, 1), (1, 2), (2, 2)),), m=2)
 
 
 @st.composite
@@ -319,17 +324,9 @@ def test_extremes_match_the_scatter_oracle(raw, shape, values, seed):
         assert np.array_equal(g, w)
 
 
-# (kind, n, m, classes): shapes the partition strategy above never draws
-# (empty classes, no classes, indices beyond int64, reversed pairs), and
-# one bipartite spec
+# (kind, n, m, classes): a bipartite spec, which the partition strategy
+# above never draws
 _RAW_WRITER_CASES = [
-    ("complete", 3, None, [[], [(1, 2)], [], [], [(1, 3), (2, 3)], []]),
-    ("complete", 3, None, [[(1, 2)], [], [(3, 1), (2, 3)]]),
-    ("complete", 3, None, [[], []]),
-    ("complete", 3, None, [[]]),
-    ("complete", 3, None, []),
-    ("complete", 4, None, [[(2 ** 70, 1)], [(3, -2 ** 64), (1, 2)], []]),
-    ("bipartite", 2, 2, [[(2, 2 ** 63)], [], [(1, 1), (1, 2)], [(2, 1)]]),
     ("bipartite", 2, 3, [[(1, 1), (2, 3)], [(2, 1), (1, 2), (1, 3)],
                          [(2, 2)]]),
 ]
@@ -343,6 +340,32 @@ def test_to_json_matches_json_dumps_on_raw_specs(raw):
     head = {"kind": kind, "n": n, **({} if m is None else {"m": m})}
     spec = OrderSpec(kind, n, classes, m=m)
     assert orders.to_json(spec) == json.dumps(dict(head, classes=norm))
+
+
+# (kind, n, m, classes, error, message): raw specs with empty classes, no
+# classes or indices beyond int64, refused when they are built
+_RAW_REFUSED_CASES = [
+    ("complete", 3, None, [[], [(1, 2)], [], [], [(1, 3), (2, 3)], []],
+     EmptyClass, "empty class in spec"),
+    ("complete", 3, None, [[(1, 2)], [], [(3, 1), (2, 3)]],
+     EmptyClass, "empty class in spec"),
+    ("complete", 3, None, [[], []], EmptyClass, "empty class in spec"),
+    ("complete", 3, None, [[]], EmptyClass, "empty class in spec"),
+    ("complete", 3, None, [], MissingPair, "pair (1, 2) not covered"),
+    ("complete", 4, None, [[(2 ** 70, 1)], [(3, -2 ** 64), (1, 2)], []],
+     IndexOutOfRange, "pair (1, 1180591620717411303424) out of range"),
+    ("bipartite", 2, 2, [[(2, 2 ** 63)], [], [(1, 1), (1, 2)], [(2, 1)]],
+     IndexOutOfRange, "pair (2, 9223372036854775808) out of range"),
+]
+
+
+@pytest.mark.parametrize("raw", _RAW_REFUSED_CASES)
+def test_raw_specs_outside_the_writer_are_refused_when_built(raw):
+    kind, n, m, classes, error, message = raw
+    with pytest.raises(SpecError) as err:
+        OrderSpec(kind, n, classes, m=m)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make", [

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -211,6 +212,33 @@ def test_factor_clamps_tiny_negative():
     M = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-13]])
     config = factor_points(_gram(M), dim=2)
     assert np.isfinite(config.P).all()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gram_from_distances([["a"]], 1),
+     "distance matrix must hold real numbers, got dtype <U1"),
+    (lambda: gram_from_distances([[0.0, 1.0], [1.0]], 1),
+     "distance matrix is ragged"),
+    (lambda: gram_from_distances(np.zeros((2, 2), dtype=complex), 1),
+     "distance matrix must hold real numbers, got dtype complex128"),
+    (lambda: min_eigenvalue("x"), "matrix must hold real numbers"),
+    (lambda: min_eigenvalue(np.eye(2) * 1j),
+     "matrix must hold real numbers, got dtype complex128"),
+    (lambda: min_eigenvalue(GramMatrix(matrix=[[None]], base=1, n=2)),
+     "matrix must hold real numbers, got dtype object"),
+    (lambda: factor_points(GramMatrix(matrix="x", base=1, n=2), 1),
+     "matrix must hold real numbers"),
+    (lambda: factor_points(GramMatrix(matrix=np.ones(2), base=1, n=3), 1),
+     "matrix must be square, got shape (2,)"),
+])
+def test_matrices_that_are_not_real_square_arrays_are_refused(call,
+                                                              message):
+    # one intake for every matrix: ragged, non-numeric and complex input
+    # is a ShapeMismatch, never numpy's ValueError or a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}"):
+            call()
 
 
 def test_distances_of_collinear():

@@ -9,7 +9,8 @@ from conftest import (count_calls, random_bipartite_preorder,
                       random_linear_order, random_preorder, rank)
 from ordembed import cli, orders, schoenberg, verifier
 from ordembed.constructions import realize, realize_preorder_complete
-from ordembed.errors import BadSize, NonFiniteEntry, ShapeMismatch, SpecError
+from ordembed.errors import (BadSize, IndexOutOfRange, NonFiniteEntry,
+                             ShapeMismatch)
 from ordembed.orders import OrderSpec, bipartite_pairs, complete_pairs
 from ordembed.schoenberg import PointConfig, pair_distances
 from ordembed.verifier import _first_disagreement, induced_preorder, verify
@@ -27,15 +28,14 @@ def _gaps_and_spread(induced, config):
 
 
 def test_verify_of_a_spec_with_no_pairs_is_a_typed_error():
-    # an unvalidated spec with no pairs, and a config that fits its shape:
-    # the spec is refused before any distance is reduced
-    cases = [(PointConfig(dim=1, P=np.zeros((1, 1))),
-              OrderSpec("complete", 1, [])),
-             (PointConfig(dim=1, P=np.zeros((0, 1)), Q=np.zeros((0, 1))),
-              OrderSpec("bipartite", 0, [], m=0))]
-    for config, spec in cases:
-        with pytest.raises(SpecError):
-            verify(config, spec)
+    # a spec with no pairs is refused when built, so verify never reduces
+    # an empty distance vector
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^complete spec needs n >= 2, got 1$"):
+        OrderSpec("complete", 1, [])
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^bipartite spec needs n, m >= 1$"):
+        OrderSpec("bipartite", 0, [], m=0)
 
 
 def test_induced_collinear_singletons():
