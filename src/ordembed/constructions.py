@@ -15,6 +15,7 @@ to one search, _realize_apexes, which places them with place_apexes.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -25,7 +26,7 @@ from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
 from .schoenberg import (CHUNK, PointConfig, _is_index_type, _is_real,
-                         check_pair_count, pair_distances, pair_index)
+                         pair_distances, pair_index)
 
 ETA = 1e-6
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -42,14 +43,14 @@ class EpsilonSearch:
 
     def __post_init__(self):
         if not (_is_real(self.initial) and self.initial > 0):
-            raise BadSize("initial must be positive")
+            raise BadSize("initial must be a positive number within float "
+                          f"range, got {reprlib.repr(self.initial)}")
         if not (_is_real(self.shrink_factor) and 0 < self.shrink_factor < 1):
-            raise BadSize("shrink_factor must lie in (0,1)")
-        if not _is_index_type(type(self.max_steps)):
-            raise BadSize(f"max_steps must be an integer, "
-                          f"got {self.max_steps!r}")
-        if self.max_steps < 1:
-            raise BadSize("max_steps must be >= 1")
+            raise BadSize("shrink_factor must lie in (0,1), got "
+                          f"{reprlib.repr(self.shrink_factor)}")
+        if not (_is_index_type(type(self.max_steps)) and self.max_steps >= 1):
+            raise BadSize("max_steps must be an integer >= 1, "
+                          f"got {reprlib.repr(self.max_steps)}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     if spec.kind != "complete":
         raise ShapeMismatch("perturbed_distances needs a complete spec")
     if not _is_real(eps):
-        raise BadSize(f"eps must be a real number, got {eps!r}")
+        raise BadSize("eps must be a real number within float range, got "
+                      f"{reprlib.repr(eps)}")
     M = np.zeros((spec.n, spec.n))
     M[pair_index(spec.n)] = 1.0 + spec.ranks * float(eps)
     return M + M.T
@@ -219,13 +221,12 @@ def place_apexes(L: np.ndarray, Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
-                    plan: Callable[[], tuple],
+                    target: Callable[[float], tuple], rows,
                     accept: Callable[[np.ndarray], bool] | None = None,
                     factor: Callable[..., tuple] = _stack_factor,
                     least: Callable[..., np.ndarray] = lambda G: (
                         np.linalg.eigvalsh(G)[:, 0])) -> RealizationReport:
-    """The realizers' one epsilon search. plan(), called once the arguments
-    are checked, gives target and rows. target(eps) gives a step's apex
+    """The realizers' one epsilon search. target(eps) gives a step's apex
     Grams in pieces: the complete realizers' stack (_gathered_target),
     whose least eigenvalues are one eigen-solve, or the bipartite c, edge,
     tip. A step is accepted once factor(*pieces) places the apexes,
@@ -236,12 +237,11 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     eigenvalue of a k x k Gram of diagonal at most s = (1 + K eps)^2 (K
     classes, u the unit roundoff), all a spec of more than one class has
     past eps ~ 1e73; it passes eta only past K eps ~ 5e4. Row i of P, or
-    of P over Q, is placed row rows[i] (row i if rows is None). BadSize
-    past MAX_PAIRS; NonFiniteEntry on overflow."""
+    of P over Q, is placed row rows[i] (row i if rows is None).
+    NonFiniteEntry on overflow."""
     if not (_is_real(eta) and eta > 0):
-        raise BadSize(f"eta must be positive, got {eta}")
-    check_pair_count(len(spec.ranks))
-    target, rows = plan()
+        raise BadSize("eta must be a positive number within float range, "
+                      f"got {reprlib.repr(eta)}")
     state: dict = {}
 
     def step(eps: float) -> bool:
@@ -298,7 +298,7 @@ def _realize_complete(spec: OrderSpec, eta: float,
     """The complete realizers' search on a complete spec."""
     pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
     return _realize_apexes(
-        spec, eta, search, lambda: _gathered_target(spec, pair),
+        spec, eta, search, *_gathered_target(spec, pair),
         None if pair is None else lambda X: (
             0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
 
@@ -354,10 +354,9 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
     in (0, 1). The distance of the minimal pair is never prescribed; it is
     forced below 1 as eps shrinks.
     """
-    if spec.kind != "complete":
-        raise ShapeMismatch("realize_linear_complete needs a complete spec")
-    if spec.n < 3:
-        raise ShapeMismatch("realize_linear_complete needs n >= 3")
+    if spec.kind != "complete" or spec.n < 3:
+        raise ShapeMismatch(
+            "realize_linear_complete needs a complete spec with n >= 3")
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
     return _realize_complete(spec, eta, search, True)
@@ -391,7 +390,7 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
         return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
                 0.5 * (a2[:, -1] + a2[:, -1]))
 
-    return _realize_apexes(spec, eta, search, lambda: (target, rows),
+    return _realize_apexes(spec, eta, search, target, rows,
                            factor=_simplex_factor,
                            least=_simplex_least_eigenvalues)
 

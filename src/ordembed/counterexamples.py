@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import reprlib
 import signal
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -135,7 +136,8 @@ def simplex_diameter_bound(n: int) -> float:
     """2*sqrt((n-1)/(2(n-2))): the forced distance between the two apexes
     of the reflected regular simplex; strictly above 1 for every n >= 3."""
     if not (_is_index_type(type(n)) and _is_real(n) and n >= 3):
-        raise BadSize("simplex_diameter_bound needs an integer n >= 3")
+        raise BadSize("simplex_diameter_bound needs an integer n >= 3 within "
+                      "float range")
     return 2.0 * float(np.sqrt((n - 1) / (2.0 * (n - 2))))
 
 
@@ -294,9 +296,11 @@ def _loss_grad(terms: _StressTerms, X: np.ndarray,
 def check_margin_and_floor(margin: float, floor: float) -> None:
     """BadSize unless 0 < margin <= SHIFT_MAX and 0 <= floor <= SHIFT_MAX."""
     if not (_is_real(margin) and 0 < margin < math.inf):
-        raise BadSize("margin must be positive and finite")
+        raise BadSize("margin must be a positive number within float range, "
+                      f"got {reprlib.repr(margin)}")
     if not (_is_real(floor) and 0 <= floor < math.inf):
-        raise BadSize("floor must be nonnegative and finite")
+        raise BadSize("floor must be nonnegative and within float range, "
+                      f"got {reprlib.repr(floor)}")
     if max(margin, floor) > SHIFT_MAX:
         raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")
 

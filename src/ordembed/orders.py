@@ -11,13 +11,14 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
 from .errors import (BadSize, DuplicatePair, EmptyClass, IndexOutOfRange,
                      MissingPair, SpecError)
-from .schoenberg import MAX_PAIRS, _is_index_type, pair_index
+from .schoenberg import (MAX_PAIRS, _is_index_type, check_pair_count,
+                         pair_index)
 
 Pair = tuple[int, int]
 
@@ -54,27 +55,18 @@ class OrderSpec:
     m: int | None = None
 
     def __init__(self, kind: str, n: int, classes, m: int | None = None):
-        # bulk checks at C speed; only when one fails is the offender
-        # located, the first that a class-by-class, pair-by-pair scan meets
         if not isinstance(classes, (list, tuple)):
             raise SpecError(f"classes must be a list, got {classes!r}")
-        lists = list(map(isinstance, classes, repeat((list, tuple))))
-        upto = lists.index(False) if False in lists else len(classes)
-        pairs = list(chain.from_iterable(classes[:upto]))
-        shaped = (all(map(isinstance, pairs, repeat((list, tuple))))
-                  and set(map(len, pairs)) <= {2})
-        flat = list(chain.from_iterable(pairs)) if shaped else []
-        types = set(map(type, flat))
-        if not (shaped and all(map(_is_index_type, types))):
-            bad = next(p for p in pairs if not (
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and _is_index_type(type(p[0]))
-                and _is_index_type(type(p[1]))))
-            raise SpecError(f"malformed pair {bad!r}")
-        if upto < len(classes):
-            raise SpecError(f"a class must be a list, got {classes[upto]!r}")
-        if types - {int}:
-            flat = list(map(int, flat))
+        flat = []
+        for c in classes:
+            if not isinstance(c, (list, tuple)):
+                raise SpecError(f"a class must be a list, got {c!r}")
+            for p in c:  # two plain ints, the common case, are tested first
+                if not (isinstance(p, (list, tuple)) and len(p) == 2 and (
+                        type(p[0]) is int is type(p[1])
+                        or all(map(_is_index_type, map(type, p))))):
+                    raise SpecError(f"malformed pair {p!r}")
+                flat += p
         sizes = list(map(len, classes))
         vars(self).update(vars(_new(kind, n, m, flat, sizes)))
 
@@ -135,8 +127,8 @@ def _new(kind: str, n: int, m: int | None, flat, sizes,
     validated unless its rank vector ranks is given."""
     try:
         ij = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        ij = np.array(flat, dtype=object).reshape(-1, 2)
+    except OverflowError:  # an index past int64, held as a Python int
+        ij = np.array(list(map(int, flat)), dtype=object).reshape(-1, 2)
     swap = (ij[:, 0] > ij[:, 1]) & (isinstance(kind, str)
                                     and kind == "complete")
     ij[swap] = ij[swap][:, ::-1]
@@ -161,7 +153,8 @@ def validate(spec: OrderSpec) -> None:
     pair indices when as many pairs are listed as the pair set holds; on
     failure, a stable sort by (i, j) that puts each repeat after its first
     occurrence and shows the first gap. The pair set is never built, so
-    validation costs time in the size of the spec, not of n."""
+    validation costs time in the size of the spec, not of n. A partition
+    of more than MAX_PAIRS pairs is refused last (BadSize)."""
     if not (isinstance(spec.kind, str)
             and spec.kind in ("complete", "bipartite")):
         raise SpecError(f"unknown kind {spec.kind!r}")
@@ -194,6 +187,7 @@ def validate(spec: OrderSpec) -> None:
     count = len(i)
     if (count == total and sizes.all() and inside.all()
             and (np.bincount(spec._lex, minlength=total) == 1).all()):
+        check_pair_count(total)
         return
     outside = np.flatnonzero(~inside)
     stop = int(outside[0]) if outside.size else count
@@ -227,12 +221,19 @@ def canonical(spec: OrderSpec) -> OrderSpec:
 
 
 def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
-    """The canonical spec whose rank vector (ranks 1..K, all taken) is
-    ranks, on D_n (m None) or B_{n,m}: a stable sort of ranks lists each
-    class's pairs lexicographically, and np.bincount gives the sizes."""
+    """The canonical spec of rank vector ranks on D_n (m None) or B_{n,m}:
+    a stable sort of ranks lists each class's pairs lexicographically, and
+    np.bincount gives the sizes (SpecError unless each pair has a rank of
+    at least 1, EmptyClass if a rank up to the greatest is not taken)."""
+    count = n * (n - 1) // 2 if m is None else n * m
+    if len(ranks) != count or ranks.min(initial=1) < 1:
+        raise SpecError(f"ranks must be {count} integers >= 1")
+    sizes = np.bincount(ranks)[1:]
+    if not sizes.all():
+        raise EmptyClass("empty class in spec")
     pairs = _pairs_at(n, m, np.argsort(ranks, kind="stable"))
     return _new("complete" if m is None else "bipartite", n, m, pairs,
-                np.bincount(ranks)[1:], ranks)
+                sizes, ranks)
 
 
 def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:

@@ -58,13 +58,18 @@ def check_distance_matrix(D: np.ndarray) -> np.ndarray:
 class GramMatrix:
     """Schoenberg transform of a distance matrix relative to a base point.
 
-    matrix is (n-1)x(n-1) over the indices != base in ascending order;
-    base is 1-based.
-    """
+    matrix is (n-1)x(n-1) over the indices != base in ascending order, a
+    float array checked by _square; base is 1-based, in [1..n] (BadIndex)."""
 
     matrix: np.ndarray
     base: int
-    n: int
+
+    def __post_init__(self):
+        M = _square(self.matrix, "matrix")
+        if not (_is_index_type(type(self.base))
+                and 1 <= self.base <= len(M) + 1):
+            raise BadIndex(f"base {self.base!r} outside [1..{len(M) + 1}]")
+        object.__setattr__(self, "matrix", M)
 
 
 def _is_index_type(t: type) -> bool:
@@ -123,11 +128,11 @@ def gram_from_distances(D: np.ndarray, base: int) -> GramMatrix:
         db2 = D[base - 1, others] ** 2
         G = 0.5 * (db2[:, None] + db2[None, :]
                    - D[np.ix_(others, others)] ** 2)
-    return GramMatrix(matrix=_square(G, "matrix"), base=base, n=n)
+    return GramMatrix(matrix=G, base=base)
 
 
 def min_eigenvalue(G) -> float:
-    M = _square(G.matrix if isinstance(G, GramMatrix) else G, "matrix")
+    M = G.matrix if isinstance(G, GramMatrix) else _square(G, "matrix")
     return float(np.linalg.eigvalsh(M)[0]) if M.size else math.inf
 
 
@@ -136,17 +141,13 @@ def factor_points(G: GramMatrix, dim: int) -> PointConfig:
 
     Eigenvalues below -tol_psd raise NotPSD; tiny negatives are clamped.
     Positive eigenvalues beyond position dim (above tol_psd) raise
-    DimTooSmall. Rows are ordered so row i-1 is point i (1-based). G is
-    checked as min_eigenvalue checks it and its base must lie in [1..n]
-    (BadIndex); dim is a nonnegative integer, P within MAX_PAIRS (BadSize).
+    DimTooSmall. Rows are ordered so row i-1 is point i (1-based). dim is
+    a nonnegative integer, P within MAX_PAIRS (BadSize).
     """
     if not (_is_index_type(type(dim)) and dim >= 0):
         raise BadSize(f"dim must be a nonnegative integer, got {dim!r}")
-    M = _square(G.matrix, "matrix")
-    if not (_is_index_type(type(G.base)) and 1 <= G.base <= len(M) + 1):
-        raise BadIndex(f"base {G.base!r} outside [1..{len(M) + 1}]")
-    check_pair_count((len(M) + 1) * dim)
-    w, V = np.linalg.eigh(M)
+    check_pair_count((len(G.matrix) + 1) * dim)
+    w, V = np.linalg.eigh(G.matrix)
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     tol_psd = 1e-10 * scale
     if w.size and w[0] < -tol_psd:

@@ -9,6 +9,7 @@ vector by orders.from_ranks.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ def check_tolerances(tol_abs: float, tol_rel: float) -> None:
     negative one splits ties, a NaN or infinite one merges every class."""
     for name, tol in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
         if not (_is_real(tol) and 0 <= tol < math.inf):
-            raise BadSize(f"{name} must be nonnegative and finite, got {tol}")
+            raise BadSize(f"{name} must be nonnegative and within float "
+                          f"range, got {reprlib.repr(tol)}")
 
 
 def _largest(vals: np.ndarray) -> float:
@@ -81,20 +83,12 @@ def induced_preorder(config: PointConfig, tol_abs: float = TOL_ABS,
 
 def check_shape(config: PointConfig, spec: OrderSpec) -> None:
     """Raise ShapeMismatch unless config holds exactly the points that
-    spec's pairs index."""
-    if spec.kind == "complete":
-        if config.Q is not None:
-            raise ShapeMismatch("complete spec but bipartite config")
-        if len(config.P) != spec.n:
-            raise ShapeMismatch(
-                f"spec has n={spec.n}, config has {len(config.P)} points")
-    else:
-        if config.Q is None:
-            raise ShapeMismatch("bipartite spec but complete config")
-        if len(config.P) != spec.n or len(config.Q) != spec.m:
-            raise ShapeMismatch(
-                f"spec is {spec.n}x{spec.m}, config is "
-                f"{len(config.P)}x{len(config.Q)}")
+    spec's pairs index: n in P for a complete spec, n in P and m in Q for
+    a bipartite one."""
+    want = [spec.n] if spec.m is None else [spec.n, spec.m]
+    got = [len(A) for A in (config.P, config.Q) if A is not None]
+    if got != want:
+        raise ShapeMismatch(f"spec has {want} points, config has {got}")
 
 
 def _first_disagreement(spec: OrderSpec, got: np.ndarray

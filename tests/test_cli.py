@@ -122,7 +122,8 @@ def test_realize_nonpositive_eta_exits_two(eta, tmp_path, capsys):
         assert rc == 2
         diag = _diag(capsys)
         assert diag["error"] == "BadSize"
-        assert diag["message"].startswith("eta must be positive")
+        assert diag["message"] == ("eta must be a positive number within "
+                                   f"float range, got {float(eta)!r}")
         assert not out.exists()
 
 
@@ -260,8 +261,9 @@ def test_verify_and_induce_refuse_a_bad_tolerance(option, value,
         assert cli.main([*argv, option, value]) == 2
         diag = _diag(capsys)
         assert diag["error"] == "BadSize"
-        assert diag["message"].startswith(
-            f"{option[2:].replace('-', '_')} must be nonnegative and finite")
+        assert diag["message"] == (
+            f"{option[2:].replace('-', '_')} must be nonnegative and within "
+            f"float range, got {float(value)!r}")
 
 
 @pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])

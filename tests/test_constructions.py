@@ -44,7 +44,8 @@ def test_epsilon_search_validation():
 @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
 def test_realizers_reject_nonpositive_eta(eta):
     for spec in one_spec_per_realizer(9):
-        with pytest.raises(BadSize, match="eta must be positive"):
+        with pytest.raises(BadSize, match="^eta must be a positive number "
+                           "within float range, got "):
             realize(spec, eta=eta)
 
 
@@ -752,8 +753,8 @@ def test_unfactored_step_is_rejected_without_calling_least():
         return np.linalg.eigvalsh(G)[:, 0]
 
     report = constructions._realize_apexes(
-        spec, constructions.ETA, EpsilonSearch(initial=0.2),
-        lambda: (target, order), least=least)
+        spec, constructions.ETA, EpsilonSearch(initial=0.2), target, order,
+        least=least)
     assert report.epsilon == 0.1 and len(calls) == 1
     assert verifier.verify(report.config, spec).matched
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import (random_bipartite_linear, random_bipartite_preorder,
                       random_linear_order, random_preorder, rank)
 from ordembed import cli, constructions, orders, schoenberg, verifier
-from ordembed.errors import (DuplicatePair, EmptyClass, IndexOutOfRange,
-                             MissingPair, SpecError)
+from ordembed.errors import (BadSize, DuplicatePair, EmptyClass,
+                             IndexOutOfRange, MissingPair, SpecError)
 from ordembed.orders import OrderSpec
 
 
@@ -438,23 +438,67 @@ def test_from_json_names_the_first_offence_in_canonical_spacing(
     assert str(err.value) == message
 
 
-# (classes, message): what the constructor refuses, named as given; the
-# checks are those of from_json
+# (classes, error, message): what the constructor refuses, named as given;
+# the checks are those of from_json
 _CONSTRUCTOR_ERRORS = [
-    ([[(1, 2.7)], [(1, 3)], [(2, 3)]], "malformed pair (1, 2.7)"),
-    ([[(True, 2)], [(1, 3)], [(2, 3)]], "malformed pair (True, 2)"),
-    ([[(1, "2")], [(1, 3)], [(2, 3)]], "malformed pair (1, '2')"),
-    ([[[1, 2]], [[1, 3, 2]], [[2, 3]]], "malformed pair [1, 3, 2]"),
-    ([[(1, 2)], 5, [(1, 3), (2, 3)]], "a class must be a list, got 5"),
+    ([[(1, 2.7)], [(1, 3)], [(2, 3)]], SpecError, "malformed pair (1, 2.7)"),
+    ([[(True, 2)], [(1, 3)], [(2, 3)]], SpecError,
+     "malformed pair (True, 2)"),
+    ([[(1, "2")], [(1, 3)], [(2, 3)]], SpecError, "malformed pair (1, '2')"),
+    ([[[1, 2]], [[1, 3, 2]], [[2, 3]]], SpecError,
+     "malformed pair [1, 3, 2]"),
+    ([[(1, 2)], 5, [(1, 3), (2, 3)]], SpecError,
+     "a class must be a list, got 5"),
+    ([[(1, 2), (1, 3.5)], 5, [(2, 3)]], SpecError,
+     "malformed pair (1, 3.5)"),
+    ([[(1, 2)], 5, [(1, 3), (2, 3.5)]], SpecError,
+     "a class must be a list, got 5"),
+    ([[(1, 2)], [(1, np.uint64(2 ** 63 + 5))], [(2, 3)]], IndexOutOfRange,
+     "pair (1, 9223372036854775813) out of range"),
 ]
 
 
-@pytest.mark.parametrize("classes, message", _CONSTRUCTOR_ERRORS,
-                         ids=["float", "bool", "str", "three", "class"])
-def test_constructor_names_the_first_offence(classes, message):
+@pytest.mark.parametrize("classes, error, message", _CONSTRUCTOR_ERRORS,
+                         ids=["float", "bool", "str", "three", "class",
+                              "pair-before-class", "class-before-pair",
+                              "uint64-past-int64"])
+def test_constructor_names_the_first_offence(classes, error, message):
     with pytest.raises(SpecError) as err:
         OrderSpec("complete", 3, classes)
-    assert type(err.value) is SpecError
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_a_partition_past_the_pair_cap_is_refused_when_built(monkeypatch):
+    # the cap is the last check of validate: a partition of 6 pairs is
+    # refused under a cap of 5, on every path that builds a spec, while
+    # an invalid spec still names its first offence
+    pairs = orders.complete_pairs(4)
+    canonical = orders.to_json(OrderSpec("complete", 4, [pairs]))
+    compact = json.dumps(json.loads(canonical), separators=(",", ":"))
+    monkeypatch.setattr(schoenberg, "MAX_PAIRS", 5)
+    for build in (lambda: OrderSpec("complete", 4, [pairs]),
+                  lambda: orders.from_json(canonical),
+                  lambda: orders.from_json(compact)):
+        with pytest.raises(BadSize, match="^6 pairs exceed the cap of 5$"):
+            build()
+    with pytest.raises(MissingPair, match=r"^pair \(1, 3\) not covered$"):
+        OrderSpec("complete", 4, [pairs[:1]])
+
+
+@pytest.mark.parametrize("ranks, error, message", [
+    ([1, 3, 3], EmptyClass, "empty class in spec"),
+    ([2, 2, 2], EmptyClass, "empty class in spec"),
+    ([1, 2], SpecError, "ranks must be 3 integers >= 1"),
+    ([1, 2, 2, 1], SpecError, "ranks must be 3 integers >= 1"),
+    ([0, 1, 1], SpecError, "ranks must be 3 integers >= 1"),
+    ([1, -1, 2], SpecError, "ranks must be 3 integers >= 1"),
+])
+def test_from_ranks_refuses_a_vector_that_is_not_a_partition(ranks, error,
+                                                             message):
+    with pytest.raises(SpecError) as err:
+        orders.from_ranks(np.array(ranks), 3)
+    assert type(err.value) is error
     assert str(err.value) == message
 
 

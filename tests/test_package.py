@@ -1,4 +1,5 @@
 import math
+import reprlib
 import warnings
 from functools import partial
 
@@ -21,7 +22,7 @@ def test_every_exported_name_resolves():
 
 _SPEC = ordembed.OrderSpec("complete", 3, [[(1, 2)], [(1, 3)], [(2, 3)]])
 _CONFIG = ordembed.PointConfig(dim=2, P=np.eye(3, 2))
-_GRAM = ordembed.GramMatrix(matrix=np.eye(2), base=1, n=3)
+_GRAM = ordembed.GramMatrix(matrix=np.eye(2), base=1)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -45,7 +46,7 @@ _GRAM = ordembed.GramMatrix(matrix=np.eye(2), base=1, n=3)
     (lambda: ordembed.factor_points(_GRAM, ordembed.schoenberg.MAX_PAIRS),
      BadSize),
     (lambda: ordembed.factor_points(ordembed.GramMatrix(
-        matrix=np.eye(2), base=0, n=3), 2), BadIndex),
+        matrix=np.eye(2), base=0), 2), BadIndex),
     (lambda: ordembed.complete_pairs(None), BadSize),
     (lambda: ordembed.complete_pairs(2 ** 70), BadSize),
     (lambda: ordembed.bipartite_pairs(2, 1.5), BadSize),
@@ -71,6 +72,38 @@ def test_settings_of_the_wrong_type_raise_typed_errors(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ordembed.realize(_SPEC, eta=_HUGE),
+     "eta must be a positive number within float range"),
+    (lambda: ordembed.verify(_CONFIG, _SPEC, tol_abs=_HUGE),
+     "tol_abs must be nonnegative and within float range"),
+    (lambda: ordembed.induced_preorder(_CONFIG, tol_rel=_HUGE),
+     "tol_rel must be nonnegative and within float range"),
+    (lambda: ordembed.EpsilonSearch(initial=_HUGE),
+     "initial must be a positive number within float range"),
+    (lambda: ordembed.EpsilonSearch(initial=0.5, shrink_factor=_HUGE),
+     "shrink_factor must lie in (0,1)"),
+    (lambda: ordembed.FalsifierConfig(dim=1, margin=_HUGE),
+     "margin must be a positive number within float range"),
+    (lambda: ordembed.FalsifierConfig(dim=1, floor=_HUGE),
+     "floor must be nonnegative and within float range"),
+    (lambda: ordembed.perturbed_distances(_SPEC, _HUGE),
+     "eps must be a real number within float range"),
+], ids=["eta", "tol-abs", "tol-rel", "initial", "shrink", "margin", "floor",
+        "eps"])
+def test_a_setting_past_the_float_range_is_named_in_a_short_message(
+        call, message):
+    # an integer past the float range is refused with a message that is
+    # true of it, its value cut short by reprlib
+    with pytest.raises(BadSize) as err:
+        call()
+    assert str(err.value) == f"{message}, got {reprlib.repr(_HUGE)}"
+    assert len(str(err.value)) < 100
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +179,8 @@ def _searches(draw):
 def _grams(draw):
     k = draw(st.integers(0, 3))
     return _recipe(ordembed.GramMatrix, dict(
-        matrix=draw(_arrays(k, k)), base=draw(st.integers(1, k + 1)),
-        n=k + 1), draw)
+        matrix=draw(_arrays(k, k)), base=draw(st.integers(1, k + 1))),
+        draw)
 
 
 @st.composite

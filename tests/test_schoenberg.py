@@ -21,7 +21,7 @@ from ordembed.schoenberg import (GramMatrix, PointConfig, config_from_json,
 def _gram(M, base=None):
     M = np.asarray(M, dtype=float)
     n = M.shape[0] + 1
-    return GramMatrix(matrix=M, base=n if base is None else base, n=n)
+    return GramMatrix(matrix=M, base=n if base is None else base)
 
 
 def test_gram_unit_triangle():
@@ -214,6 +214,31 @@ def test_factor_clamps_tiny_negative():
     assert np.isfinite(config.P).all()
 
 
+@pytest.mark.parametrize("matrix, base, error, message", [
+    (np.eye(2), 4, BadIndex, "base 4 outside [1..3]"),
+    (np.eye(2), 0, BadIndex, "base 0 outside [1..3]"),
+    (np.eye(2), 1.0, BadIndex, "base 1.0 outside [1..3]"),
+    ("x", 99, ShapeMismatch, "matrix must hold real numbers, got dtype <U1"),
+    (np.ones((2, 3)), 1, ShapeMismatch,
+     "matrix must be square, got shape (2, 3)"),
+    ([[1.0, math.inf], [math.inf, 1.0]], 1, NonFiniteEntry,
+     "matrix has non-finite entries"),
+])
+def test_gram_matrix_is_checked_when_built(matrix, base, error, message):
+    with pytest.raises(error) as err:
+        GramMatrix(matrix=matrix, base=base)
+    assert str(err.value) == message
+
+
+def test_gram_matrix_holds_a_float_array_that_is_not_checked_again(
+        monkeypatch):
+    G = GramMatrix(matrix=[[2, 1], [1, 2]], base=np.int64(3))
+    assert G.matrix.dtype == np.float64
+    monkeypatch.setattr(schoenberg, "_square", None)
+    assert min_eigenvalue(G) == pytest.approx(1.0)
+    assert factor_points(G, 2).P.shape == (3, 2)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: gram_from_distances([["a"]], 1),
      "distance matrix must hold real numbers, got dtype <U1"),
@@ -224,11 +249,11 @@ def test_factor_clamps_tiny_negative():
     (lambda: min_eigenvalue("x"), "matrix must hold real numbers"),
     (lambda: min_eigenvalue(np.eye(2) * 1j),
      "matrix must hold real numbers, got dtype complex128"),
-    (lambda: min_eigenvalue(GramMatrix(matrix=[[None]], base=1, n=2)),
+    (lambda: min_eigenvalue(GramMatrix(matrix=[[None]], base=1)),
      "matrix must hold real numbers, got dtype object"),
-    (lambda: factor_points(GramMatrix(matrix="x", base=1, n=2), 1),
+    (lambda: factor_points(GramMatrix(matrix="x", base=1), 1),
      "matrix must hold real numbers"),
-    (lambda: factor_points(GramMatrix(matrix=np.ones(2), base=1, n=3), 1),
+    (lambda: factor_points(GramMatrix(matrix=np.ones(2), base=1), 1),
      "matrix must be square, got shape (2,)"),
 ])
 def test_matrices_that_are_not_real_square_arrays_are_refused(call,

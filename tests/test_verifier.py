@@ -74,7 +74,8 @@ def test_induced_merges_within_tolerance():
 @pytest.mark.parametrize("tolerances", [
     (-1e-12, 0.0), (0.0, -1e-12), (float("nan"), 0.0), (0.0, float("inf"))])
 def test_induced_refuses_negative_or_non_finite_tolerances(tolerances):
-    with pytest.raises(BadSize, match="must be nonnegative and finite"):
+    with pytest.raises(BadSize, match="^tol_(abs|rel) must be nonnegative "
+                       "and within float range, got "):
         induced_preorder(_line(0, 1, 3), *tolerances)
     assert induced_preorder(_line(0, 1, 3), 0.0, 0.0).classes == (
         ((1, 2),), ((2, 3),), ((1, 3),))
