@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 from . import constructions, counterexamples, orders, schoenberg, verifier
@@ -28,18 +27,11 @@ from .constructions import EpsilonSearch
 from .counterexamples import FalsifierConfig
 from .errors import EpsilonExhausted, OrdembedError
 from .orders import OrderSpec
-from .schoenberg import PointConfig
 
 
 def _diagnose(exc: Exception) -> None:
-    line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
-    print(line, file=sys.stderr)
-
-
-def _write_csv(config: PointConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{k + 1}" for k in range(config.dim)) + "\n")
-        fh.write(schoenberg.format_rows(config.rows(), "", "\n", ""))
+    print(schoenberg.report_json(
+        {"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
 
 
 def _verify_json(report: verifier.VerifyReport) -> str:
@@ -65,7 +57,9 @@ def cmd_realize(args) -> int:
                                    search=_search_from_flags(spec, args))
     schoenberg.save_config(report.config, args.out)
     if args.csv:
-        _write_csv(report.config, args.csv)
+        schoenberg.write_text(args.csv, ",".join(
+            f"x{k + 1}" for k in range(report.config.dim)), "\n",
+            schoenberg.format_rows(report.config.rows(), "", "\n", ""))
     check = verifier.verify(report.config, spec, tol_abs=args.tol_abs,
                             tol_rel=args.tol_rel)
     # on a match both are OrderSpec.separation's gap; distances are read once
@@ -113,8 +107,7 @@ def cmd_falsify(args) -> int:
         "per_restart_losses": report.per_restart_losses,
         "per_restart_stops": [s._asdict()
                               for s in report.per_restart_stops]})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    schoenberg.write_text(args.out, line, "\n")
     print(line)
     return 0 if report.feasible else 1
 

@@ -221,27 +221,28 @@ def place_apexes(L: np.ndarray, Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
-                    target: Callable[[float], tuple], rows,
+                    plan: Callable[[], tuple],
                     accept: Callable[[np.ndarray], bool] | None = None,
                     factor: Callable[..., tuple] = _stack_factor,
                     least: Callable[..., np.ndarray] = lambda G: (
                         np.linalg.eigvalsh(G)[:, 0])) -> RealizationReport:
-    """The realizers' one epsilon search. target(eps) gives a step's apex
-    Grams in pieces: the complete realizers' stack (_gathered_target),
-    whose least eigenvalues are one eigen-solve, or the bipartite c, edge,
-    tip. A step is accepted once factor(*pieces) places the apexes,
-    least(*pieces) clears max(eta, (k + 1) u s) for every apex and accept,
-    if given, passes the placed rows. A factor that raises NotPSD rejects
-    the step without calling least: some apex Gram's least eigenvalue is at
-    or below 0. The second bound is the rounding residue of a least
-    eigenvalue of a k x k Gram of diagonal at most s = (1 + K eps)^2 (K
-    classes, u the unit roundoff), all a spec of more than one class has
-    past eps ~ 1e73; it passes eta only past K eps ~ 5e4. Row i of P, or
-    of P over Q, is placed row rows[i] (row i if rows is None).
-    NonFiniteEntry on overflow."""
+    """The realizers' one epsilon search. plan(), called once eta is
+    checked, gives target and rows. target(eps) gives a step's apex Grams in
+    pieces: the complete realizers' stack (_gathered_target), whose least
+    eigenvalues are one eigen-solve, or the bipartite c, edge, tip. A step
+    is accepted once factor(*pieces) places the apexes, least(*pieces)
+    clears max(eta, (k + 1) u s) for every apex and accept, if given, passes
+    the placed rows. A factor that raises NotPSD rejects the step without
+    calling least: some apex Gram's least eigenvalue is at or below 0. The
+    second bound is the rounding residue of a least eigenvalue of a k x k
+    Gram of diagonal at most s = (1 + K eps)^2 (K classes, u the unit
+    roundoff), all a spec of more than one class has past eps ~ 1e73; it
+    passes eta only past K eps ~ 5e4. Row i of P, or of P over Q, is placed
+    row rows[i] (row i if rows is None). NonFiniteEntry on overflow."""
     if not (_is_real(eta) and eta > 0):
         raise BadSize("eta must be a positive number within float range, "
                       f"got {reprlib.repr(eta)}")
+    target, rows = plan()
     state: dict = {}
 
     def step(eps: float) -> bool:
@@ -298,7 +299,7 @@ def _realize_complete(spec: OrderSpec, eta: float,
     """The complete realizers' search on a complete spec."""
     pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
     return _realize_apexes(
-        spec, eta, search, *_gathered_target(spec, pair),
+        spec, eta, search, lambda: _gathered_target(spec, pair),
         None if pair is None else lambda X: (
             0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
 
@@ -390,7 +391,7 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
         return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
                 0.5 * (a2[:, -1] + a2[:, -1]))
 
-    return _realize_apexes(spec, eta, search, target, rows,
+    return _realize_apexes(spec, eta, search, lambda: (target, rows),
                            factor=_simplex_factor,
                            least=_simplex_least_eigenvalues)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BadSize, DuplicatePair, EmptyClass, IndexOutOfRange,
                      MissingPair, SpecError)
 from .schoenberg import (MAX_PAIRS, _is_index_type, check_pair_count,
-                         pair_index)
+                         pair_index, read_text, write_text)
 
 Pair = tuple[int, int]
 
@@ -223,9 +223,14 @@ def canonical(spec: OrderSpec) -> OrderSpec:
 def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
     """The canonical spec of rank vector ranks on D_n (m None) or B_{n,m}:
     a stable sort of ranks lists each class's pairs lexicographically, and
-    np.bincount gives the sizes (SpecError unless each pair has a rank of
-    at least 1, EmptyClass if a rank up to the greatest is not taken)."""
+    np.bincount gives the sizes (IndexOutOfRange for a shape validate
+    refuses, SpecError unless each pair has a rank of at least 1,
+    EmptyClass if a rank up to the greatest is not taken)."""
     count = n * (n - 1) // 2 if m is None else n * m
+    if (n < 2 if m is None else min(n, m) < 1):
+        raise IndexOutOfRange(
+            f"complete spec needs n >= 2, got {n}" if m is None
+            else "bipartite spec needs n, m >= 1")
     if len(ranks) != count or ranks.min(initial=1) < 1:
         raise SpecError(f"ranks must be {count} integers >= 1")
     sizes = np.bincount(ranks)[1:]
@@ -316,15 +321,8 @@ def from_json(text: str) -> OrderSpec:
 
 
 def load(path: str) -> OrderSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
-    return from_json(text)
+    return from_json(read_text(path, "spec", SpecError))
 
 
 def save(spec: OrderSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(spec))
-        fh.write("\n")
+    write_text(path, to_json(spec), "\n")

@@ -172,9 +172,9 @@ CHUNK = 1 << 16
 GRAM_MIN = 1 << 12
 # relative bound on a kept Gram-form distance: verifier.TOL_REL / 100
 DELTA = 1e-11
-# most pairs a configuration or a realized spec may have: at n = 1500
-# points (1,124,250 pairs) a realized margin is still 7 times the verifier
-# threshold, and realize takes seconds
+# most pairs a configuration or a realized spec may have (n = 1549): a
+# random linear order's margin is 7 times the verifier threshold at n = 1500,
+# but a far-first one's (README) is 2 times at n = 1000 and under 1 past it
 MAX_PAIRS = 1_200_000
 
 
@@ -265,23 +265,21 @@ def format_rows(A, before: str, after: str, sep: str) -> str:
     """The rows of the float array A, each its numbers comma-separated
     between before and after, joined by sep. One "%.17g" format over all
     of A: 17 significant digits parse back to the exact binary values. The
-    program's one float formatter, for points files and CSV alike."""
+    program's one float formatter, for points files and CSV alike; a
+    non-finite value, which JSON cannot hold, is NonFiniteEntry."""
+    if not np.isfinite(A).all():
+        raise NonFiniteEntry("point config has non-finite coordinates")
     row = before + ",".join(["%.17g"] * A.shape[1]) + after
     return sep.join([row] * A.shape[0]) % tuple(A.ravel().tolist())
 
 
-def json_float(x: float) -> float | None:
-    """x for a JSON report, with a non-finite value (say, the margin of an
-    order with one class) written as null: JSON has no Infinity."""
-    return float(x) if math.isfinite(x) else None
-
-
 def report_json(fields: dict) -> str:
-    """The one writer of reports: fields as a JSON line, with every float,
-    also inside a list or tuple, through json_float."""
+    """The one writer of JSON lines, reports and error lines alike, with a
+    non-finite float, also in a list or tuple, as null: JSON has no
+    Infinity (say, for the margin of an order with one class)."""
     def plain(v):
         if isinstance(v, float):
-            return json_float(v)
+            return float(v) if math.isfinite(v) else None
         if isinstance(v, (list, tuple)):
             return list(map(plain, v))
         return v
@@ -321,16 +319,25 @@ def config_from_json(text: str) -> PointConfig:
     return config
 
 
-def load_config(path: str) -> PointConfig:
+def read_text(path: str, what: str, error: type) -> str:
+    """The program's one file reader: the UTF-8 text at path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ShapeMismatch(f"cannot read points {path}: {exc}") from exc
-    return config_from_json(text)
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path: str, *parts: str) -> None:
+    """The program's one file writer: parts, all built before the file is
+    opened, so a part that cannot be built leaves no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
+
+
+def load_config(path: str) -> PointConfig:
+    return config_from_json(read_text(path, "points", ShapeMismatch))
 
 
 def save_config(config: PointConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(config))
-        fh.write("\n")
+    write_text(path, config_to_json(config), "\n")

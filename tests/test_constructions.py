@@ -42,11 +42,41 @@ def test_epsilon_search_validation():
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
-def test_realizers_reject_nonpositive_eta(eta):
+def test_realizers_reject_nonpositive_eta(eta, monkeypatch):
+    # before a complete realizer builds its gather plan
+    def no_plan(*args):
+        pytest.fail("a gather plan was built for a refused eta")
+
+    monkeypatch.setattr(constructions, "_gathered_target", no_plan)
     for spec in one_spec_per_realizer(9):
         with pytest.raises(BadSize, match="^eta must be a positive number "
                            "within float range, got "):
             realize(spec, eta=eta)
+
+
+def _far_first(n: int) -> OrderSpec:
+    """The linear order on D_n that ranks pairs by decreasing j - i, ties
+    broken by a shuffle seeded 0: its accepted eps falls about as n^-3."""
+    rng = np.random.default_rng(0)
+    i, j = schoenberg.pair_index(n)
+    ranks = np.empty(len(i), dtype=np.int64)
+    ranks[np.lexsort((rng.random(len(i)), -(j - i)))] = np.arange(
+        1, len(i) + 1)
+    return orders.from_ranks(ranks, n)
+
+
+def test_far_first_orders_realize_inside_the_margin_envelope():
+    # README's margin envelope: margin over the verifier's threshold is
+    # 5.4 at n = 600 and 1.95 at n = 1000, below 1 at n = 1500
+    for n in (600, 1000):
+        spec = _far_first(n)
+        report = realize(spec)
+        assert report.config.dim == n - 2
+        check = verifier.verify(report.config, spec)
+        assert check.matched
+        threshold = verifier.TOL_ABS + verifier.TOL_REL * float(
+            schoenberg.pair_distances(report.config).max())
+        assert check.margin >= 1.5 * threshold
 
 
 def test_unplaceable_step_is_rejected(monkeypatch):
@@ -753,8 +783,8 @@ def test_unfactored_step_is_rejected_without_calling_least():
         return np.linalg.eigvalsh(G)[:, 0]
 
     report = constructions._realize_apexes(
-        spec, constructions.ETA, EpsilonSearch(initial=0.2), target, order,
-        least=least)
+        spec, constructions.ETA, EpsilonSearch(initial=0.2),
+        lambda: (target, order), least=least)
     assert report.epsilon == 0.1 and len(calls) == 1
     assert verifier.verify(report.config, spec).matched
 

@@ -502,6 +502,23 @@ def test_from_ranks_refuses_a_vector_that_is_not_a_partition(ranks, error,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("ranks, n, m, message", [
+    ([], 1, None, "complete spec needs n >= 2, got 1"),
+    ([], 0, 3, "bipartite spec needs n, m >= 1"),
+    ([1], -1, -1, "bipartite spec needs n, m >= 1"),
+    ([1], -1, None, "complete spec needs n >= 2, got -1"),
+])
+def test_from_ranks_refuses_a_shape_validate_refuses(ranks, n, m, message):
+    # each shape's pair count matches its vector, so only the shape check
+    # stands between it and a spec with no classes, or numpy's IndexError
+    with pytest.raises(IndexOutOfRange) as err:
+        orders.from_ranks(np.array(ranks, dtype=np.int64), n, m)
+    assert str(err.value) == message
+    with pytest.raises(IndexOutOfRange) as err:
+        OrderSpec("complete" if m is None else "bipartite", n, [], m)
+    assert str(err.value) == message
+
+
 def test_from_json_dict_takes_tuple_pairs():
     spec = orders.from_json_dict(
         {"kind": "complete", "n": 3, "classes": ([(1, 2), (1, 3)], ((3, 2),))})

@@ -1,7 +1,10 @@
+import ast
 import math
 import reprlib
+import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -13,6 +16,22 @@ import ordembed
 from conftest import (random_bipartite_linear, random_bipartite_preorder,
                       random_linear_order, random_preorder)
 from ordembed.errors import BadIndex, BadSize
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy and hypothesis may be installed where the tests run, so an
+    # import of either from the package would pass every other test
+    found = []
+    for path in sorted(Path(ordembed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((path.name, node.module))
+    assert found
+    assert [(name, module) for name, module in found
+            if module.split(".")[0] not in sys.stdlib_module_names
+            and module.split(".")[0] != "numpy"] == []
 
 
 def test_every_exported_name_resolves():

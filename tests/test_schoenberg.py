@@ -402,6 +402,16 @@ def test_save_load_config(tmp_path):
     assert np.array_equal(back.P, config.P)
 
 
+def test_save_config_refuses_non_finite_coordinates(tmp_path):
+    # JSON cannot hold them and load_config refuses them: no file is written
+    path = tmp_path / "points.json"
+    config = PointConfig(dim=1, P=np.array([[np.nan], [0.0]]))
+    with pytest.raises(NonFiniteEntry,
+                       match="^point config has non-finite coordinates$"):
+        schoenberg.save_config(config, str(path))
+    assert not path.exists()
+
+
 def _naive_distances(P, Q=None):
     # the n x n x d broadcast: the direct difference of every pair
     Q = P if Q is None else Q
