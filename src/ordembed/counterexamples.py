@@ -192,7 +192,7 @@ class _StressTerms:
         self.n_diffs = diffs
         # pairs grouped by class, lexicographic within a class; eq joins
         # neighbours in a class, hinge the smallest pairs of adjacent classes
-        by_class = np.argsort(ranks, kind="stable")
+        by_class = orders.by_class(ranks)
         same = ranks[by_class[1:]] == ranks[by_class[:-1]]
         eq_a = by_class[:-1][same]
         eq_b = by_class[1:][same]

@@ -155,26 +155,9 @@ def validate(spec: OrderSpec) -> None:
     occurrence and shows the first gap. The pair set is never built, so
     validation costs time in the size of the spec, not of n. A partition
     of more than MAX_PAIRS pairs is refused last (BadSize)."""
-    if not (isinstance(spec.kind, str)
-            and spec.kind in ("complete", "bipartite")):
-        raise SpecError(f"unknown kind {spec.kind!r}")
     n, m = spec.n, spec.m
-    if not (_is_index_type(type(n))
-            and (m is None or _is_index_type(type(m)))):
-        raise SpecError(f"n and m must be integers, got {n!r} and {m!r}")
+    total = _pair_count(spec.kind, n, m)
     complete = spec.kind == "complete"
-    if complete:
-        if m is not None:
-            raise SpecError(f"complete spec takes no m, got {m!r}")
-        if n < 2:
-            raise IndexOutOfRange(f"complete spec needs n >= 2, got {n}")
-        total = n * (n - 1) // 2
-    else:
-        if m is None:
-            raise SpecError("bipartite spec needs m")
-        if n < 1 or m < 1:
-            raise IndexOutOfRange("bipartite spec needs n, m >= 1")
-        total = n * m
     # an index beyond int64 (an object array) saturates, which keeps it out
     # of range of every n and m below 2**63 - 1
     ij = spec._ij if spec._ij.dtype != object else spec._ij.clip(
@@ -215,30 +198,55 @@ def validate(spec: OrderSpec) -> None:
     raise MissingPair(f"pair {(int(want_i[k]), int(want_j[k]))} not covered")
 
 
+def _pair_count(kind: str, n: int, m: int | None) -> int:
+    """|D_n| or |B_{n,m}|, with kind, n and m checked as validate does."""
+    if not (isinstance(kind, str) and kind in ("complete", "bipartite")):
+        raise SpecError(f"unknown kind {kind!r}")
+    if not (_is_index_type(type(n))
+            and (m is None or _is_index_type(type(m)))):
+        raise SpecError(f"n and m must be integers, got {n!r} and {m!r}")
+    if kind == "complete":
+        if m is not None:
+            raise SpecError(f"complete spec takes no m, got {m!r}")
+        if n < 2:
+            raise IndexOutOfRange(f"complete spec needs n >= 2, got {n}")
+        return n * (n - 1) // 2
+    if m is None:
+        raise SpecError("bipartite spec needs m")
+    if n < 1 or m < 1:
+        raise IndexOutOfRange("bipartite spec needs n, m >= 1")
+    return n * m
+
+
 def canonical(spec: OrderSpec) -> OrderSpec:
     """Same preorder with the pairs inside each class sorted lexicographically."""
     return from_ranks(spec.ranks, spec.n, spec.m)
 
 
 def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
-    """The canonical spec of rank vector ranks on D_n (m None) or B_{n,m}:
-    a stable sort of ranks lists each class's pairs lexicographically, and
-    np.bincount gives the sizes (IndexOutOfRange for a shape validate
-    refuses, SpecError unless each pair has a rank of at least 1,
-    EmptyClass if a rank up to the greatest is not taken)."""
-    count = n * (n - 1) // 2 if m is None else n * m
-    if (n < 2 if m is None else min(n, m) < 1):
-        raise IndexOutOfRange(
-            f"complete spec needs n >= 2, got {n}" if m is None
-            else "bipartite spec needs n, m >= 1")
-    if len(ranks) != count or ranks.min(initial=1) < 1:
+    """The canonical spec of rank vector ranks on D_n (m None) or B_{n,m}
+    (n and m checked as validate does; SpecError unless ranks is an
+    integer array of one rank >= 1 per pair, EmptyClass if a rank up to
+    the greatest is not taken), its classes listed by by_class."""
+    kind = "complete" if m is None else "bipartite"
+    count = _pair_count(kind, n, m)
+    if not (isinstance(ranks, np.ndarray) and ranks.dtype.kind in "iu"
+            and ranks.shape == (count,) and ranks.min() >= 1):
         raise SpecError(f"ranks must be {count} integers >= 1")
+    if ranks.max() > count:  # then bincount would allocate up to it
+        raise EmptyClass("empty class in spec")
+    ranks = ranks.astype(np.int64, copy=False)
     sizes = np.bincount(ranks)[1:]
     if not sizes.all():
         raise EmptyClass("empty class in spec")
-    pairs = _pairs_at(n, m, np.argsort(ranks, kind="stable"))
-    return _new("complete" if m is None else "bipartite", n, m, pairs,
-                sizes, ranks)
+    return _new(kind, n, m, _pairs_at(n, m, by_class(ranks)), sizes, ranks)
+
+
+def by_class(ranks: np.ndarray) -> np.ndarray:
+    """The stable argsort of N ranks 1 to N (pairs class by class, in pair
+    order within a class) as the default argsort of rank * N + position."""
+    count = len(ranks)
+    return np.argsort(ranks.astype(np.int64) * count + np.arange(count))
 
 
 def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
@@ -289,10 +297,10 @@ _NOT_BRACKET = bytes(range(256)).translate(None, b"[]")
 def _scan_canonical(text: str) -> OrderSpec | None:
     """The spec of a canonical text, else None. The indices are one
     np.fromstring over the classes without their brackets. With only the
-    brackets left, each class is "[" + "[]" * size + "]", so inside the
-    outer "[[[" and "]]]" the classes are runs "][" * (size - 1) joined by
-    "]][[". json.loads and from_json_dict would build the same
-    spec from the same text."""
+    brackets left, "[" + classes + "]" with each class "[" + "[]" * size
+    + "]", a class ends at each "]]" but the last, (2 + 2 * size) after
+    the one before (-1 for the first). json.loads and from_json_dict
+    would build the same spec from the same text."""
     hit = _CANONICAL.fullmatch(text)
     if hit is None:
         return None
@@ -300,8 +308,10 @@ def _scan_canonical(text: str) -> OrderSpec | None:
     classes = classes.encode()
     flat = np.fromstring(classes.translate(None, b"[]"), dtype=np.int64,
                          sep=",")
-    runs = classes.translate(None, _NOT_BRACKET)[3:-3].split(b"]][[")
-    sizes = np.fromiter(map(len, runs), np.int64, len(runs)) // 2 + 1
+    skeleton = np.frombuffer(classes.translate(None, _NOT_BRACKET), np.uint8)
+    shut = skeleton == ord("]")
+    ends = np.flatnonzero(shut[1:] & shut[:-1])[:-1]
+    sizes = (np.diff(ends, prepend=-1) - 2) // 2
     if m is None:
         return _new("complete", int(n_complete), None, flat, sizes)
     return _new("bipartite", int(n_bipartite), int(m), flat, sizes)

@@ -54,10 +54,10 @@ def _largest(vals: np.ndarray) -> float:
 
 def _induce(vals: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
     """The induced rank of every pair distance in vals, and the least step
-    between classes (inf for one class): the distances sorted, a stable
-    sort breaking ties by lexicographic pair order, and split at every
-    step above threshold."""
-    order = np.argsort(vals, kind="stable")
+    between classes (inf for one class): the distances sorted and split
+    at every step above threshold. Ties sit together in any sort, 0 apart
+    and never cut, so their order changes no rank and no step."""
+    order = np.argsort(vals)
     steps = np.diff(vals[order])
     cut = steps > threshold
     ranks = np.empty(vals.size, dtype=np.int64)

@@ -652,3 +652,75 @@ def test_written_spec_files_load_without_json_loads(tmp_path, capsys,
     assert calls == []
     assert orders.load(str(compact)) == spec
     assert len(calls) == 1
+
+
+def _rank_vectors():
+    # (id, ranks): seeded linear orders, preorders with large classes, one
+    # class, narrow integer dtypes, and MAX_PAIRS singleton classes
+    rng = np.random.default_rng(70)
+    for n in (2, 3, 40, 300):
+        yield f"linear-{n}", rng.permutation(n * (n - 1) // 2) + 1
+    for count, classes in ((1000, 3), (44850, 7), (5000, 1)):
+        ranks = np.concatenate((np.arange(1, classes + 1),
+                                rng.integers(1, classes + 1,
+                                             count - classes)))
+        yield f"classes-{classes}-of-{count}", rng.permutation(ranks)
+    yield "int32", rng.integers(1, 50, 2000).astype(np.int32)
+    yield "uint8", rng.integers(1, 256, 4000).astype(np.uint8)
+    yield "max-pairs", rng.permutation(schoenberg.MAX_PAIRS) + 1
+
+
+@pytest.mark.parametrize("ranks", [r for _, r in _rank_vectors()],
+                         ids=[name for name, _ in _rank_vectors()])
+def test_by_class_is_the_stable_argsort_of_ranks(ranks):
+    got = orders.by_class(ranks)
+    assert np.array_equal(got, np.argsort(ranks, kind="stable"))
+
+
+@pytest.mark.parametrize("make, n, m", [
+    (lambda rng, n, m: random_linear_order(rng, n), 30, None),
+    (lambda rng, n, m: random_preorder(rng, n), 30, None),
+    (lambda rng, n, m: orders.from_ranks(
+        np.ones(n * (n - 1) // 2, dtype=np.int64), n), 12, None),
+    (lambda rng, n, m: random_linear_order(rng, n), 2, None),
+    (lambda rng, n, m: random_bipartite_preorder(rng, n, m), 1, 9),
+    (lambda rng, n, m: random_bipartite_linear(rng, n, m), 9, 1),
+    (lambda rng, n, m: random_bipartite_preorder(rng, n, m), 8, 11),
+])
+@pytest.mark.parametrize("seed", [80, 81, 82])
+def test_canonical_scan_sizes_and_pairs_match_json_loads(make, n, m, seed):
+    text = orders.to_json(make(np.random.default_rng(seed), n, m))
+    got = orders._scan_canonical(text)
+    want = orders.from_json_dict(json.loads(text))
+    for a, b in ((got._sizes, want._sizes), (got._ij, want._ij)):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ranks, n, m, message", [
+    (np.array([1]), 2.0, None, "n and m must be integers, got 2.0 and None"),
+    (np.array([1, 1]), 2, 1.0, "n and m must be integers, got 2 and 1.0"),
+    (np.array([1]), "2", None, "n and m must be integers, got '2' and None"),
+    (np.array([1]), None, None, "n and m must be integers, got None and "
+     "None"),
+    ([1, 2, 3], 3, None, "ranks must be 3 integers >= 1"),
+    (np.array([1.0, 2.0, 3.0]), 3, None, "ranks must be 3 integers >= 1"),
+    (np.array([1, 2, 3], dtype=object), 3, None,
+     "ranks must be 3 integers >= 1"),
+    (np.array([True, True, True]), 3, None, "ranks must be 3 integers >= 1"),
+    (np.array([[1, 2, 3]]), 3, None, "ranks must be 3 integers >= 1"),
+])
+def test_from_ranks_refuses_as_validate_does(ranks, n, m, message):
+    with pytest.raises(SpecError) as err:
+        orders.from_ranks(ranks, n, m)
+    assert type(err.value) is SpecError
+    assert str(err.value) == message
+
+
+def test_from_ranks_takes_any_integer_dtype_and_keeps_int64_ranks():
+    want = orders.from_ranks(np.array([2, 1, 2]), 3)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        got = orders.from_ranks(np.array([2, 1, 2], dtype=dtype), 3)
+        assert got == want and got.ranks.dtype == np.int64
+    with pytest.raises(EmptyClass, match="^empty class in spec$"):
+        orders.from_ranks(np.array([1, 2, 2 ** 63 + 5], dtype=np.uint64), 3)

@@ -567,3 +567,48 @@ def test_matching_verify_does_not_sort(monkeypatch, preorder4_spec,
         del distances[:], sorts[:]
         verify(config, spec, *tolerances)
         assert (len(distances), len(sorts)) == (1, want)
+
+
+def _ranks_by_stable_sort(vals, threshold):
+    # reference: the induced ranks and least step of a stable distance
+    # sort, ties in pair order, split at every step above threshold
+    order = np.argsort(vals, kind="stable")
+    steps = np.diff(vals[order])
+    ranks = np.empty(vals.size, dtype=np.int64)
+    ranks[order] = np.concatenate(([1], 1 + np.cumsum(steps > threshold)))
+    return ranks, float(steps[steps > threshold].min(initial=np.inf))
+
+
+def _tied_configs(seed):
+    # integer-lattice points in R^2 and bipartite configs whose
+    # collections repeat points: many exactly equal distances
+    rng = np.random.default_rng(seed)
+    for n in (6, 12, 25):
+        yield PointConfig(dim=2, P=rng.integers(0, 4, (n, 2)).astype(float))
+    for n, m in ((4, 9), (10, 10), (15, 6)):
+        P = rng.integers(0, 3, (n, 2)).astype(float)
+        Q = rng.integers(0, 3, (m, 2)).astype(float)
+        yield PointConfig(dim=2, P=P[rng.integers(0, n, n)], Q=Q)
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62])
+def test_induced_order_and_verify_ignore_the_order_of_ties(seed):
+    for config in _tied_configs(seed):
+        vals = pair_distances(config)
+        assert np.unique(vals).size < vals.size
+        threshold = verifier.TOL_ABS + verifier.TOL_REL * vals.max()
+        want, step = _ranks_by_stable_sort(vals, threshold)
+        induced = induced_preorder(config)
+        assert np.array_equal(induced.ranks, want)
+        assert induced.classes == _classes_by_scan(config)
+        if induced.num_classes < 2:
+            continue
+        # swap two adjacent classes: verify takes the sorted path
+        k = induced.num_classes // 2
+        classes = list(induced.classes)
+        classes[k - 1], classes[k] = classes[k], classes[k - 1]
+        spec = OrderSpec(induced.kind, induced.n, classes, induced.m)
+        report = verify(config, spec)
+        assert report.verdict == "mismatch"
+        assert report.witness == _quadratic_witness(spec, want)
+        assert report.margin == step
