@@ -243,10 +243,10 @@ def from_ranks(ranks: np.ndarray, n: int, m: int | None = None) -> OrderSpec:
 
 
 def by_class(ranks: np.ndarray) -> np.ndarray:
-    """The stable argsort of N ranks 1 to N (pairs class by class, in pair
-    order within a class) as the default argsort of rank * N + position."""
-    count = len(ranks)
-    return np.argsort(ranks.astype(np.int64) * count + np.arange(count))
+    """The stable argsort of N ranks 1 to N (classes in turn, pair order
+    within each) as the default argsort of the keys rank * N + position."""
+    keys = ranks.astype(np.int64, copy=False) * len(ranks)
+    return np.argsort(keys + np.arange(len(ranks)))
 
 
 def _pairs_at(n: int, m: int | None, index: np.ndarray) -> np.ndarray:
@@ -297,10 +297,10 @@ _NOT_BRACKET = bytes(range(256)).translate(None, b"[]")
 def _scan_canonical(text: str) -> OrderSpec | None:
     """The spec of a canonical text, else None. The indices are one
     np.fromstring over the classes without their brackets. With only the
-    brackets left, "[" + classes + "]" with each class "[" + "[]" * size
-    + "]", a class ends at each "]]" but the last, (2 + 2 * size) after
-    the one before (-1 for the first). json.loads and from_json_dict
-    would build the same spec from the same text."""
+    brackets left, each class is "[" + "[]" * size + "]", so inside the
+    outer "[[[" and "]]]" the classes are runs "][" * (size - 1) joined by
+    "]][[". json.loads and from_json_dict would build the same
+    spec from the same text."""
     hit = _CANONICAL.fullmatch(text)
     if hit is None:
         return None
@@ -308,10 +308,8 @@ def _scan_canonical(text: str) -> OrderSpec | None:
     classes = classes.encode()
     flat = np.fromstring(classes.translate(None, b"[]"), dtype=np.int64,
                          sep=",")
-    skeleton = np.frombuffer(classes.translate(None, _NOT_BRACKET), np.uint8)
-    shut = skeleton == ord("]")
-    ends = np.flatnonzero(shut[1:] & shut[:-1])[:-1]
-    sizes = (np.diff(ends, prepend=-1) - 2) // 2
+    runs = classes.translate(None, _NOT_BRACKET)[3:-3].split(b"]][[")
+    sizes = np.fromiter(map(len, runs), np.int64, len(runs)) // 2 + 1
     if m is None:
         return _new("complete", int(n_complete), None, flat, sizes)
     return _new("bipartite", int(n_bipartite), int(m), flat, sizes)

@@ -493,6 +493,9 @@ def test_a_partition_past_the_pair_cap_is_refused_when_built(monkeypatch):
     ([1, 2, 2, 1], SpecError, "ranks must be 3 integers >= 1"),
     ([0, 1, 1], SpecError, "ranks must be 3 integers >= 1"),
     ([1, -1, 2], SpecError, "ranks must be 3 integers >= 1"),
+    ([1.0, 2.0, 3.0], SpecError, "ranks must be 3 integers >= 1"),
+    ([True, True, True], SpecError, "ranks must be 3 integers >= 1"),
+    ([[1, 2, 3]], SpecError, "ranks must be 3 integers >= 1"),
 ])
 def test_from_ranks_refuses_a_vector_that_is_not_a_partition(ranks, error,
                                                              message):
@@ -704,11 +707,8 @@ def test_canonical_scan_sizes_and_pairs_match_json_loads(make, n, m, seed):
     (np.array([1]), None, None, "n and m must be integers, got None and "
      "None"),
     ([1, 2, 3], 3, None, "ranks must be 3 integers >= 1"),
-    (np.array([1.0, 2.0, 3.0]), 3, None, "ranks must be 3 integers >= 1"),
     (np.array([1, 2, 3], dtype=object), 3, None,
      "ranks must be 3 integers >= 1"),
-    (np.array([True, True, True]), 3, None, "ranks must be 3 integers >= 1"),
-    (np.array([[1, 2, 3]]), 3, None, "ranks must be 3 integers >= 1"),
 ])
 def test_from_ranks_refuses_as_validate_does(ranks, n, m, message):
     with pytest.raises(SpecError) as err:
