@@ -8,9 +8,9 @@ Three pipelines:
 All three perturb a regular simplex: pairs of rank k get target distance
 1 + k*eps, and eps shrinks geometrically until every Gram matrix involved
 is positive definite with margin eta. Positive definiteness of the limit
-guarantees the search terminates. Each realizer splits its points into a
-base simplex and apexes and hands their apex Grams and a factor of them
-to one search, _realize_apexes, which places them with place_apexes.
+guarantees the search terminates. Each realizer hands one search,
+_realize_apexes, a plan of its apex Grams and a factor that places the
+apexes (place_apexes) and returns their Grams' least eigenvalues.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import (BadSize, DistanceMismatch, EpsilonExhausted,
                      NonFiniteEntry, NotLinear, NotPSD, ShapeMismatch)
 from .orders import OrderSpec
 from .schoenberg import (CHUNK, PointConfig, _is_index_type, _is_real,
-                         pair_distances, pair_index)
+                         pair_distances, pair_index, pair_position)
 
 ETA = 1e-6
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -119,16 +119,16 @@ def _apex_plan(n: int, pair: tuple[int, int] | None, dtype
     order = ([*range(n - 2), n - 1, n - 2] if pair is None
              else [x for x in range(n) if x not in pair] + [*pair])
     k = n - 1 if pair is None else n - 2
-    u = np.arange(n, dtype=dtype)
-    off = u * (2 * n - 1 - u) // 2 - u - 1  # pair (u, v > u) is at off[u] + v
 
     def lex(g, h):  # positions of the pairs {g, h}; the 0.0 where g == h
         lo, hi = np.minimum(g, h), np.maximum(g, h)
-        return np.where(lo == hi, n * (n - 1) // 2, off[lo] + hi)
+        return np.where(lo == hi, n * (n - 1) // 2, pair_position(n, lo, hi))
 
     gram = np.array([order[:k - 1] + [x] for x in order[k:]], dtype=dtype)
     c, step = np.empty((1, k, k), dtype), max(1, CHUNK // k)
-    for r in range(0, k, step):  # temporaries of at most CHUNK entries
+    # row blocks of ~CHUNK entries save time (n = 1000: 3.5 ms, one pass
+    # 11.7, 2-core Xeon), not memory: the search's (m, k, k) stack sets it
+    for r in range(0, k, step):
         c[0, r:r + step] = lex(gram[0, r:r + step, None], gram[0])
     plan = (np.argsort(order), lex(gram, order[k - 1]), c,
             lex(gram[1:, -1:], gram[1:]))
@@ -137,10 +137,11 @@ def _apex_plan(n: int, pair: tuple[int, int] | None, dtype
     return plan
 
 
-def _stack_factor(G: np.ndarray) -> tuple[np.ndarray, ...]:
-    """place_apexes' arguments from the Cholesky factors F_j of the Grams,
-    in turn, none after one fails (NotPSD): F_0's leading block, each F_j's
-    last row. The Grams share that block, which LAPACK factors from it
+def _stack_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The placed rows and the Grams' least eigenvalues (one eigen-solve).
+    The Cholesky factors F_j of the Grams are taken in turn, none after
+    one fails (NotPSD); F_0's leading block and each F_j's last row place
+    the apexes. The Grams share that block, which LAPACK factors from it
     alone, so only the last F_j is kept whole."""
     try:
         last = [np.linalg.cholesky(g)[-1].copy() for g in G[:-1]]
@@ -148,7 +149,8 @@ def _stack_factor(G: np.ndarray) -> tuple[np.ndarray, ...]:
     except np.linalg.LinAlgError:
         raise NotPSD("an apex Gram is not positive definite") from None
     last = np.array(last + [F[-1]])
-    return F[:-1, :-1], last[:, :-1], last[:, -1]
+    return (place_apexes(F[:-1, :-1], last[:, :-1], last[:, -1]),
+            np.linalg.eigvalsh(G)[:, 0])
 
 
 @lru_cache(maxsize=16)
@@ -162,9 +164,10 @@ def _unit_simplex_factor(p: int) -> np.ndarray:
 
 
 def _simplex_factor(c: float, edge: np.ndarray, tip: np.ndarray
-                    ) -> tuple[np.ndarray, ...]:
-    """place_apexes' arguments over a regular simplex in closed form. The
-    corner (c/2)(I + J), p x p, has the factor sqrt(c/2) L0, L0[i, i] =
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows placed over a regular simplex in closed form, and the
+    Grams' least eigenvalues (_simplex_least_eigenvalues). The corner
+    (c/2)(I + J), p x p, has the factor sqrt(c/2) L0, L0[i, i] =
     sqrt((i + 2)/(i + 1)) and L0[i, j < i] = 1/sqrt((j + 1)(j + 2)), so
     forward substitution is a prefix mean, O(mk): Y_j[i] = (e[i] - (e[0] +
     ... + e[i-1])/(i + 1)) sqrt((i + 1)/(i + 2)) / sqrt(c/2), e = edge[j],
@@ -182,7 +185,8 @@ def _simplex_factor(c: float, edge: np.ndarray, tip: np.ndarray
         raise NotPSD(f"apex height squared {s.min():.3e} not positive")
     L0 = (_unit_simplex_factor if p * p <= CHUNK  # at most 8 MB cached
           else _unit_simplex_factor.__wrapped__)(p)
-    return math.sqrt(0.5 * c) * L0, Y, np.sqrt(s)
+    return (place_apexes(math.sqrt(0.5 * c) * L0, Y, np.sqrt(s)),
+            _simplex_least_eigenvalues(c, edge, tip))
 
 
 def _simplex_least_eigenvalues(c: float, edge: np.ndarray,
@@ -222,23 +226,19 @@ def place_apexes(L: np.ndarray, Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _realize_apexes(spec: OrderSpec, eta: float,
                     search: EpsilonSearch | None,
                     plan: Callable[[], tuple],
-                    accept: Callable[[np.ndarray], bool] | None = None,
-                    factor: Callable[..., tuple] = _stack_factor,
-                    least: Callable[..., np.ndarray] = lambda G: (
-                        np.linalg.eigvalsh(G)[:, 0])) -> RealizationReport:
+                    factor: Callable[..., tuple[np.ndarray, np.ndarray]],
+                    accept: Callable[[np.ndarray], bool] | None = None
+                    ) -> RealizationReport:
     """The realizers' one epsilon search. plan(), called once eta is
-    checked, gives target and rows. target(eps) gives a step's apex Grams in
-    pieces: the complete realizers' stack (_gathered_target), whose least
-    eigenvalues are one eigen-solve, or the bipartite c, edge, tip. A step
-    is accepted once factor(*pieces) places the apexes, least(*pieces)
-    clears max(eta, (k + 1) u s) for every apex and accept, if given, passes
-    the placed rows. A factor that raises NotPSD rejects the step without
-    calling least: some apex Gram's least eigenvalue is at or below 0. The
-    second bound is the rounding residue of a least eigenvalue of a k x k
-    Gram of diagonal at most s = (1 + K eps)^2 (K classes, u the unit
-    roundoff), all a spec of more than one class has past eps ~ 1e73; it
-    passes eta only past K eps ~ 5e4. Row i of P, or of P over Q, is placed
-    row rows[i] (row i if rows is None). NonFiniteEntry on overflow."""
+    checked, gives target and rows; target(eps) gives a step's apex Grams in
+    pieces, and factor(*pieces) the placed rows X and the Grams' least
+    eigenvalues, or NotPSD, which rejects the step. It is accepted once
+    every least eigenvalue clears max(eta, (k + 1) u s) and accept, if
+    given, passes X. The second bound is the rounding residue of a least
+    eigenvalue of a k x k Gram of diagonal at most s = (1 + K eps)^2 (K
+    classes, u the unit roundoff); it passes eta only past K eps ~ 5e4.
+    Row i of P, or of P over Q, is X[rows[i]] (X[i] if rows is None).
+    NonFiniteEntry on overflow."""
     if not (_is_real(eta) and eta > 0):
         raise BadSize("eta must be a positive number within float range, "
                       f"got {reprlib.repr(eta)}")
@@ -250,10 +250,10 @@ def _realize_apexes(spec: OrderSpec, eta: float,
         if not all(np.isfinite(x).all() for x in pieces):
             raise NonFiniteEntry("matrix has non-finite entries")
         try:
-            X = place_apexes(*factor(*pieces))
+            X, lam = factor(*pieces)
         except NotPSD:
             return False
-        lam, top = least(*pieces), 1.0 + spec.num_classes * eps
+        top = 1.0 + spec.num_classes * eps
         bound = max(eta, (X.shape[1] + 1) * UNIT_ROUNDOFF * top * top)
         if not (lam > bound).all() or (accept is not None and not accept(X)):
             return False
@@ -293,17 +293,6 @@ def _gathered_target(spec: OrderSpec, pair: tuple[int, int] | None
     return target, rows
 
 
-def _realize_complete(spec: OrderSpec, eta: float,
-                      search: EpsilonSearch | None,
-                      linear: bool) -> RealizationReport:
-    """The complete realizers' search on a complete spec."""
-    pair = tuple(i - 1 for i in spec._ij[0].tolist()) if linear else None
-    return _realize_apexes(
-        spec, eta, search, lambda: _gathered_target(spec, pair),
-        None if pair is None else lambda X: (
-            0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0))
-
-
 def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
                               search: EpsilonSearch | None = None
                               ) -> RealizationReport:
@@ -314,7 +303,8 @@ def realize_preorder_complete(spec: OrderSpec, eta: float = ETA,
     point n."""
     if spec.kind != "complete":
         raise ShapeMismatch("realize_preorder_complete needs a complete spec")
-    return _realize_complete(spec, eta, search, False)
+    return _realize_apexes(spec, eta, search,
+                           lambda: _gathered_target(spec, None), _stack_factor)
 
 
 def align_isometry(source: np.ndarray, target: np.ndarray
@@ -360,7 +350,10 @@ def realize_linear_complete(spec: OrderSpec, eta: float = ETA,
             "realize_linear_complete needs a complete spec with n >= 3")
     if not spec.is_linear():
         raise NotLinear("realize_linear_complete needs a linear order")
-    return _realize_complete(spec, eta, search, True)
+    pair = tuple(i - 1 for i in spec._ij[0].tolist())
+    return _realize_apexes(
+        spec, eta, search, lambda: _gathered_target(spec, pair), _stack_factor,
+        lambda X: 0.0 < float(np.linalg.norm(X[-2] - X[-1])) < 1.0)
 
 
 def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
@@ -379,21 +372,21 @@ def realize_preorder_bipartite(spec: OrderSpec, eta: float = ETA,
     if spec.kind != "bipartite":
         raise ShapeMismatch("realize_preorder_bipartite needs bipartite spec")
     n, m = spec.n, spec.m
-    A, rows = spec.ranks.reshape(n, m), None
-    if m < n:
-        rows = [*range(m, m + n), *range(m)]
-    else:  # row j of A holds apex j's ranks, C-ordered for the edge sums
-        A = A.T.copy()
 
-    def target(eps: float) -> tuple[float, np.ndarray, np.ndarray]:
-        # the simplex's squared side, then the apex Grams' edge and tip
-        c, a2 = (1.0 + eps) * (1.0 + eps), np.square(1.0 + A * eps)
-        return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
-                0.5 * (a2[:, -1] + a2[:, -1]))
+    def plan():
+        A = spec.ranks.reshape(n, m)
+        if m >= n:  # row j of A holds apex j's ranks, C-ordered for the sums
+            A = A.T.copy()
 
-    return _realize_apexes(spec, eta, search, lambda: (target, rows),
-                           factor=_simplex_factor,
-                           least=_simplex_least_eigenvalues)
+        def target(eps: float) -> tuple[float, np.ndarray, np.ndarray]:
+            # the simplex's squared side, then the apex Grams' edge and tip
+            c, a2 = (1.0 + eps) * (1.0 + eps), np.square(1.0 + A * eps)
+            return (c, 0.5 * (c + a2[:, -1:] - a2[:, :-1]),
+                    0.5 * (a2[:, -1] + a2[:, -1]))
+
+        return target, None if m >= n else [*range(m, m + n), *range(m)]
+
+    return _realize_apexes(spec, eta, search, plan, _simplex_factor)
 
 
 def realize(spec: OrderSpec, eta: float = ETA,
@@ -401,5 +394,6 @@ def realize(spec: OrderSpec, eta: float = ETA,
     """Dispatch on kind and linearity to the matching construction."""
     if spec.kind == "bipartite":
         return realize_preorder_bipartite(spec, eta, search)
-    return _realize_complete(spec, eta, search,
-                             spec.n >= 3 and spec.is_linear())
+    if spec.n >= 3 and spec.is_linear():
+        return realize_linear_complete(spec, eta, search)
+    return realize_preorder_complete(spec, eta, search)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (BadSize, DuplicatePair, EmptyClass, IndexOutOfRange,
                      MissingPair, SpecError)
 from .schoenberg import (MAX_PAIRS, _is_index_type, check_pair_count,
-                         pair_index, read_text, write_text)
+                         pair_index, pair_position, read_text, write_text)
 
 Pair = tuple[int, int]
 
@@ -97,10 +97,8 @@ class OrderSpec:
     @cached_property
     def _lex(self) -> np.ndarray:
         """Position of every listed pair in pair_set(), for in-range pairs."""
-        i, j = self._ij[:, 0], self._ij[:, 1]
-        if self.kind == "complete":
-            return (i - 1) * (2 * self.n - i) // 2 + (j - i - 1)
-        return (i - 1) * self.m + (j - 1)
+        return pair_position(self.n, self._ij[:, 0] - 1, self._ij[:, 1] - 1,
+                             self.m)
 
     def extremes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest of values (one per pair, in pair_set() order)
@@ -118,7 +116,7 @@ class OrderSpec:
                 float((hi - lo).max()))
 
     def is_linear(self) -> bool:
-        return bool((self._sizes == 1).all())
+        return len(self._sizes) == len(self._ij)  # no class is empty
 
 
 def _new(kind: str, n: int, m: int | None, flat, sizes,

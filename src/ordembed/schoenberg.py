@@ -198,6 +198,12 @@ def pair_index(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return (_pair_index if count <= CHUNK else _pair_index.__wrapped__)(n, m)
 
 
+def pair_position(n: int, i, j, m: int | None = None):
+    """pair_index's inverse: the position of the 0-based pair (i, j), i < j
+    on D_n (m None), in that order. Integer arrays keep their dtype."""
+    return i * (2 * n - 1 - i) // 2 + (j - i - 1) if m is None else i * m + j
+
+
 @lru_cache(maxsize=64)
 def _pair_index(n: int, m: int | None) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, 1) if m is None else np.divmod(

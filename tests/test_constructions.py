@@ -41,14 +41,21 @@ def test_epsilon_search_validation():
         EpsilonSearch(initial=1.0, max_steps=0)
 
 
+class _NoReshape(np.ndarray):
+    def reshape(self, *args, **kwargs):
+        pytest.fail("a rank vector was reshaped for a refused eta")
+
+
 @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
 def test_realizers_reject_nonpositive_eta(eta, monkeypatch):
-    # before a complete realizer builds its gather plan
+    # before a complete realizer builds its gather plan, and before the
+    # bipartite realizer reshapes its rank vector
     def no_plan(*args):
         pytest.fail("a gather plan was built for a refused eta")
 
     monkeypatch.setattr(constructions, "_gathered_target", no_plan)
     for spec in one_spec_per_realizer(9):
+        vars(spec)["ranks"] = spec.ranks.view(_NoReshape)
         with pytest.raises(BadSize, match="^eta must be a positive number "
                            "within float range, got "):
             realize(spec, eta=eta)
@@ -618,8 +625,7 @@ def test_whole_gram_factor_places_every_apex_at_its_targets_on_one_side():
         for m in (1, 2, 4):
             X = rng.standard_normal((k + m, k)) * 3.0
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
-            Y = place_apexes(*_stack_factor(
-                _dense_apex_stack(D[:k, :k], D[k:, :k])))
+            Y, _ = _stack_factor(_dense_apex_stack(D[:k, :k], D[k:, :k]))
             assert Y.shape == (k + m, k)
             assert not Y[:k, -1].any() and not Y[k - 1].any()
             assert not np.triu(Y[:k], 1).any()
@@ -651,7 +657,10 @@ def test_closed_form_simplex_factor_matches_cholesky_and_solve():
             edge = 0.5 * c * (1.0 + 0.1 * rng.random((6, p)))
             edge[0] = 0.5 * c
             tip = c * (1.0 + 0.1 * rng.random(6))
-            L, Y, h = _simplex_factor(c, edge, tip)
+            X, lam = _simplex_factor(c, edge, tip)
+            L, Y, h = X[:p, :p], X[p + 1:, :p], X[p + 1:, p]
+            assert np.array_equal(
+                lam, _simplex_least_eigenvalues(c, edge, tip))
             L_ref = np.linalg.cholesky(corner)
             Y_ref = np.linalg.solve(L_ref, edge.T).T
             s_ref = tip - (Y_ref * Y_ref).sum(axis=1)
@@ -661,8 +670,8 @@ def test_closed_form_simplex_factor_matches_cholesky_and_solve():
             assert (h > 0).all()
     # at p = 0 (a one-point base) the height is the tip's root, and a
     # complement at or below zero raises NotPSD
-    L, Y, h = _simplex_factor(1.0, np.empty((2, 0)), np.array([4.0, 9.0]))
-    assert L.shape == (0, 0) and Y.shape == (2, 0) and h.tolist() == [2, 3]
+    X, _ = _simplex_factor(1.0, np.empty((2, 0)), np.array([4.0, 9.0]))
+    assert X.shape == (3, 1) and X[:, 0].tolist() == [0, 2, 3]
     with pytest.raises(NotPSD):
         _simplex_factor(2.0, np.full((2, 3), 2.0), np.array([9.0, 1.0]))
     # the cached unit factor is read-only
@@ -679,8 +688,10 @@ def test_stack_factor_is_each_grams_own_factor_bit_for_bit():
             X = rng.standard_normal((k + m, k))
             D = distances_of(schoenberg.PointConfig(dim=k, P=X))
             G = _dense_apex_stack(D[:k, :k], D[k:, :k])
-            L, Y, h = _stack_factor(G)
+            placed, lam = _stack_factor(G)
+            L, Y, h = placed[:k - 1, :k - 1], placed[k:, :-1], placed[k:, -1]
             alone = [np.linalg.cholesky(g) for g in G]
+            assert np.array_equal(lam, np.linalg.eigvalsh(G)[:, 0])
             assert np.array_equal(L, alone[0][:-1, :-1])
             assert np.array_equal(Y, [f[-1, :-1] for f in alone])
             assert np.array_equal(h, [f[-1, -1] for f in alone])
@@ -765,28 +776,41 @@ def test_perturbed_distances_refuses_bipartite_specs():
             perturbed_distances(spec, 0.1)
 
 
-def test_unfactored_step_is_rejected_without_calling_least():
-    # a step whose stack does not factor is rejected before least runs;
-    # the search accepts the next step, whose stack factors
-    spec = random_preorder(np.random.default_rng(49), 4)
-    order = [0, 1, 3, 2]
-    calls = []
+def test_unfactored_step_is_not_eigen_solved(monkeypatch):
+    # a step whose factor raises NotPSD is rejected before any eigen-solve,
+    # for the stack and the simplex factor alike; the search accepts the
+    # next step, whose Grams factor, and eigen-solves that step once
+    rng = np.random.default_rng(49)
+    preorder, order = random_preorder(rng, 4), [0, 1, 3, 2]
+    wide = OrderSpec("bipartite", 2, (((1, 1), (2, 1), (1, 2)), ((2, 2),),
+                                      ((1, 3), (2, 3))), m=3)
 
-    def target(eps):
-        if eps == 0.2:
-            return -np.eye(3)[None],
-        M = perturbed_distances(spec, eps)[np.ix_(order, order)]
+    def stack(eps):
+        M = perturbed_distances(preorder, eps)[np.ix_(order, order)]
         return _dense_apex_stack(M[:-1, :-1], M[-1:, :-1]),
 
-    def least(G):
-        calls.append(G)
-        return np.linalg.eigvalsh(G)[:, 0]
+    def simplex(eps):
+        return _simplex_pieces(wide.ranks.reshape(2, 3), eps)[0]
 
-    report = constructions._realize_apexes(
-        spec, constructions.ETA, EpsilonSearch(initial=0.2),
-        lambda: (target, order), least=least)
-    assert report.epsilon == 0.1 and len(calls) == 1
-    assert verifier.verify(report.config, spec).matched
+    calls = []
+    monkeypatch.setattr(constructions.np.linalg, "eigvalsh", _counted(
+        calls, np.linalg.eigvalsh))
+    for spec, pieces, rows, factor, bad in (
+            (preorder, stack, order, _stack_factor, (-np.eye(3)[None],)),
+            (wide, simplex, None, _simplex_factor,
+             (1.0, np.full((3, 1), 0.5), np.full(3, -1.0)))):
+        del calls[:]
+        seen = []
+
+        def target(eps):
+            seen.append(len(calls))
+            return bad if eps == 0.2 else pieces(eps)
+
+        report = constructions._realize_apexes(
+            spec, constructions.ETA, EpsilonSearch(initial=0.2),
+            lambda: (target, rows), factor)
+        assert report.epsilon == 0.1 and seen == [0, 0] and len(calls) == 1
+        assert verifier.verify(report.config, spec).matched
 
 
 def test_preorder_grams_match_whole_matrix_reference():
@@ -858,8 +882,7 @@ def _eigvalsh_search(spec, search, eta=constructions.ETA):
         eigs = tuple(min_eigenvalue(g) for g in grams)
         if min(eigs) > eta:
             try:
-                X = place_apexes(*_stack_factor(
-                    np.array([g.matrix for g in grams])))
+                X, _ = _stack_factor(np.array([g.matrix for g in grams]))
             except NotPSD:
                 X = None
             if X is not None and (not linear or 0.0 < float(

@@ -15,7 +15,7 @@ from ordembed.orders import bipartite_pairs, complete_pairs
 from ordembed.schoenberg import (GramMatrix, PointConfig, config_from_json,
                                  config_to_json, distances_of, factor_points,
                                  gram_from_distances, min_eigenvalue,
-                                 pair_index)
+                                 pair_index, pair_position)
 
 
 def _gram(M, base=None):
@@ -634,6 +634,21 @@ def test_pair_index_matches_the_reference_pair_lists():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_pair_position_inverts_pair_index(dtype):
+    # every pair of D_n and B_{n,m} lands on its own position, in the
+    # dtype of the indices; D_1549, the largest D_n within MAX_PAIRS, in
+    # int32 ends on N - 1 without overflow
+    shapes = [(n, None) for n in range(1, 13)]
+    shapes += [(n, m) for n in range(1, 7) for m in range(1, 7)]
+    for n, m in shapes + [(1549, None)]:
+        i, j = (x.astype(dtype) for x in pair_index(n, m))
+        got = pair_position(n, i, j, m)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.arange(len(i)))
+    assert 1549 * 1548 // 2 <= schoenberg.MAX_PAIRS < 1550 * 1549 // 2
 
 
 def test_pair_index_refuses_past_the_cap_before_allocating():
