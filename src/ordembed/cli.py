@@ -10,10 +10,11 @@ alone maps a raised error to its exit code. Exit codes per command:
   gallery  0 ok, 2 bad name, size or output
   falsify  0 feasible, 1 refuted or undecided, 2 bad input or output
 
-Bad input is any other OrdembedError, BadSize for --eta, --epsilon,
---shrink, --max-steps, a negative or non-finite --tol-abs or --tol-rel, a
-negative falsify --seed and a --margin or --floor past SHIFT_MAX (1.16e77)
-or not finite included; bad output is an OSError on OUT or --csv.
+Bad input is any other OrdembedError, BadSize for a nonpositive or
+non-finite --eta or --epsilon, a --shrink outside (0, 1), a --max-steps
+below 1, a negative or non-finite --tol-abs or --tol-rel, a negative
+falsify --seed and a --margin or --floor past SHIFT_MAX (1.16e77) or not
+finite included; bad output is an OSError on OUT or --csv.
 """
 from __future__ import annotations
 

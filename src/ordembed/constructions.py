@@ -42,7 +42,7 @@ class EpsilonSearch:
     max_steps: int = 60
 
     def __post_init__(self):
-        if not (_is_real(self.initial) and self.initial > 0):
+        if not (_is_real(self.initial) and 0 < self.initial < math.inf):
             raise BadSize("initial must be a positive number within float "
                           f"range, got {reprlib.repr(self.initial)}")
         if not (_is_real(self.shrink_factor) and 0 < self.shrink_factor < 1):
@@ -76,7 +76,7 @@ def choose_epsilon(search: EpsilonSearch, test: Callable[[float], bool]) -> floa
     for _ in range(search.max_steps):
         if test(eps):
             return eps
-        eps *= search.shrink_factor
+        eps *= float(search.shrink_factor)  # a float32 would round eps
     raise EpsilonExhausted(
         f"no eps accepted after {search.max_steps} steps from {search.initial}")
 
@@ -90,7 +90,7 @@ def perturbed_distances(spec: OrderSpec, eps: float) -> np.ndarray:
     """m_ij = 1 + rank(i,j)*eps, zero diagonal. Complete specs only."""
     if spec.kind != "complete":
         raise ShapeMismatch("perturbed_distances needs a complete spec")
-    if not _is_real(eps):
+    if not (_is_real(eps) and -math.inf < eps < math.inf):
         raise BadSize("eps must be a real number within float range, got "
                       f"{reprlib.repr(eps)}")
     M = np.zeros((spec.n, spec.n))
@@ -239,7 +239,7 @@ def _realize_apexes(spec: OrderSpec, eta: float,
     classes, u the unit roundoff); it passes eta only past K eps ~ 5e4.
     Row i of P, or of P over Q, is X[rows[i]] (X[i] if rows is None).
     NonFiniteEntry on overflow."""
-    if not (_is_real(eta) and eta > 0):
+    if not (_is_real(eta) and 0 < eta < math.inf):
         raise BadSize("eta must be a positive number within float range, "
                       f"got {reprlib.repr(eta)}")
     target, rows = plan()

@@ -301,7 +301,7 @@ def check_margin_and_floor(margin: float, floor: float) -> None:
     if not (_is_real(floor) and 0 <= floor < math.inf):
         raise BadSize("floor must be nonnegative and within float range, "
                       f"got {reprlib.repr(floor)}")
-    if max(margin, floor) > SHIFT_MAX:
+    if max(float(margin), float(floor)) > SHIFT_MAX:  # float32 overflows
         raise BadSize(f"margin and floor must be at most {SHIFT_MAX:.3g}")
 
 

@@ -138,7 +138,8 @@ def _new(kind: str, n: int, m: int | None, flat, sizes,
         validate(spec)
         ranks = np.empty(len(ij), dtype=np.int64)
         ranks[spec._lex] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    vars(spec)["ranks"] = ranks
+    vars(spec).update(ranks=ranks, n=int(n),
+                      m=None if m is None else int(m))
     return spec
 
 
@@ -146,54 +147,39 @@ def validate(spec: OrderSpec) -> None:
     """Check the partition invariants; raise a SpecError naming the first
     offence a class-by-class, pair-by-pair scan meets (an empty class, a
     pair out of range, a pair listed twice), else the lexicographically
-    first pair no class lists. Each check is an array operation on the
-    spec's (i, j) array: a range mask; a bincount of the lexicographic
-    pair indices when as many pairs are listed as the pair set holds; on
-    failure, a stable sort by (i, j) that puts each repeat after its first
-    occurrence and shows the first gap. The pair set is never built, so
-    validation costs time in the size of the spec, not of n. A partition
-    of more than MAX_PAIRS pairs is refused last (BadSize)."""
+    first pair no class lists. A valid spec costs array operations on its
+    (i, j) array: a range mask (a bool mask on an object array too) and a
+    bincount of its pair positions. Only an invalid spec is scanned; its
+    walk of the pair set stops one pair past the listed ones, so time
+    goes with the size of the spec, not of n. A partition of more than
+    MAX_PAIRS pairs is refused last (BadSize)."""
     n, m = spec.n, spec.m
     total = _pair_count(spec.kind, n, m)
     complete = spec.kind == "complete"
-    # an index beyond int64 (an object array) saturates, which keeps it out
-    # of range of every n and m below 2**63 - 1
-    ij = spec._ij if spec._ij.dtype != object else spec._ij.clip(
-        -2 ** 63, 2 ** 63 - 1).astype(np.int64)
-    i, j, sizes = ij[:, 0], ij[:, 1], spec._sizes
+    i, j, sizes = spec._ij[:, 0], spec._ij[:, 1], spec._sizes
     if complete:
         inside = (1 <= i) & (i < j) & (j <= n)
     else:
         inside = (1 <= i) & (i <= n) & (1 <= j) & (j <= m)
-    count = len(i)
-    if (count == total and sizes.all() and inside.all()
+    if (len(i) == total and sizes.all() and inside.all()
             and (np.bincount(spec._lex, minlength=total) == 1).all()):
         check_pair_count(total)
         return
-    outside = np.flatnonzero(~inside)
-    stop = int(outside[0]) if outside.size else count
-    order = np.lexsort((j[:stop], i[:stop]))
-    si, sj = i[order], j[order]
-    again = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
-    first = min(stop, int(order[1:][again].min()) if again.any() else stop)
-    empty = spec._starts[sizes == 0]
-    if empty.size and empty[0] <= first:
-        raise EmptyClass("empty class in spec")
-    if first < count:
-        p = tuple(spec._ij[first].tolist())
-        if first == stop:
-            raise IndexOutOfRange(f"pair {p} out of range")
-        raise DuplicatePair(f"pair {p} occurs twice")
-    # in range and distinct, so too few: up to the first gap, pair k of
-    # the set is the successor of sorted listed pair k-1
-    last = sj == (n if complete else m)
-    want_i = np.concatenate(([1], np.where(last, si + 1, si)))
-    want_j = np.concatenate(([2 if complete else 1],
-                             np.where(last, si + 2 if complete else 1,
-                                      sj + 1)))
-    gap = (si != want_i[:-1]) | (sj != want_j[:-1])
-    k = int(gap.argmax()) if gap.any() else count
-    raise MissingPair(f"pair {(int(want_i[k]), int(want_j[k]))} not covered")
+    seen, listed = set(), zip(zip(i.tolist(), j.tolist()), inside.tolist())
+    for size in sizes.tolist():
+        if not size:
+            raise EmptyClass("empty class in spec")
+        for p, ok in islice(listed, size):
+            if not ok:
+                raise IndexOutOfRange(f"pair {p} out of range")
+            if p in seen:
+                raise DuplicatePair(f"pair {p} occurs twice")
+            seen.add(p)
+    # in range and distinct, so too few
+    walk = ((a, b) for a in range(1, n + 1) for b in range(
+        a + 1 if complete else 1, (n if complete else m) + 1))
+    raise MissingPair(f"pair {next(p for p in walk if p not in seen)} "
+                      "not covered")
 
 
 def _pair_count(kind: str, n: int, m: int | None) -> int:
@@ -208,12 +194,12 @@ def _pair_count(kind: str, n: int, m: int | None) -> int:
             raise SpecError(f"complete spec takes no m, got {m!r}")
         if n < 2:
             raise IndexOutOfRange(f"complete spec needs n >= 2, got {n}")
-        return n * (n - 1) // 2
+        return int(n) * (int(n) - 1) // 2  # no numpy integer overflow
     if m is None:
         raise SpecError("bipartite spec needs m")
     if n < 1 or m < 1:
         raise IndexOutOfRange("bipartite spec needs n, m >= 1")
-    return n * m
+    return int(n) * int(m)
 
 
 def canonical(spec: OrderSpec) -> OrderSpec:

@@ -95,7 +95,7 @@ def test_realize_epsilon_exhaustion_exits_three(preorder4_spec, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epsilon", ["1e200", "1e308", "inf"])
+@pytest.mark.parametrize("epsilon", ["1e200", "1e308"])
 def test_realize_overflowing_epsilon_exits_two(epsilon, preorder4_spec,
                                                bip32_spec, tmp_path, capsys):
     # squared target distances overflow: one NonFiniteEntry line on stderr
@@ -112,7 +112,7 @@ def test_realize_overflowing_epsilon_exits_two(epsilon, preorder4_spec,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+@pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
 def test_realize_nonpositive_eta_exits_two(eta, tmp_path, capsys):
     # complete, linear and bipartite specs alike
     out = tmp_path / "o.json"
@@ -128,8 +128,9 @@ def test_realize_nonpositive_eta_exits_two(eta, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--epsilon", "0"], ["--shrink", "2"], ["--max-steps", "0"]],
-    ids=["epsilon", "shrink", "max-steps"])
+    ["--epsilon", "0"], ["--epsilon", "inf"], ["--shrink", "2"],
+    ["--max-steps", "0"]], ids=["epsilon", "epsilon-inf", "shrink",
+                                "max-steps"])
 def test_realize_bad_search_flag_exits_two(flags, preorder4_spec, tmp_path,
                                            capsys):
     rc = cli.main(["realize", _spec_file(preorder4_spec, tmp_path),

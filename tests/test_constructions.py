@@ -35,6 +35,9 @@ def test_epsilon_search_validation():
         EpsilonSearch(initial=0.0)
     with pytest.raises(BadSize):
         EpsilonSearch(initial=float("nan"))
+    with pytest.raises(BadSize, match="^initial must be a positive number "
+                       "within float range, got inf$"):
+        EpsilonSearch(initial=float("inf"))
     with pytest.raises(BadSize):
         EpsilonSearch(initial=1.0, shrink_factor=1.0)
     with pytest.raises(BadSize):
@@ -46,7 +49,7 @@ class _NoReshape(np.ndarray):
         pytest.fail("a rank vector was reshaped for a refused eta")
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
 def test_realizers_reject_nonpositive_eta(eta, monkeypatch):
     # before a complete realizer builds its gather plan, and before the
     # bipartite realizer reshapes its rank vector
@@ -59,6 +62,24 @@ def test_realizers_reject_nonpositive_eta(eta, monkeypatch):
         with pytest.raises(BadSize, match="^eta must be a positive number "
                            "within float range, got "):
             realize(spec, eta=eta)
+
+
+def test_perturbed_distances_refuses_nan_and_inf(preorder4_spec):
+    for eps in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(BadSize, match="^eps must be a real number within "
+                           "float range, got "):
+            perturbed_distances(preorder4_spec, eps)
+
+
+def test_a_float32_shrink_factor_leaves_the_search_in_float64():
+    # a Python float times a float32 is a float32 (NEP 50)
+    spec = random_linear_order(np.random.default_rng(3), 8)
+    shrink = np.float32(0.3)
+    want = realize(spec, search=EpsilonSearch(0.5, float(shrink)))
+    got = realize(spec, search=EpsilonSearch(0.5, shrink))
+    assert want.epsilon < 0.5 * 0.3  # more than one step
+    assert type(got.epsilon) is float and got.epsilon == want.epsilon
+    assert got.min_eigenvalues == want.min_eigenvalues
 
 
 def _far_first(n: int) -> OrderSpec:

@@ -262,6 +262,18 @@ def test_stress_loss_not_finite_raises_without_warning():
             stress_loss(spec, PointConfig(dim=1, P=np.array(P)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_float32_margin_is_checked_without_an_overflow_warning():
+    # compared in float32, SHIFT_MAX (1.16e77) overflowed its cast
+    spec = OrderSpec("complete", 3, (((1, 2),), ((2, 3),), ((1, 3),)))
+    config = PointConfig(dim=1, P=np.array([[0.0], [1.0], [2.4]]))
+    margin = np.float32(0.05)
+    FalsifierConfig(dim=1, margin=margin)
+    loss, grad = stress_loss(spec, config, margin=margin)
+    want_loss, want_grad = stress_loss(spec, config, margin=float(margin))
+    assert loss == want_loss and np.array_equal(grad, want_grad)
+
+
 def test_stress_gradient_vs_finite_differences_sample():
     rng = np.random.default_rng(51)
     for _ in range(20):

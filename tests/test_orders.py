@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (random_bipartite_linear, random_bipartite_preorder,
                       random_linear_order, random_preorder, rank)
-from ordembed import cli, constructions, orders, schoenberg, verifier
+from ordembed import (cli, constructions, counterexamples, orders,
+                      schoenberg, verifier)
 from ordembed.errors import (BadSize, DuplicatePair, EmptyClass,
                              IndexOutOfRange, MissingPair, SpecError)
 from ordembed.orders import OrderSpec
@@ -520,6 +521,35 @@ def test_from_ranks_refuses_a_shape_validate_refuses(ranks, n, m, message):
     with pytest.raises(IndexOutOfRange) as err:
         OrderSpec("complete" if m is None else "bipartite", n, [], m)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, n, classes, m", [
+    ("complete", 2 ** 63 + 3, [[(1, 2 ** 70)], [(1, 2)]], None),
+    ("bipartite", 2, [[(1, 2 ** 70)], [(1, 1)]], 2 ** 64),
+], ids=["complete", "bipartite"])
+def test_sizes_past_int64_name_the_first_offence(kind, n, classes, m):
+    # the first listed pair is out of range, whatever follows it
+    with pytest.raises(IndexOutOfRange) as err:
+        OrderSpec(kind, n, classes, m)
+    assert str(err.value) == "pair (1, 1180591620717411303424) out of range"
+
+
+def test_numpy_integer_sizes_are_kept_as_python_ints(tmp_path):
+    specs = (OrderSpec("bipartite", np.int64(2), [[(1, 1), (2, 1)]],
+                       np.uint16(1)),
+             counterexamples.gallery("block_linear", np.int64(4)),
+             orders.from_ranks(np.array([2, 1, 2]), np.int64(3)))
+    for spec in specs:
+        assert type(spec.n) is int
+        assert spec.m is None or type(spec.m) is int
+        orders.save(spec, str(tmp_path / "spec.json"))
+        assert orders.load(str(tmp_path / "spec.json")) == spec
+    # n * (n - 1) is not taken in int64, where it overflows
+    with pytest.raises(MissingPair, match=r"^pair \(1, 3\) not covered$"):
+        OrderSpec("complete", np.int64(2 ** 40), [[(1, 2)]])
+    with pytest.raises(SpecError, match="^ranks must be "
+                       "604462909806764831539200 integers >= 1$"):
+        orders.from_ranks(np.array([1]), np.int64(2 ** 40))
 
 
 def test_from_json_dict_takes_tuple_pairs():
